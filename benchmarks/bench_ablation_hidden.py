@@ -3,8 +3,7 @@
 Sweeps the hidden width for the feature-set-F network on the 6-core
 dataset, checking the paper's sizing rule sits on the accuracy plateau:
 going below ~10 nodes costs accuracy, going above ~20 buys little.
-Runs on the fast-fit path (batched restarts, parallel repetitions), which
-is bit-identical to the serial loop.
+Repetitions run in parallel, which is bit-identical to the serial loop.
 """
 
 from functools import partial
@@ -28,12 +27,7 @@ def test_ablation_hidden_width(benchmark, ctx, emit):
         rows = []
         for width in WIDTHS:
             result = repeated_random_subsampling(
-                partial(
-                    NeuralNetworkModel,
-                    hidden_units=width,
-                    n_restarts=1,
-                    batched_restarts=True,
-                ),
+                partial(NeuralNetworkModel, hidden_units=width, n_restarts=1),
                 X,
                 y,
                 repetitions=5,

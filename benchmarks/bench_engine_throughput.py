@@ -18,8 +18,11 @@ import json
 import os
 import time
 
+import numpy as np
+
 from repro.harness.baselines import collect_baselines
 from repro.harness.collection import collect_training_data
+from repro.harness.parallel import spawn_streams
 from repro.machine import XEON_E5649
 from repro.sim import SimulationEngine, SolveCache
 from repro.workloads.suite import get_application
@@ -66,8 +69,6 @@ def test_model_fit_linear(benchmark, ctx):
 
 
 def test_model_fit_neural(benchmark, ctx):
-    import numpy as np
-
     from repro.core.feature_sets import FeatureSet
     from repro.core.features import feature_matrix
     from repro.core.neural import NeuralNetworkModel
@@ -94,31 +95,50 @@ def _table5_kwargs():
     )
 
 
-def test_table5_collection_warm_cache_speedup(benchmark):
-    """A warm SolveCache must make the Table V collection >= 3x faster,
+def _per_scenario_times(engine, *, targets, co_apps, counts):
+    """The Table V nest as one ``engine.run`` per scenario.
 
-    and serve *exactly* the dataset a cache-less engine produces (noise is
-    applied outside the memoized solve).  Runs the serial per-scenario
-    reference path on purpose: this bench guards the cache's speedup,
-    which the batched solver's own cold-path speed would mask.
+    This is the single-solve path the scheduler takes.  Each scenario
+    draws its noise from the child stream ``collect_training_data`` gives
+    it, so the times equal the collected dataset's.
+    """
+    scenarios = [
+        (target, co_app, count, pstate)
+        for pstate in engine.processor.pstates
+        for target in targets
+        for co_app in co_apps
+        for count in counts
+    ]
+    streams = spawn_streams(np.random.default_rng(2015), len(scenarios))
+    return [
+        engine.run(
+            target, [co_app] * count, pstate=pstate, rng=stream
+        ).target.execution_time_s
+        for (target, co_app, count, pstate), stream in zip(scenarios, streams)
+    ]
+
+
+def test_table5_collection_warm_cache_speedup(benchmark):
+    """A warm SolveCache must make the Table V sweep >= 3x faster,
+
+    and serve *exactly* the times a cache-less engine produces (noise is
+    applied outside the memoized solve).  Runs one solve per scenario on
+    purpose: this bench guards the cache's speedup on the single-solve
+    path, which the stacked solver's own cold-path speed would mask.
     """
     kwargs = _table5_kwargs()
-    kwargs["batch_solve"] = False
-    apps = sorted(set(kwargs["targets"] + kwargs["co_apps"]), key=lambda a: a.name)
     cached_engine = SimulationEngine(XEON_E5649, cache=SolveCache())
-    baselines = collect_baselines(cached_engine, apps)
 
-    cold_engine = SimulationEngine(XEON_E5649)
     start = time.perf_counter()
-    cold = collect_training_data(cold_engine, baselines=baselines, **kwargs)
+    cold = _per_scenario_times(SimulationEngine(XEON_E5649), **kwargs)
     cold_s = time.perf_counter() - start
 
-    collect_training_data(cached_engine, baselines=baselines, **kwargs)  # warm up
+    _per_scenario_times(cached_engine, **kwargs)  # warm up
     start = time.perf_counter()
-    warm = collect_training_data(cached_engine, baselines=baselines, **kwargs)
+    warm = _per_scenario_times(cached_engine, **kwargs)
     warm_s = time.perf_counter() - start
 
-    assert [o.actual_time_s for o in warm] == [o.actual_time_s for o in cold]
+    assert warm == cold
     assert cached_engine.stats.cache_hit_rate > 0.4  # second sweep all hits
     assert cached_engine.stats.convergence_failures == 0
     assert cold_s >= 3.0 * warm_s, (
@@ -127,17 +147,11 @@ def test_table5_collection_warm_cache_speedup(benchmark):
     )
     print(f"\ncold {cold_s * 1e3:.1f} ms, warm {warm_s * 1e3:.1f} ms "
           f"({cold_s / warm_s:.1f}x)\n" + cached_engine.stats.summary())
-    benchmark(
-        lambda: collect_training_data(
-            cached_engine, baselines=baselines, **kwargs
-        )
-    )
+    benchmark(lambda: _per_scenario_times(cached_engine, **kwargs))
 
 
 def test_parallel_collection_matches_serial(benchmark):
     """workers=4 must return the bit-identical dataset, timed as a bench."""
-    import numpy as np
-
     kwargs = _table5_kwargs()
     engine = SimulationEngine(XEON_E5649)
     apps = sorted(set(kwargs["targets"] + kwargs["co_apps"]), key=lambda a: a.name)
@@ -159,39 +173,39 @@ def test_parallel_collection_matches_serial(benchmark):
 
 
 def test_batched_collection_speedup(benchmark, results_dir):
-    """The stacked solver must beat the serial path >= 5x (2x smoke) on a
+    """Collection must beat one solve per scenario >= 5x (2x smoke) on a
 
-    full-testbed collection, while producing the bit-identical dataset.
-    Both engines start with fresh (cold) SolveCaches so the comparison
-    measures the solver, not memoization.  Persists the numbers to
-    ``results/BENCH_engine.json``.
+    full-testbed sweep, while producing the bit-identical times.  Both
+    engines start with fresh (cold) SolveCaches so the comparison measures
+    the stacked solver against the single-scenario fixed point, not
+    memoization.  Persists the numbers to ``results/BENCH_engine.json``.
     """
-    import numpy as np
-
     kwargs = _table5_kwargs()
     apps = sorted(set(kwargs["targets"] + kwargs["co_apps"]), key=lambda a: a.name)
     baselines = collect_baselines(
         SimulationEngine(XEON_E5649, cache=SolveCache()), apps
     )
 
-    def collect(batch_solve):
+    def collect():
         engine = SimulationEngine(XEON_E5649, cache=SolveCache())
         start = time.perf_counter()
         dataset = collect_training_data(
             engine,
             baselines=baselines,
             rng=np.random.default_rng(2015),
-            batch_solve=batch_solve,
             **kwargs,
         )
         return engine, dataset, time.perf_counter() - start
 
-    _, serial_ds, serial_s = collect(False)
+    start = time.perf_counter()
+    serial_times = _per_scenario_times(
+        SimulationEngine(XEON_E5649, cache=SolveCache()), **kwargs
+    )
+    serial_s = time.perf_counter() - start
     engine, batched_ds, batched_s = benchmark.pedantic(
-        lambda: collect(True), rounds=1, iterations=1
+        collect, rounds=1, iterations=1
     )
 
-    serial_times = [o.actual_time_s for o in serial_ds]
     batched_times = [o.actual_time_s for o in batched_ds]
     bit_identical = serial_times == batched_times
     assert bit_identical, "batched collection diverged from serial"

@@ -21,7 +21,7 @@ import json
 import os
 import time
 
-from repro.harness.parallel import map_scenarios
+from repro.harness.parallel import map_scenario_batches
 from repro.machine import XEON_E5649
 from repro.obs.collector import CollectorThread
 from repro.obs.stream import SpanSender, StreamingTracer
@@ -33,8 +33,8 @@ _SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 
 APPS = ("cg", "ep") if _SMOKE else ("canneal", "cg", "ep", "sp")
 # Floor at 2: the whole point is the cross-process streaming path, and
-# map_scenarios falls back to its serial (in-process) path at workers=1,
-# which single-core CI runners would otherwise silently trigger.
+# map_scenario_batches falls back to its serial (in-process) path at
+# workers=1, which single-core CI runners would otherwise silently trigger.
 WORKERS = max(2, min(os.cpu_count() or 1, 4))
 
 
@@ -45,9 +45,12 @@ def _record(results_dir, **values):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _solve_payload(engine, payload):
-    app, pstate = payload
-    return engine.run(app, (), pstate=pstate).target.execution_time_s
+def _solve_payloads(engine, payloads):
+    # One solve (and one engine.solve span) per payload.
+    return [
+        engine.run(app, (), pstate=pstate).target.execution_time_s
+        for app, pstate in payloads
+    ]
 
 
 def _payloads(engine):
@@ -60,8 +63,8 @@ def _payloads(engine):
 
 def _sweep(engine):
     start = time.perf_counter()
-    results = map_scenarios(
-        engine, _solve_payload, _payloads(engine), workers=WORKERS
+    results = map_scenario_batches(
+        engine, _solve_payloads, _payloads(engine), workers=WORKERS
     )
     return results, time.perf_counter() - start
 

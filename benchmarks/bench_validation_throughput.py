@@ -8,11 +8,7 @@ exists for:
   3x faster than serial on a multi-core runner (the floor drops to 1.5x
   under ``REPRO_SMOKE=1``, and the speedup assertion is skipped outright
   on runners with fewer than four cores, where no fan-out can pay off);
-* ``batched_restarts=True`` advances all SCG restarts as one stacked
-  optimization with bit-identical per-restart losses and restart
-  selection (its speedup is reported, not asserted — it depends on the
-  restart count and problem size);
-* the serial loss keeps allocation out of the hot loop: a warmed
+* the neural loss keeps allocation out of the hot loop: a warmed
   workspace call must allocate well under half of a cold call's peak;
 * the :mod:`repro.obs` instrumentation is effectively free while tracing
   is disabled: the null-tracer per-call cost, scaled by the number of
@@ -63,9 +59,7 @@ def _record(results_dir, **values):
 def test_parallel_validation_speedup(benchmark, ctx, results_dir):
     """workers=N must match workers=1 bitwise and beat it on wall time."""
     X, y = _feature_data(ctx)
-    factory = partial(
-        make_model, ModelKind.NEURAL, FeatureSet.F, batched_restarts=True
-    )
+    factory = partial(make_model, ModelKind.NEURAL, FeatureSet.F)
 
     def sweep(workers):
         stats = FitStats()
@@ -124,58 +118,12 @@ def test_parallel_validation_speedup(benchmark, ctx, results_dir):
         )
 
 
-def test_batched_restart_speedup(benchmark, ctx, results_dir):
-    """Stacked restarts must match the serial loop bitwise; speedup reported."""
-    X, y = _feature_data(ctx)
-    n_restarts = 4 if _SMOKE else 8
-
-    def fit(batched):
-        model = NeuralNetworkModel(
-            hidden_units=20, n_restarts=n_restarts, batched_restarts=batched
-        )
-        return model.fit(X, y, rng=np.random.default_rng(7))
-
-    start = time.perf_counter()
-    serial_model = fit(False)
-    serial_s = time.perf_counter() - start
-    batched_model = benchmark.pedantic(lambda: fit(True), rounds=1, iterations=1)
-    batched_s = batched_model.fit_stats_.wall_time_s
-
-    # The contract is 1e-9 relative on per-restart losses; the matched
-    # accumulation forms actually deliver bitwise equality.
-    rel = np.max(
-        np.abs(serial_model.restart_losses_ - batched_model.restart_losses_)
-        / np.abs(serial_model.restart_losses_)
-    )
-    assert rel <= 1e-9, f"batched restart losses off by {rel:.3e} relative"
-    assert int(np.argmin(serial_model.restart_losses_)) == int(
-        np.argmin(batched_model.restart_losses_)
-    ), "restart selection differs between serial and batched modes"
-    assert np.array_equal(serial_model.predict(X), batched_model.predict(X))
-
-    speedup = serial_s / batched_s
-    print(
-        f"\nserial restarts {serial_s * 1e3:7.1f} ms   "
-        f"batched {batched_s * 1e3:7.1f} ms   speedup {speedup:.2f}x "
-        f"({n_restarts} restarts, max rel loss diff {rel:.1e})"
-    )
-    _record(
-        results_dir,
-        batched_restarts=n_restarts,
-        batched_serial_s=serial_s,
-        batched_s=batched_s,
-        batched_speedup=speedup,
-    )
-
-
 def test_tracer_overhead_guard(ctx, results_dir):
     """Disabled tracing must cost <2% of sweep wall time; traced run exported."""
     from repro.obs.trace import disable, enable, get_tracer
 
     X, y = _feature_data(ctx)
-    factory = partial(
-        make_model, ModelKind.NEURAL, FeatureSet.F, batched_restarts=True
-    )
+    factory = partial(make_model, ModelKind.NEURAL, FeatureSet.F)
 
     def sweep():
         start = time.perf_counter()

@@ -7,11 +7,10 @@ matching Section IV-B4) and writes each one under ``benchmarks/results/``.
 Set ``REPRO_REPETITIONS`` to trade fidelity for speed (e.g. 10 for a quick
 pass); the qualitative shapes are stable well below 100.
 
-The model evaluations run on the fast-fit path: validation sweeps fan out
-across ``REPRO_WORKERS`` processes (default: the machine's core count,
-capped at 8) and neural fits use batched restarts.  Both paths are
-bit-identical to their serial counterparts, so the reported figures are
-unchanged by either knob.
+The model evaluations fan their validation sweeps out across
+``REPRO_WORKERS`` processes (default: the machine's core count, capped at
+8).  Any worker count is bit-identical to a serial sweep, so the reported
+figures do not depend on it.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ def ctx() -> ExperimentContext:
         seed=2015,
         repetitions=repetitions,
         workers=min(workers, 8),
-        batched_restarts=True,
     )
 
 

@@ -200,7 +200,6 @@ def _cmd_collect(args) -> int:
             engine,
             rng=np.random.default_rng(args.seed),
             workers=args.workers,
-            batch_solve=not args.no_batch_solve,
             **kwargs,
         )
     except ValueError as exc:
@@ -250,7 +249,10 @@ def _cmd_train(args) -> int:
     else:
         artifact = PerformancePredictor(kind, feature_set, seed=args.seed)
         label = f"{kind.value}/{feature_set.value}"
-    artifact.fit(list(dataset))
+    try:
+        artifact.fit(list(dataset))
+    except ValueError as exc:
+        raise SystemExit(f"error: cannot fit model: {exc}") from None
     save_artifact(artifact, args.output)
     print(
         f"trained {label} on {len(dataset)} "
@@ -272,14 +274,16 @@ def _cmd_evaluate(args) -> int:
         raise SystemExit(f"error: cannot read dataset: {exc}") from None
     _verify_dataset(args, dataset)
     fit_stats = FitStats()
-    evaluations = evaluate_models(
-        list(dataset),
-        repetitions=args.repetitions,
-        seed=args.seed,
-        workers=args.workers,
-        batched_restarts=args.batched_restarts,
-        stats=fit_stats,
-    )
+    try:
+        evaluations = evaluate_models(
+            list(dataset),
+            repetitions=args.repetitions,
+            seed=args.seed,
+            workers=args.workers,
+            stats=fit_stats,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: cannot evaluate dataset: {exc}") from None
     rows = [
         [
             e.kind.value,
@@ -902,7 +906,6 @@ def _cmd_suite_run(args) -> int:
         store,
         workers=args.workers,
         force=args.force,
-        batch_solve=not args.no_batch,
     )
     report = runner.run()
     print(report.summary())
@@ -1166,10 +1169,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "count yields the identical dataset)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable steady-state solve memoization")
-    p.add_argument("--no-batch-solve", action="store_true",
-                   help="use the serial per-scenario reference path instead "
-                        "of the batched steady-state solver (bit-identical, "
-                        "just slower)")
     p.add_argument("--stats", action="store_true",
                    help="print engine solve/cache statistics after collection")
     p.add_argument("--trace", metavar="PATH",
@@ -1211,10 +1210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="processes for the validation sweeps; "
                         "any count yields identical results")
-    p.add_argument("--batched-restarts", dest="batched_restarts",
-                   action="store_true",
-                   help="stacked multi-restart SCG fast path for neural fits "
-                        "(bit-identical to the serial restart loop)")
     p.add_argument("--stats", action="store_true",
                    help="print fit statistics after the grid")
     p.add_argument("--trace", metavar="PATH",
@@ -1425,9 +1420,6 @@ def build_parser() -> argparse.ArgumentParser:
     sr.add_argument("--force", action="store_true",
                     help="re-execute every node even when the store "
                          "resolves it")
-    sr.add_argument("--no-batch", dest="no_batch", action="store_true",
-                    help="disable the batched steady-state solver "
-                         "(bit-identical, just slower)")
     sr.add_argument("--stats", action="store_true",
                     help="print suite run counters afterwards")
     sr.add_argument("--trace", metavar="PATH",

@@ -46,7 +46,7 @@ from .persistence import (
     save_ensemble,
     save_predictor,
 )
-from .scg import BatchedSCGResult, SCGResult, minimize_scg, minimize_scg_batched
+from .scg import SCGResult, minimize_scg
 from .validation import (
     GroupValidationResult,
     RegressionModel,
@@ -56,7 +56,6 @@ from .validation import (
 )
 
 __all__ = [
-    "BatchedSCGResult",
     "ClassProfiles",
     "CoLocationObservation",
     "EnsemblePredictor",
@@ -97,7 +96,6 @@ __all__ = [
     "mae",
     "make_model",
     "minimize_scg",
-    "minimize_scg_batched",
     "mpe",
     "nrmse",
     "observation_from_profiles",

@@ -34,19 +34,17 @@ __all__ = ["PredictionInterval", "EnsemblePredictor"]
 _MEMBER_POOL: tuple | None = None
 
 
-def _init_member_pool(kind, feature_set, batched_restarts, X, y) -> None:
+def _init_member_pool(kind, feature_set, X, y) -> None:
     global _MEMBER_POOL
-    _MEMBER_POOL = (kind, feature_set, batched_restarts, X, y)
+    _MEMBER_POOL = (kind, feature_set, X, y)
 
 
 def _fit_member(task):
     pool_state = _MEMBER_POOL
     assert pool_state is not None, "member pool used before initialization"
-    kind, feature_set, batched_restarts, X, y = pool_state
+    kind, feature_set, X, y = pool_state
     idx, rng = task
-    model = make_model(
-        kind, feature_set, rng=rng, batched_restarts=batched_restarts
-    )
+    model = make_model(kind, feature_set, rng=rng)
     model.fit(X[idx], y[idx])
     # make_model binds rng into fit via a per-instance closure, which
     # cannot pickle back to the parent; the model is fitted, so drop it.
@@ -88,8 +86,6 @@ class EnsemblePredictor:
         SeedSequence-spawned per-member streams (resamples are drawn up
         front from the root generator), so any worker count produces the
         identical ensemble.
-    batched_restarts:
-        Fit neural members on the stacked multi-restart SCG fast path.
     """
 
     def __init__(
@@ -100,7 +96,6 @@ class EnsemblePredictor:
         n_members: int = 5,
         seed: int = 0,
         workers: int = 1,
-        batched_restarts: bool = False,
     ) -> None:
         if n_members < 2:
             raise ValueError("an ensemble needs at least two members")
@@ -110,7 +105,6 @@ class EnsemblePredictor:
         self.feature_set = feature_set
         self.n_members = n_members
         self.workers = workers
-        self.batched_restarts = bool(batched_restarts)
         self._rng = np.random.default_rng(seed)
         self._members: list | None = None
         self._processor_name: str | None = None
@@ -153,25 +147,14 @@ class EnsemblePredictor:
         if self.workers == 1:
             members = []
             for idx, member_rng in tasks:
-                model = make_model(
-                    self.kind,
-                    self.feature_set,
-                    rng=member_rng,
-                    batched_restarts=self.batched_restarts,
-                )
+                model = make_model(self.kind, self.feature_set, rng=member_rng)
                 model.fit(X[idx], y[idx])
                 members.append(model)
         else:
             with ProcessPoolExecutor(
                 max_workers=min(self.workers, self.n_members),
                 initializer=_init_member_pool,
-                initargs=(
-                    self.kind,
-                    self.feature_set,
-                    self.batched_restarts,
-                    X,
-                    y,
-                ),
+                initargs=(self.kind, self.feature_set, X, y),
             ) as pool:
                 members = list(pool.map(_fit_member, tasks))
         aggregate = FitStats()

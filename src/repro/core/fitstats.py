@@ -35,9 +35,7 @@ class FitStats:
         Independent weight initializations optimized (equals ``fits`` for
         deterministic models, ``fits * n_restarts`` for neural fits).
     scg_iterations:
-        SCG iterations advanced, summed over restarts.  In batched-restart
-        mode each member's iterations are counted individually, so the
-        total is comparable with the serial path.
+        SCG iterations advanced, summed over restarts.
     function_evals / gradient_evals:
         Loss / gradient evaluations (evaluated jointly by the neural loss,
         so the two usually match).

@@ -51,23 +51,18 @@ def make_model(
     feature_set: FeatureSet,
     *,
     rng: np.random.Generator | None = None,
-    batched_restarts: bool = False,
 ) -> RegressionModel:
     """Instantiate one unfitted model of the paper's 12-model grid.
 
     The neural variant sizes its hidden layer from the feature count
     (Section III-D's "ten to twenty nodes depending on the model feature
     set").  ``rng`` seeds the network initialization; linear models are
-    deterministic and ignore it, as they do ``batched_restarts`` (the
-    neural fast path; see :mod:`repro.core.neural`).
+    deterministic and ignore it.
     """
     if kind is ModelKind.LINEAR:
         return LinearModel()
     n_features = len(feature_set.features)
-    model = NeuralNetworkModel(
-        hidden_units=default_hidden_units(n_features),
-        batched_restarts=batched_restarts,
-    )
+    model = NeuralNetworkModel(hidden_units=default_hidden_units(n_features))
     if rng is not None:
         # Bind the rng into fit so the validation protocol (fit(X, y))
         # stays uniform across model kinds.
@@ -103,7 +98,6 @@ def evaluate_models(
     test_fraction: float = 0.3,
     seed: int = 0,
     workers: int = 1,
-    batched_restarts: bool = False,
     stats: FitStats | None = None,
 ) -> list[ModelEvaluation]:
     """Run the paper's full model evaluation over one machine's dataset.
@@ -114,8 +108,7 @@ def evaluate_models(
     spawned fit stream per repetition), so results do not depend on
     evaluation order or on ``workers`` — ``workers=N`` fans the
     repetitions across a process pool with bit-identical output.
-    ``batched_restarts`` switches neural fits to the stacked multi-restart
-    SCG fast path; ``stats`` (optional, shared) accumulates every fit's
+    ``stats`` (optional, shared) accumulates every fit's
     :class:`~repro.core.fitstats.FitStats`.
     """
     evaluations = []
@@ -124,7 +117,7 @@ def evaluate_models(
             X, y = feature_matrix(observations, fs.features)
             rng = np.random.default_rng([seed, ord(kind.value[0]), ord(fs.value)])
             result = repeated_random_subsampling(
-                partial(make_model, kind, fs, batched_restarts=batched_restarts),
+                partial(make_model, kind, fs),
                 X,
                 y,
                 test_fraction=test_fraction,

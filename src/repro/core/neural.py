@@ -10,20 +10,9 @@ Inputs and the target are standardized internally; predictions are returned
 in original units.  The network captures the nonlinear cache/bandwidth
 contention effects the linear models cannot (Section V-D).
 
-Training cost dominates the validation benches, so two fast paths exist:
-
-* the serial restart loop reuses one preallocated workspace across all
-  gradient evaluations of a fit (no per-iteration ``(n, h)`` allocations);
-* ``batched_restarts=True`` advances all ``n_restarts`` weight vectors as
-  one ``(R, n_params)`` stack through :func:`~repro.core.scg.
-  minimize_scg_batched`, turning ``R`` serial SCG runs into stacked 3-D
-  matmuls.  Initial weights are drawn in the identical order, restart
-  selection is the identical first-of-minima rule, and — because both
-  paths use the same accumulation forms for every reduction (stacked
-  matmuls dispatch per-slice gemms; dots are einsum on both sides) —
-  per-restart trajectories and losses are bit-for-bit identical to the
-  serial path.  The mode stays a constructor opt-in so the reference
-  serial path remains the default contract.
+Training cost dominates the validation benches, so the restart loop
+reuses one preallocated workspace across all gradient evaluations of a fit
+(no per-iteration ``(n, h)`` allocations).
 
 Every fit leaves a :class:`~repro.core.fitstats.FitStats` record in
 ``fit_stats_`` and accumulates it into the instance-level ``stats``.
@@ -37,7 +26,7 @@ import numpy as np
 
 from ..obs.trace import get_tracer
 from .fitstats import GLOBAL_FIT_STATS, FitStats
-from .scg import minimize_scg, minimize_scg_batched
+from .scg import minimize_scg
 
 __all__ = ["NeuralNetworkModel", "default_hidden_units"]
 
@@ -66,9 +55,6 @@ class NeuralNetworkModel:
         Independent weight initializations; the best final loss wins.
         SCG is deterministic given an initialization, so restarts are the
         only stochastic element — they consume the caller's ``rng``.
-    batched_restarts:
-        Advance all restarts as one stacked optimization (fast path; see
-        the module docstring for the accuracy contract).
     stats:
         Optional shared :class:`~repro.core.fitstats.FitStats` to
         accumulate into; a private record is created when omitted.
@@ -81,7 +67,6 @@ class NeuralNetworkModel:
         l2: float = 1e-4,
         max_iterations: int = 300,
         n_restarts: int = 2,
-        batched_restarts: bool = False,
         stats: FitStats | None = None,
     ) -> None:
         if hidden_units is not None and hidden_units < 1:
@@ -96,7 +81,6 @@ class NeuralNetworkModel:
         self.l2 = l2
         self.max_iterations = max_iterations
         self.n_restarts = n_restarts
-        self.batched_restarts = bool(batched_restarts)
         self.stats = stats if stats is not None else FitStats()
         self.fit_stats_: FitStats | None = None
         self._params: np.ndarray | None = None
@@ -151,8 +135,8 @@ class NeuralNetworkModel:
         D = work["D"]
         out = work["out"]
 
-        # Accumulation forms (column matmuls, einsum reductions) mirror the
-        # batched path exactly so the two modes stay bit-for-bit in step.
+        # The accumulation forms (column matmuls, einsum reductions) fix
+        # the rounding of every fit; see the SCG module on why that matters.
         np.matmul(Z, W1, out=H)
         H += b1
         np.tanh(H, out=H)                     # (n, h) activations
@@ -181,77 +165,11 @@ class NeuralNetworkModel:
         D.sum(axis=0, out=gb1)
         return loss, grad
 
-    def _loss_and_grad_batched(
-        self,
-        P: np.ndarray,
-        Z: np.ndarray,
-        t: np.ndarray,
-        work: dict | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched loss/gradient over a ``(R, n_params)`` restart stack.
-
-        One fused forward/backward pass over all members: ``Z`` broadcasts
-        against the ``(R, d, h)`` weight stack, so each heavy step is a
-        single stacked 3-D matmul instead of ``R`` small 2-D ones.  Like
-        the serial path, ``work`` caches the ``(R, n, h)`` scratch stacks
-        (keyed by ``R``, which shrinks as restarts converge and freeze);
-        only the returned gradient stack is freshly allocated.  Every
-        accumulation uses the same per-slice form as the serial path, so
-        the two modes produce bit-identical trajectories.
-        """
-        n = Z.shape[0]
-        d, h = self._shapes  # type: ignore[misc]
-        R = P.shape[0]
-        W1 = P[:, : d * h].reshape(R, d, h)
-        b1 = P[:, d * h : d * h + h]
-        W2 = P[:, d * h + h : d * h + 2 * h]
-        b2 = P[:, -1]
-        if work is None:
-            work = {}
-        buffers = work.get(R)
-        if buffers is None:
-            buffers = work[R] = (np.empty((R, n, h)), np.empty((R, n, 1)))
-        H, out3 = buffers
-
-        np.matmul(Z, W1, out=H)
-        H += b1[:, None, :]
-        np.tanh(H, out=H)                                        # (R, n, h)
-        np.matmul(H, W2[:, :, None], out=out3)
-        err = out3[:, :, 0]
-        err += b2[:, None]
-        err -= t                                                 # (R, n)
-        loss = 0.5 * np.einsum("rn,rn->r", err, err) / n + 0.5 * self.l2 * (
-            np.einsum("rdh,rdh->r", W1, W1) + np.einsum("rh,rh->r", W2, W2)
-        )
-        # Backpropagation across the stack.
-        err /= n                                                 # d_out
-        grad = np.empty((R, P.shape[1]))
-        gW1 = grad[:, : d * h].reshape(R, d, h)
-        gb1 = grad[:, d * h : d * h + h]
-        gW2 = grad[:, d * h + h : d * h + 2 * h]
-        gW2[:] = np.matmul(H.transpose(0, 2, 1), err[:, :, None])[:, :, 0]
-        gW2 += self.l2 * W2
-        grad[:, -1] = err.sum(axis=1)                            # gb2
-        dH = H                                                   # reuse: H is dead
-        np.multiply(H, H, out=dH)
-        np.subtract(1.0, dH, out=dH)
-        dH *= W2[:, None, :]
-        dH *= err[:, :, None]                                    # (R, n, h)
-        gW1[:] = np.matmul(Z.T, dH)
-        gW1 += self.l2 * W1
-        dH.sum(axis=1, out=gb1)
-        return loss, grad
-
     def _draw_initializations(
         self, rng: np.random.Generator, d: int, h: int
-    ) -> np.ndarray:
-        """The ``(n_restarts, n_params)`` initial weight stack.
-
-        Drawn restart-by-restart in the exact order of the historical
-        serial loop, so serial and batched fits consume the caller's
-        ``rng`` identically.
-        """
-        rows = [
+    ) -> list[np.ndarray]:
+        """One initial weight vector per restart, drawn in restart order."""
+        return [
             np.concatenate(
                 [
                     rng.normal(0.0, 1.0 / np.sqrt(d), size=d * h),
@@ -262,11 +180,10 @@ class NeuralNetworkModel:
             )
             for _ in range(self.n_restarts)
         ]
-        return np.stack(rows)
 
     @staticmethod
     def _select_best(losses: np.ndarray) -> int:
-        """First index of the minimal finite loss (the serial ``<`` rule)."""
+        """First index of the minimal finite loss."""
         finite = np.isfinite(losses)
         if not finite.any():
             raise RuntimeError(
@@ -321,48 +238,27 @@ class NeuralNetworkModel:
             features=d,
             hidden=h,
             restarts=self.n_restarts,
-            batched=self.batched_restarts,
         ) as fit_span:
-            if self.batched_restarts:
-                bwork: dict = {}
-                with tracer.span("fit.scg_batched") as span:
-                    result = minimize_scg_batched(
-                        lambda P: self._loss_and_grad_batched(P, Z, t, bwork),
-                        W0,
-                        max_iterations=self.max_iterations,
+            work: dict = {}
+            objective = lambda p: self._loss_and_grad(p, Z, t, work)  # noqa: E731
+            results = []
+            for restart, w0 in enumerate(W0):
+                with tracer.span("fit.scg_restart", restart=restart) as span:
+                    res = minimize_scg(
+                        objective, w0, max_iterations=self.max_iterations
                     )
-                    span.set(iterations=int(result.iterations.sum()))
-                losses = result.fun
-                best = self._select_best(losses)
-                best_params = result.x[best]
-                record.record_fit(
-                    restarts=self.n_restarts,
-                    scg_iterations=int(result.iterations.sum()),
-                    function_evals=result.function_evals,
-                    gradient_evals=result.gradient_evals,
-                    wall_time_s=time.perf_counter() - started,
-                )
-            else:
-                work: dict = {}
-                objective = lambda p: self._loss_and_grad(p, Z, t, work)  # noqa: E731
-                results = []
-                for restart, w0 in enumerate(W0):
-                    with tracer.span("fit.scg_restart", restart=restart) as span:
-                        res = minimize_scg(
-                            objective, w0, max_iterations=self.max_iterations
-                        )
-                        span.set(iterations=res.iterations, loss=res.fun)
-                    results.append(res)
-                losses = np.array([res.fun for res in results])
-                best = self._select_best(losses)
-                best_params = results[best].x
-                record.record_fit(
-                    restarts=self.n_restarts,
-                    scg_iterations=sum(res.iterations for res in results),
-                    function_evals=sum(res.function_evals for res in results),
-                    gradient_evals=sum(res.gradient_evals for res in results),
-                    wall_time_s=time.perf_counter() - started,
-                )
+                    span.set(iterations=res.iterations, loss=res.fun)
+                results.append(res)
+            losses = np.array([res.fun for res in results])
+            best = self._select_best(losses)
+            best_params = results[best].x
+            record.record_fit(
+                restarts=self.n_restarts,
+                scg_iterations=sum(res.iterations for res in results),
+                function_evals=sum(res.function_evals for res in results),
+                gradient_evals=sum(res.gradient_evals for res in results),
+                wall_time_s=time.perf_counter() - started,
+            )
             fit_span.set(loss=float(losses[best]))
         self._params = best_params
         self.training_loss_ = float(losses[best])

@@ -12,21 +12,6 @@ scaled conjugate gradient algorithm for fast supervised learning", Neural
 Networks 6(4), 1993 — the standard reference implementation order
 (steps 1–9), with a restart to the steepest descent direction every ``n``
 iterations.
-
-Two entry points share the algorithm:
-
-* :func:`minimize_scg` — one parameter vector, the reference path;
-* :func:`minimize_scg_batched` — ``R`` independent parameter vectors
-  advanced together as one ``(R, n)`` stack.  Every per-member scalar of
-  the serial algorithm (sigma, lambda, delta, the success flag) becomes a
-  length-``R`` array, converged members are frozen via a mask, and the
-  caller's ``fun_and_grad`` evaluates all active members in one batched
-  call — for neural-network losses that turns ``R`` serial optimizations
-  into a handful of large stacked BLAS calls per iteration.  Member
-  trajectories follow the identical decision sequence, and both paths use
-  the same accumulation forms for every reduction (einsum row dots, not
-  BLAS ``dot``), so per-member trajectories are bit-for-bit identical
-  when the objective honors the same discipline.
 """
 
 from __future__ import annotations
@@ -36,12 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "BatchedSCGResult",
-    "SCGResult",
-    "minimize_scg",
-    "minimize_scg_batched",
-]
+__all__ = ["SCGResult", "minimize_scg"]
 
 
 @dataclass(frozen=True)
@@ -112,9 +92,10 @@ def minimize_scg(
     message = "maximum iterations reached"
     k = 0
 
-    # Reductions use einsum rather than BLAS dot so each member of the
-    # batched variant (row-wise einsum over a stack) accumulates in the
-    # identical order — the property that keeps the two paths in lockstep.
+    # Reductions use einsum rather than BLAS dot.  The two round in a
+    # different order, and a last-ulp difference can flip a step's success
+    # decision hundreds of iterations later, so switching would change the
+    # fitted networks.
     def dot(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.einsum("i,i->", a, b))
 
@@ -201,198 +182,4 @@ def minimize_scg(
         gradient_evals=ngev,
         converged=converged,
         message=message,
-    )
-
-
-@dataclass(frozen=True)
-class BatchedSCGResult:
-    """Outcome of a batched multi-restart SCG run (one row per member)."""
-
-    x: np.ndarray           # (R, n) final parameter vectors
-    fun: np.ndarray         # (R,) final losses
-    grad_norm: np.ndarray   # (R,) final gradient norms
-    iterations: np.ndarray  # (R,) iterations each member advanced
-    function_evals: int     # member-evaluations, summed over the batch
-    gradient_evals: int
-    converged: np.ndarray   # (R,) bool
-
-    @property
-    def n_members(self) -> int:
-        """Number of restarts in the batch."""
-        return self.fun.size
-
-
-def minimize_scg_batched(
-    fun_and_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    x0: np.ndarray,
-    *,
-    max_iterations: int = 500,
-    grad_tolerance: float = 1e-6,
-    step_tolerance: float = 1e-12,
-    sigma0: float = 1e-5,
-    initial_lambda: float = 1e-6,
-) -> BatchedSCGResult:
-    """Minimize ``R`` independent starting points as one ``(R, n)`` stack.
-
-    Parameters
-    ----------
-    fun_and_grad:
-        Batched objective: given ``(R_active, n)`` parameter rows, returns
-        ``(losses, grads)`` of shapes ``(R_active,)`` and ``(R_active, n)``.
-        Rows are independent — the callable is handed whichever members
-        still need evaluating, in member order.
-    x0:
-        ``(R, n)`` stack of starting points, one row per restart.
-    max_iterations, grad_tolerance, step_tolerance, sigma0, initial_lambda:
-        As for :func:`minimize_scg`, applied per member.
-
-    Every member follows the exact decision sequence of
-    :func:`minimize_scg`; members that converge are frozen (their rows stop
-    being evaluated) while the rest continue.  All internal reductions use
-    the row-wise einsum counterparts of the serial path's accumulations,
-    so a member's trajectory is bit-identical to running
-    :func:`minimize_scg` on its row alone — provided ``fun_and_grad``
-    evaluates each row with the same arithmetic as its serial counterpart
-    (stacked matmuls dispatch per-slice gemm calls, so this holds whenever
-    the serial objective uses matching matmul shapes and einsum
-    reductions, as :class:`~repro.core.neural.NeuralNetworkModel` does).
-    """
-    X = np.array(x0, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("x0 must be a (restarts, n_params) stack")
-    R, n = X.shape
-    if R == 0 or n == 0:
-        raise ValueError("cannot optimize an empty restart stack")
-
-    nfev = ngev = 0
-
-    def evaluate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal nfev, ngev
-        f, g = fun_and_grad(points)
-        nfev += points.shape[0]
-        ngev += points.shape[0]
-        return np.asarray(f, dtype=float), np.asarray(g, dtype=float)
-
-    f_x, grad = evaluate(X)
-    r = -grad           # steepest descent residuals
-    p = r.copy()        # search directions
-    success = np.ones(R, dtype=bool)
-    lam = np.full(R, float(initial_lambda))
-    lam_bar = np.zeros(R)
-    delta = np.zeros(R)
-    sigma = np.zeros(R)
-    active = np.ones(R, dtype=bool)
-    converged = np.zeros(R, dtype=bool)
-    iterations = np.zeros(R, dtype=int)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(1, max_iterations + 1):
-            iterations[active] = k
-            p_sq = np.einsum("ri,ri->r", p, p)
-            p_norm = np.sqrt(p_sq)
-
-            # 1. Vanished search direction: frozen as converged.
-            vanished = active & (p_norm < step_tolerance)
-            if vanished.any():
-                converged |= vanished
-                active &= ~vanished
-            if not active.any():
-                break
-
-            # 2. Second-order information for members whose last step held.
-            probing = np.flatnonzero(active & success)
-            if probing.size:
-                sigma[probing] = sigma0 / p_norm[probing]
-                _f_probe, grad_probe = evaluate(
-                    X[probing] + sigma[probing, None] * p[probing]
-                )
-                s = (grad_probe - grad[probing]) / sigma[probing, None]
-                delta[probing] = np.einsum("ri,ri->r", p[probing], s)
-
-            act = np.flatnonzero(active)
-
-            # 3. Scale the curvature estimate.
-            delta[act] += (lam[act] - lam_bar[act]) * p_sq[act]
-
-            # 4. Make the Hessian estimate positive definite.
-            neg = act[delta[act] <= 0.0]
-            if neg.size:
-                lam_bar[neg] = 2.0 * (lam[neg] - delta[neg] / p_sq[neg])
-                delta[neg] = -delta[neg] + lam[neg] * p_sq[neg]
-                lam[neg] = lam_bar[neg]
-
-            # 5. Step sizes.
-            mu = np.einsum("ri,ri->r", p[act], r[act])
-            alpha = mu / delta[act]
-
-            # 6. Comparison parameter: actual vs predicted reduction.
-            x_new = X[act] + alpha[:, None] * p[act]
-            f_new, grad_new = evaluate(x_new)
-            big_delta = 2.0 * delta[act] * (f_x[act] - f_new) / (mu * mu)
-
-            ok = big_delta >= 0.0
-            good = act[ok]
-            if good.size:
-                # 7a. Successful steps.
-                pos = np.flatnonzero(ok)
-                df = f_x[good] - f_new[pos]
-                X[good] = x_new[pos]
-                f_x[good] = f_new[pos]
-                g_new = grad_new[pos]
-                r_new = -g_new
-                r_old = r[good]
-                grad[good] = g_new
-                lam_bar[good] = 0.0
-                success[good] = True
-                if k % n == 0:
-                    p[good] = r_new  # periodic restart to steepest descent
-                else:
-                    beta = (
-                        np.einsum("ri,ri->r", r_new, r_new)
-                        - np.einsum("ri,ri->r", r_new, r_old)
-                    ) / mu[pos]
-                    p[good] = r_new + beta[:, None] * p[good]
-                r[good] = r_new
-                shrink = good[big_delta[pos] >= 0.75]
-                lam[shrink] *= 0.25
-                stalled = good[
-                    (np.abs(alpha[pos]) * p_norm[good] < step_tolerance)
-                    & (np.abs(df) < step_tolerance)
-                ]
-                if stalled.size:
-                    converged[stalled] = True
-                    active[stalled] = False
-            bad = act[~ok]
-            if bad.size:
-                # 7b. Unsuccessful steps: keep position, raise the scale.
-                lam_bar[bad] = lam[bad]
-                success[bad] = False
-
-            # 8. Increase scale where the quadratic approximation was poor.
-            poor = act[big_delta < 0.25]
-            if poor.size:
-                sel = np.flatnonzero(big_delta < 0.25)
-                lam[poor] += delta[poor] * (1.0 - big_delta[sel]) / p_sq[poor]
-            np.minimum(lam, 1e40, out=lam)  # runaway-scale guard
-
-            # 9. Convergence on gradient norm.
-            live = np.flatnonzero(active)
-            small = live[
-                np.sqrt(np.einsum("ri,ri->r", r[live], r[live]))
-                < grad_tolerance
-            ]
-            if small.size:
-                converged[small] = True
-                active[small] = False
-            if not active.any():
-                break
-
-    return BatchedSCGResult(
-        x=X,
-        fun=f_x,
-        grad_norm=np.sqrt(np.einsum("ri,ri->r", grad, grad)),
-        iterations=iterations,
-        function_evals=nfev,
-        gradient_evals=ngev,
-        converged=converged,
     )

@@ -51,8 +51,7 @@ def forward_selection(
         is refit many times — ``O(max_features * |candidates| *
         repetitions)`` fits — but ``workers=N`` amortizes the cost by
         fanning each candidate's repetitions across a process pool, which
-        makes even neural selection at full repetitions practical;
-        neural factories should also enable ``batched_restarts``.
+        makes even neural selection at full repetitions practical.
     observations:
         The dataset searched over.
     candidates:

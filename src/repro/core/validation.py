@@ -11,8 +11,8 @@ confidence intervals, and the reproduction's benches check the same.
 
 Repetitions (and leave-one-group-out folds) are independent, so both
 protocols accept ``workers=N`` to fan fits across a process pool — the
-fitting counterpart of the collection layer's ``map_scenarios``.  The same
-two rules keep ``workers=N`` bit-identical to ``workers=1``:
+fitting counterpart of the collection layer's ``map_scenario_batches``.
+The same two rules keep ``workers=N`` bit-identical to ``workers=1``:
 
 * **Stable split stream.**  Every split permutation is drawn up front from
   the caller's ``rng`` in repetition order, exactly as the serial loop

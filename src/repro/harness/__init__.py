@@ -15,7 +15,7 @@ from .manifest import (
     read_manifest,
     write_manifest,
 )
-from .parallel import map_scenarios, spawn_streams
+from .parallel import spawn_streams
 from .experiments import (
     ExperimentContext,
     default_context,
@@ -45,7 +45,6 @@ __all__ = [
     "figure5b_errors",
     "figure_series",
     "manifest_path_for",
-    "map_scenarios",
     "read_manifest",
     "setup_for",
     "spawn_streams",

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..counters.hpcrun import FlatProfile, flat_profile_from_run, hpcrun_flat
+from ..counters.hpcrun import FlatProfile, flat_profile_from_run
 from ..sim.engine import SimulationEngine
 from ..workloads.app import ApplicationSpec
-from .parallel import map_scenario_batches, map_scenarios, spawn_streams
+from .parallel import map_scenario_batches, spawn_streams
 
 __all__ = ["BaselineTable", "collect_baselines"]
 
@@ -74,16 +74,11 @@ class BaselineTable:
         return sorted({name for (name, _freq) in self.profiles})
 
 
-def _profile_scenario(engine: SimulationEngine, payload) -> FlatProfile:
-    """One solo profiling run (module-level so worker processes can pickle it)."""
-    app, pstate, rng = payload
-    return hpcrun_flat(engine, app, pstate=pstate, rng=rng)
-
-
 def _profile_scenario_batch(
     engine: SimulationEngine, payloads
 ) -> list[FlatProfile]:
-    """Batched counterpart of :func:`_profile_scenario` (one stacked solve)."""
+    """Solo profiling runs as one stacked solve (module-level so worker
+    processes can pickle it); each profile equals ``hpcrun_flat``'s."""
     runs = engine.run_batch(
         [(app, (), pstate, rng) for app, pstate, rng in payloads]
     )
@@ -99,16 +94,13 @@ def collect_baselines(
     *,
     rng: np.random.Generator | None = None,
     workers: int = 1,
-    batch_solve: bool = True,
 ) -> BaselineTable:
     """Profile every application solo at every P-state of the machine.
 
     ``workers > 1`` fans the (application, P-state) grid out across a
     process pool.  When an ``rng`` is given, each run draws its noise from
     its own child stream spawned from ``rng`` (keyed by grid index), so
-    the table is identical for any worker count.  ``batch_solve=False``
-    falls back from the stacked steady-state solver to the serial
-    per-scenario path; the table is bit-identical either way.
+    the table is identical for any worker count.
     """
     pairs = [
         (app, pstate) for app in apps for pstate in engine.processor.pstates
@@ -117,14 +109,9 @@ def collect_baselines(
         spawn_streams(rng, len(pairs)) if rng is not None else [None] * len(pairs)
     )
     payloads = [(app, pstate, s) for (app, pstate), s in zip(pairs, streams)]
-    if batch_solve:
-        profiles = map_scenario_batches(
-            engine, _profile_scenario_batch, payloads, workers=workers
-        )
-    else:
-        profiles = map_scenarios(
-            engine, _profile_scenario, payloads, workers=workers
-        )
+    profiles = map_scenario_batches(
+        engine, _profile_scenario_batch, payloads, workers=workers
+    )
     table = BaselineTable(processor_name=engine.processor.name)
     for profile in profiles:
         table.add(profile)

@@ -38,7 +38,7 @@ from ..workloads.app import ApplicationSpec
 from ..workloads.suite import TRAINING_CO_APP_NAMES, all_applications, get_application
 from .baselines import BaselineTable, collect_baselines
 from .datasets import ObservationDataset
-from .parallel import map_scenario_batches, map_scenarios, spawn_streams
+from .parallel import map_scenario_batches, spawn_streams
 
 __all__ = [
     "TrainingSetup",
@@ -96,30 +96,12 @@ def setup_for(processor: MulticoreProcessor) -> TrainingSetup:
     return TrainingSetup(processor.name.lower(), tuple(counts))
 
 
-def _run_scenario(engine: SimulationEngine, payload) -> float:
-    """One Table V cell: the target's noisy co-located execution time."""
-    target, co_app, count, pstate, rng = payload
-    tracer = get_tracer()
-    if not tracer.enabled:
-        run = engine.run(target, [co_app] * count, pstate=pstate, rng=rng)
-        return run.target.execution_time_s
-    with tracer.span(
-        "collect.scenario",
-        target=target.name,
-        co_app=co_app.name,
-        count=count,
-        frequency_ghz=pstate.frequency_ghz,
-    ):
-        run = engine.run(target, [co_app] * count, pstate=pstate, rng=rng)
-        return run.target.execution_time_s
-
-
 def _run_scenario_batch(engine: SimulationEngine, payloads) -> list[float]:
     """Many Table V cells at once through the stacked steady-state solver.
 
-    Produces exactly the same times as mapping :func:`_run_scenario` over
-    the payloads: each scenario's noise comes from its own child RNG, and
-    the batched solve is bit-identical to the serial one.
+    Produces exactly the same times as one ``engine.run`` per payload: each
+    scenario's noise comes from its own child RNG, and the stacked solve is
+    bit-identical to the single-scenario fixed point.
     """
     items = [
         (target, [co_app] * count, pstate, rng)
@@ -159,7 +141,6 @@ def collect_training_data(
     frequencies_ghz: tuple[float, ...] | None = None,
     rng: np.random.Generator | None = None,
     workers: int = 1,
-    batch_solve: bool = True,
 ) -> ObservationDataset:
     """Collect one machine's full Table V training dataset.
 
@@ -185,11 +166,6 @@ def collect_training_data(
         the dataset is identical for any ``workers`` setting.
     workers:
         Worker processes for the sweep; 1 (the default) runs serially.
-    batch_solve:
-        Advance the scenario sweep through the stacked (batched)
-        steady-state solver (the default).  ``False`` falls back to the
-        serial per-scenario reference path; both produce bit-identical
-        datasets for any ``workers`` setting.
     """
     targets = list(targets) if targets is not None else list(all_applications())
     co_apps = (
@@ -220,7 +196,6 @@ def collect_training_data(
             engine,
             sorted(set(targets + co_apps), key=lambda a: a.name),
             workers=workers,
-            batch_solve=batch_solve,
         )
 
     scenarios = [
@@ -235,17 +210,11 @@ def collect_training_data(
         processor=engine.processor.name,
         scenarios=len(scenarios),
         workers=workers,
-        batched=batch_solve,
     ):
         payloads = _scenario_payloads(scenarios, rng)
-        if batch_solve:
-            times = map_scenario_batches(
-                engine, _run_scenario_batch, payloads, workers=workers
-            )
-        else:
-            times = map_scenarios(
-                engine, _run_scenario, payloads, workers=workers
-            )
+        times = map_scenario_batches(
+            engine, _run_scenario_batch, payloads, workers=workers
+        )
     dataset = ObservationDataset(processor_name=engine.processor.name)
     for (target, co_app, count, pstate), time_s in zip(scenarios, times):
         dataset.add(
@@ -267,7 +236,6 @@ def collect_random_training_data(
     co_apps: list[ApplicationSpec] | None = None,
     rng: np.random.Generator | None = None,
     workers: int = 1,
-    batch_solve: bool = True,
 ) -> ObservationDataset:
     """[DwF12]-style randomly sampled training data with a fixed budget.
 
@@ -296,7 +264,6 @@ def collect_random_training_data(
             engine,
             sorted(set(targets + co_apps), key=lambda a: a.name),
             workers=workers,
-            batch_solve=batch_solve,
         )
 
     pstates = list(engine.processor.pstates)
@@ -314,17 +281,11 @@ def collect_random_training_data(
         scenarios=len(scenarios),
         workers=workers,
         sampling="random",
-        batched=batch_solve,
     ):
         payloads = _scenario_payloads(scenarios, rng)
-        if batch_solve:
-            times = map_scenario_batches(
-                engine, _run_scenario_batch, payloads, workers=workers
-            )
-        else:
-            times = map_scenarios(
-                engine, _run_scenario, payloads, workers=workers
-            )
+        times = map_scenario_batches(
+            engine, _run_scenario_batch, payloads, workers=workers
+        )
     dataset = ObservationDataset(processor_name=engine.processor.name)
     for (target, co_app, count, pstate), time_s in zip(scenarios, times):
         dataset.add(

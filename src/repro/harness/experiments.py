@@ -62,9 +62,6 @@ class ExperimentContext:
         Process-pool width for the validation sweeps inside
         :func:`~repro.core.methodology.evaluate_models`; results are
         bit-identical for any count.
-    batched_restarts:
-        Fit neural models on the stacked multi-restart SCG fast path
-        (bit-identical to the serial restart loop).
     """
 
     def __init__(
@@ -73,12 +70,10 @@ class ExperimentContext:
         seed: int = 2015,
         repetitions: int = 100,
         workers: int = 1,
-        batched_restarts: bool = False,
     ) -> None:
         self.seed = seed
         self.repetitions = repetitions
         self.workers = workers
-        self.batched_restarts = batched_restarts
         self.fit_stats = FitStats()
         self._engines: dict[str, SimulationEngine] = {}
         self._baselines: dict[str, BaselineTable] = {}
@@ -126,7 +121,6 @@ class ExperimentContext:
                 repetitions=self.repetitions,
                 seed=self.seed,
                 workers=self.workers,
-                batched_restarts=self.batched_restarts,
                 stats=self.fit_stats,
             )
         return self._evaluations[key]

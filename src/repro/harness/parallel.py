@@ -9,10 +9,10 @@ parallel collection bit-identical to serial collection:
   ``np.random.SeedSequence`` spawning, keyed by scenario index.  Noise
   draws therefore depend only on *which* scenario is run, never on how
   many scenarios ran before it or on which process runs it.
-* **Order-preserving results.**  :func:`map_scenarios` returns results in
-  payload order regardless of completion order, and merges every worker's
-  :class:`~repro.sim.solve_cache.EngineStats` back into the calling
-  engine's stats so observability survives the fan-out.
+* **Order-preserving results.**  :func:`map_scenario_batches` returns
+  results in payload order regardless of completion order, and merges
+  every worker's :class:`~repro.sim.solve_cache.EngineStats` back into the
+  calling engine's stats so observability survives the fan-out.
 
 Worker processes receive a pickled copy of the engine (including any
 warm :class:`~repro.sim.solve_cache.SolveCache`); caches populated inside
@@ -32,7 +32,7 @@ from ..obs.trace import Tracer, get_tracer, set_tracer
 from ..sim.engine import SimulationEngine
 from ..sim.solve_cache import GLOBAL_ENGINE_STATS, EngineStats
 
-__all__ = ["map_scenario_batches", "map_scenarios", "spawn_streams"]
+__all__ = ["map_scenario_batches", "spawn_streams"]
 
 
 def spawn_streams(
@@ -129,30 +129,6 @@ def _drain_worker_spans() -> list[dict] | None:
     return records
 
 
-def _run_chunk(task):
-    func, chunk, parent_ctx = task
-    engine = _WORKER_ENGINE
-    assert engine is not None, "worker pool used before initialization"
-    stats = EngineStats()
-    previous, engine.stats = engine.stats, stats
-    tracer = get_tracer()
-    try:
-        with tracer.child_span(
-            "harness.worker_chunk",
-            trace_id=parent_ctx[0],
-            parent_id=parent_ctx[1],
-            scenarios=len(chunk),
-            pid=os.getpid(),
-        ):
-            results = [
-                (index, func(engine, payload)) for index, payload in chunk
-            ]
-    finally:
-        engine.stats = previous
-        previous.merge(stats)
-    return results, stats, _drain_worker_spans()
-
-
 def _run_batch_chunk(task):
     batch_func, chunk, parent_ctx = task
     engine = _WORKER_ENGINE
@@ -177,70 +153,6 @@ def _run_batch_chunk(task):
     return results, stats, _drain_worker_spans()
 
 
-def map_scenarios(
-    engine: SimulationEngine,
-    func: Callable,
-    payloads: Sequence,
-    *,
-    workers: int = 1,
-    chunks_per_worker: int = 4,
-):
-    """Evaluate ``func(engine, payload)`` for every payload, in order.
-
-    ``workers=1`` (the default) runs serially on the calling engine.  With
-    ``workers > 1`` the payloads are chunked across a process pool; each
-    worker gets a pickled copy of ``engine`` once, and worker stats are
-    merged back into ``engine.stats``.  ``func`` must be a module-level
-    (picklable) function and must not depend on evaluation order — results
-    are returned in payload order either way, which is what makes serial
-    and parallel collection bit-identical.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    payloads = list(payloads)
-    tracer = get_tracer()
-    if workers == 1 or len(payloads) <= 1:
-        with tracer.span(
-            "harness.map_scenarios", payloads=len(payloads), workers=1
-        ):
-            return [func(engine, payload) for payload in payloads]
-    indexed = list(enumerate(payloads))
-    n_chunks = min(len(indexed), workers * chunks_per_worker)
-    chunk_size = -(-len(indexed) // n_chunks)
-    chunks = [
-        indexed[start : start + chunk_size]
-        for start in range(0, len(indexed), chunk_size)
-    ]
-    results: list = [None] * len(payloads)
-    with tracer.span(
-        "harness.map_scenarios",
-        payloads=len(payloads),
-        workers=workers,
-        chunks=len(chunks),
-    ) as map_span:
-        parent_ctx = (map_span.trace_id, map_span.span_id)
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(engine, _trace_spec(tracer)),
-        ) as pool:
-            for chunk_results, stats, spans in pool.map(
-                _run_chunk, [(func, chunk, parent_ctx) for chunk in chunks]
-            ):
-                engine.stats.merge(stats)
-                # Worker processes fed their *own* global aggregate, which
-                # dies with the worker — fold the chunk's counters into the
-                # caller's process-wide record here instead.
-                GLOBAL_ENGINE_STATS.merge(stats)
-                # Same for spans: each chunk brings its worker-side spans
-                # home (unless the workers streamed them to a collector).
-                if spans:
-                    tracer.ingest(spans)
-                for index, value in chunk_results:
-                    results[index] = value
-    return results
-
-
 def map_scenario_batches(
     engine: SimulationEngine,
     batch_func: Callable,
@@ -251,16 +163,17 @@ def map_scenario_batches(
 ):
     """Evaluate ``batch_func(engine, payload_list)`` over whole sub-batches.
 
-    The batched counterpart of :func:`map_scenarios` for functions that
-    advance many scenarios per call (the stacked steady-state solver):
-    ``workers=1`` hands *all* payloads to one ``batch_func`` call on the
-    calling engine; ``workers > 1`` chunks the payloads exactly like
-    :func:`map_scenarios` and each worker solves its chunk as one batch.
-    ``batch_func`` must return one result per payload, in payload order,
-    and must not depend on how payloads are grouped — which the batched
-    solver guarantees (each scenario's trajectory is independent and noise
-    comes from per-scenario RNGs), so serial, batched, and parallel
-    collection all produce bit-identical results.
+    ``workers=1`` (the default) hands *all* payloads to one ``batch_func``
+    call on the calling engine.  With ``workers > 1`` the payloads are
+    chunked across a process pool; each worker gets a pickled copy of
+    ``engine`` once, solves each of its chunks with one ``batch_func``
+    call, and its stats are merged back into ``engine.stats``.
+    ``batch_func`` must be a module-level (picklable) function that
+    returns one result per payload, in payload order, and must not depend
+    on how payloads are grouped — which the stacked steady-state solver
+    guarantees (each scenario's trajectory is independent and noise comes
+    from per-scenario RNGs), so serial and parallel collection produce
+    bit-identical results.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -296,7 +209,12 @@ def map_scenario_batches(
                 [(batch_func, chunk, parent_ctx) for chunk in chunks],
             ):
                 engine.stats.merge(stats)
+                # Worker processes fed their *own* global aggregate, which
+                # dies with the worker — fold the chunk's counters into the
+                # caller's process-wide record here instead.
                 GLOBAL_ENGINE_STATS.merge(stats)
+                # Same for spans: each chunk brings its worker-side spans
+                # home (unless the workers streamed them to a collector).
                 if spans:
                     tracer.ingest(spans)
                 for index, value in chunk_results:

@@ -107,7 +107,6 @@ class SuiteRunner:
         *,
         workers: int = 1,
         force: bool = False,
-        batch_solve: bool = True,
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
         stats: SuiteStats | None = None,
     ) -> None:
@@ -115,7 +114,6 @@ class SuiteRunner:
         self.store = store
         self.workers = max(1, int(workers))
         self.force = force
-        self.batch_solve = batch_solve
         self.cache_entries = cache_entries
         self.stats = stats if stats is not None else SuiteStats()
         self.library_version = __version__
@@ -279,7 +277,6 @@ class SuiteRunner:
                 co_apps=co_apps,
                 rng=rng,
                 workers=self.workers,
-                batch_solve=self.batch_solve,
             )
         else:
             dataset = collect_training_data(
@@ -290,7 +287,6 @@ class SuiteRunner:
                 frequencies_ghz=case.frequencies_ghz or None,
                 rng=rng,
                 workers=self.workers,
-                batch_solve=self.batch_solve,
             )
         saved = self.store.save_solve_cache(case.machine, cache)
         self.stats.record_solve_cache(saved=saved)

@@ -114,7 +114,7 @@ class TestParallelFit:
         def build(workers):
             ens = EnsemblePredictor(
                 ModelKind.NEURAL, FeatureSet.C, n_members=3, seed=4,
-                workers=workers, batched_restarts=True,
+                workers=workers,
             )
             return ens.fit(list(small_dataset))
 

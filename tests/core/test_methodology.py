@@ -87,7 +87,6 @@ class TestEvaluateModels:
                 repetitions=3,
                 seed=9,
                 workers=workers,
-                batched_restarts=True,
             )
 
         serial, parallel = run(1), run(2)

@@ -148,29 +148,6 @@ class TestValidation:
 
 
 class TestBatchedRestarts:
-    def test_bitwise_identical_to_serial(self, rng):
-        """Batched multi-restart fitting reproduces the serial path exactly."""
-        X = rng.normal(size=(80, 3))
-        y = np.sin(X[:, 0]) - 2.0 * X[:, 1] + X[:, 2] ** 2
-        for seed in (0, 7, 42):
-            serial = NeuralNetworkModel(hidden_units=8, n_restarts=4).fit(
-                X, y, rng=np.random.default_rng(seed)
-            )
-            batched = NeuralNetworkModel(
-                hidden_units=8, n_restarts=4, batched_restarts=True
-            ).fit(X, y, rng=np.random.default_rng(seed))
-            np.testing.assert_array_equal(
-                serial.restart_losses_, batched.restart_losses_
-            )
-            assert serial.training_loss_ == batched.training_loss_
-            assert (
-                np.argmin(serial.restart_losses_)
-                == np.argmin(batched.restart_losses_)
-            )
-            np.testing.assert_array_equal(
-                serial.predict(X), batched.predict(X)
-            )
-
     def test_restart_losses_recorded(self, rng):
         X = rng.normal(size=(40, 2))
         y = X.sum(axis=1)
@@ -214,18 +191,3 @@ class TestFitStatsIntegration:
         model.fit(X, y, rng=np.random.default_rng(1))
         assert shared.fits == 2
         assert shared.scg_iterations >= model.fit_stats_.scg_iterations
-
-    def test_batched_and_serial_count_same_iterations(self, rng):
-        X = rng.normal(size=(60, 2))
-        y = np.sin(X[:, 0]) + X[:, 1]
-        serial = NeuralNetworkModel(hidden_units=5, n_restarts=3).fit(
-            X, y, rng=np.random.default_rng(5)
-        )
-        batched = NeuralNetworkModel(
-            hidden_units=5, n_restarts=3, batched_restarts=True
-        ).fit(X, y, rng=np.random.default_rng(5))
-        assert (
-            serial.fit_stats_.scg_iterations
-            == batched.fit_stats_.scg_iterations
-        )
-        assert serial.fit_stats_.restarts == batched.fit_stats_.restarts

@@ -3,22 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.scg import minimize_scg, minimize_scg_batched
-
-
-def rowwise(f):
-    """Lift a serial objective to the batched (R, n) -> ((R,), (R, n)) form.
-
-    Evaluating row by row with the serial objective keeps each member's
-    arithmetic identical to a standalone ``minimize_scg`` run, which is the
-    contract the bit-identity tests exercise.
-    """
-
-    def batched(P):
-        vals, grads = zip(*(f(row) for row in P))
-        return np.array(vals), np.array(grads)
-
-    return batched
+from repro.core.scg import minimize_scg
 
 
 def quadratic(A, b):
@@ -122,70 +107,3 @@ class TestBehaviour:
         r2 = minimize_scg(f, np.array([5.0, -3.0]))
         np.testing.assert_array_equal(r1.x, r2.x)
         assert r1.iterations == r2.iterations
-
-
-class TestBatched:
-    def test_quadratic_members_match_serial_bitwise(self, rng):
-        n = 6
-        f = quadratic(np.diag(np.arange(1.0, n + 1.0)), np.ones(n))
-        starts = rng.normal(size=(5, n))
-
-        batched = minimize_scg_batched(rowwise(f), starts)
-        assert batched.n_members == 5
-        for i, x0 in enumerate(starts):
-            serial = minimize_scg(f, x0)
-            np.testing.assert_array_equal(batched.x[i], serial.x)
-            assert batched.fun[i] == serial.fun
-            assert batched.grad_norm[i] == serial.grad_norm
-            assert batched.iterations[i] == serial.iterations
-            assert bool(batched.converged[i]) == serial.converged
-
-    def test_rosenbrock_members_match_serial_bitwise(self):
-        def f(x):
-            a, b = 1.0, 100.0
-            val = (a - x[0]) ** 2 + b * (x[1] - x[0] ** 2) ** 2
-            grad = np.array(
-                [
-                    -2.0 * (a - x[0]) - 4.0 * b * x[0] * (x[1] - x[0] ** 2),
-                    2.0 * b * (x[1] - x[0] ** 2),
-                ]
-            )
-            return float(val), grad
-
-        starts = np.array([[-1.2, 1.0], [0.0, 0.0], [2.0, -1.0]])
-        batched = minimize_scg_batched(rowwise(f), starts,
-                                       max_iterations=5000,
-                                       grad_tolerance=1e-8)
-        for i, x0 in enumerate(starts):
-            serial = minimize_scg(f, x0, max_iterations=5000,
-                                  grad_tolerance=1e-8)
-            np.testing.assert_array_equal(batched.x[i], serial.x)
-            assert batched.fun[i] == serial.fun
-            assert batched.iterations[i] == serial.iterations
-
-    def test_members_freeze_independently(self):
-        """A member starting at the minimum stops while others continue."""
-        f = quadratic(np.eye(3), np.zeros(3))
-        starts = np.vstack([np.zeros(3), np.full(3, 10.0)])
-        result = minimize_scg_batched(rowwise(f), starts)
-        assert result.converged.all()
-        assert result.iterations[0] <= 1
-        assert result.iterations[1] >= result.iterations[0]
-        np.testing.assert_allclose(result.x, np.zeros((2, 3)), atol=1e-5)
-
-    def test_eval_bookkeeping_counts_members(self):
-        f = quadratic(np.eye(2), np.ones(2))
-        result = minimize_scg_batched(rowwise(f), np.zeros((3, 2)))
-        assert result.function_evals == result.gradient_evals
-        # The initial joint evaluation alone costs one eval per member.
-        assert result.function_evals >= 3
-
-    def test_rejects_flat_x0(self):
-        with pytest.raises(ValueError, match="stack"):
-            minimize_scg_batched(lambda P: (P.sum(axis=1), P), np.zeros(4))
-
-    def test_rejects_empty_stack(self):
-        with pytest.raises(ValueError, match="empty"):
-            minimize_scg_batched(
-                lambda P: (P.sum(axis=1), P), np.empty((0, 4))
-            )

@@ -170,9 +170,7 @@ class TestWorkersBitIdentity:
         pool reproduces the serial loop bit-for-bit — including the SCG
         trajectory counts."""
         X, y = golden_data
-        factory = partial(
-            make_model, ModelKind.NEURAL, FeatureSet.C, batched_restarts=True
-        )
+        factory = partial(make_model, ModelKind.NEURAL, FeatureSet.C)
         results = [
             repeated_random_subsampling(
                 factory, X, y, repetitions=4,
@@ -232,9 +230,7 @@ class TestFitStatsAggregation:
 
     def test_counts_worker_independent(self, golden_data):
         X, y = golden_data
-        factory = partial(
-            make_model, ModelKind.NEURAL, FeatureSet.C, batched_restarts=True
-        )
+        factory = partial(make_model, ModelKind.NEURAL, FeatureSet.C)
         counts = []
         for workers in (1, 3):
             res = repeated_random_subsampling(

@@ -1,16 +1,22 @@
-"""Batched collection: datasets identical for any batching/worker setting."""
+"""Batched collection: datasets identical to a per-scenario loop, any workers.
+
+The oracle is the single-scenario fixed point: one ``engine.run`` (or
+``hpcrun_flat``) per scenario, drawing noise from the same
+``spawn_streams`` child the sweep gave that scenario.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.counters.hpcrun import hpcrun_flat
 from repro.harness.baselines import collect_baselines
 from repro.harness.collection import (
     collect_random_training_data,
     collect_training_data,
 )
-from repro.harness.parallel import map_scenario_batches
+from repro.harness.parallel import map_scenario_batches, spawn_streams
 from repro.machine import XEON_E5649
 from repro.sim import SimulationEngine, SolveCache
 from repro.workloads import get_application
@@ -19,7 +25,22 @@ TARGETS = ("canneal", "sp", "ep")
 CO_APPS = ("cg", "ep")
 
 
-def _collect(batch_solve: bool, workers: int = 1):
+def _per_scenario_times(dataset, seed):
+    """One ``engine.run`` per observation, with the sweep's noise streams."""
+    engine = SimulationEngine(XEON_E5649)
+    streams = spawn_streams(np.random.default_rng(seed), len(dataset))
+    return [
+        engine.run(
+            get_application(o.target_name),
+            [get_application(o.co_app_name)] * o.num_co_app,
+            pstate=engine.processor.pstates.at_frequency(o.frequency_ghz),
+            rng=stream,
+        ).target.execution_time_s
+        for o, stream in zip(dataset.observations, streams)
+    ]
+
+
+def _collect(workers: int = 1):
     engine = SimulationEngine(XEON_E5649, cache=SolveCache())
     dataset = collect_training_data(
         engine,
@@ -28,54 +49,54 @@ def _collect(batch_solve: bool, workers: int = 1):
         counts=(1, 3),
         rng=np.random.default_rng(11),
         workers=workers,
-        batch_solve=batch_solve,
     )
-    return engine, [o.actual_time_s for o in dataset.observations]
+    return engine, dataset
 
 
 def test_batched_collection_bit_identical_to_serial():
-    _, serial = _collect(batch_solve=False)
-    engine, batched = _collect(batch_solve=True)
-    assert serial == batched
+    engine, dataset = _collect()
+    batched = [o.actual_time_s for o in dataset.observations]
+    # The oracle reads its scenarios back from the dataset, so first check
+    # the whole nest is there: 6 P-states x targets x co-apps x 2 counts.
+    assert len(batched) == 6 * len(TARGETS) * len(CO_APPS) * 2
+    assert _per_scenario_times(dataset, 11) == batched
     assert engine.stats.batches > 0
     assert engine.stats.batched_scenarios >= len(batched)
 
 
 def test_batched_collection_bit_identical_across_workers():
-    _, one = _collect(batch_solve=True, workers=1)
-    _, four = _collect(batch_solve=True, workers=4)
-    assert one == four
+    _, one = _collect(workers=1)
+    _, four = _collect(workers=4)
+    assert [o.actual_time_s for o in one.observations] == [
+        o.actual_time_s for o in four.observations
+    ]
 
 
 def test_random_collection_bit_identical_batched_vs_serial():
-    def rnd(batch_solve):
-        engine = SimulationEngine(XEON_E5649, cache=SolveCache())
-        dataset = collect_random_training_data(
-            engine,
-            30,
-            targets=[get_application(n) for n in TARGETS],
-            co_apps=[get_application(n) for n in CO_APPS],
-            rng=np.random.default_rng(7),
-            batch_solve=batch_solve,
-        )
-        return [o.actual_time_s for o in dataset.observations]
-
-    assert rnd(False) == rnd(True)
+    dataset = collect_random_training_data(
+        SimulationEngine(XEON_E5649, cache=SolveCache()),
+        30,
+        targets=[get_application(n) for n in TARGETS],
+        co_apps=[get_application(n) for n in CO_APPS],
+        rng=np.random.default_rng(7),
+    )
+    assert _per_scenario_times(dataset, 7) == [
+        o.actual_time_s for o in dataset.observations
+    ]
 
 
 def test_baselines_bit_identical_batched_vs_serial():
+    engine = SimulationEngine(XEON_E5649)
     apps = [get_application(n) for n in ("cg", "canneal", "ep")]
-    serial = collect_baselines(
-        SimulationEngine(XEON_E5649), apps, batch_solve=False
-    )
-    batched = collect_baselines(
-        SimulationEngine(XEON_E5649), apps, batch_solve=True
-    )
-    assert serial.profiles.keys() == batched.profiles.keys()
-    for key, profile in serial.profiles.items():
-        other = batched.profiles[key]
+    batched = collect_baselines(engine, apps, rng=np.random.default_rng(5))
+    pairs = [(app, pstate) for app in apps for pstate in engine.processor.pstates]
+    streams = spawn_streams(np.random.default_rng(5), len(pairs))
+    for (app, pstate), stream in zip(pairs, streams):
+        profile = hpcrun_flat(engine, app, pstate=pstate, rng=stream)
+        other = batched.get(app.name, pstate.frequency_ghz)
         assert profile.wall_time_s == other.wall_time_s
         assert profile.counts == other.counts
+    assert len(batched.profiles) == len(pairs)
 
 
 def test_warm_cache_collection_does_zero_solves():

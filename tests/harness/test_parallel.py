@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.harness.parallel import map_scenarios, spawn_streams
+from repro.harness.parallel import map_scenario_batches, spawn_streams
 from repro.machine import XEON_E5649
 from repro.sim import SimulationEngine, SolveCache
 from repro.workloads.suite import get_application
@@ -48,9 +48,11 @@ class TestSpawnStreams:
             spawn_streams(np.random.default_rng(0), -1)
 
 
-def _solve_payload(engine, payload):
-    app, pstate = payload
-    return engine.run(app, (), pstate=pstate).target.execution_time_s
+def _solve_payloads(engine, payloads):
+    return [
+        engine.run(app, (), pstate=pstate).target.execution_time_s
+        for app, pstate in payloads
+    ]
 
 
 class TestMapScenarios:
@@ -60,18 +62,18 @@ class TestMapScenarios:
 
     def test_results_in_payload_order(self, engine_6core):
         payloads = self.payloads(engine_6core)
-        serial = map_scenarios(engine_6core, _solve_payload, payloads)
-        parallel = map_scenarios(
-            engine_6core, _solve_payload, payloads, workers=3
+        serial = map_scenario_batches(engine_6core, _solve_payloads, payloads)
+        parallel = map_scenario_batches(
+            engine_6core, _solve_payloads, payloads, workers=3
         )
         assert serial == parallel
 
     def test_worker_stats_merged_back(self):
         engine = SimulationEngine(XEON_E5649, cache=SolveCache())
         payloads = self.payloads(engine)
-        map_scenarios(engine, _solve_payload, payloads, workers=2)
+        map_scenario_batches(engine, _solve_payloads, payloads, workers=2)
         assert engine.stats.requests == len(payloads)
 
     def test_workers_validated(self, engine_6core):
         with pytest.raises(ValueError, match="workers"):
-            map_scenarios(engine_6core, _solve_payload, [], workers=0)
+            map_scenario_batches(engine_6core, _solve_payloads, [], workers=0)

@@ -52,7 +52,7 @@ def test_evaluate_trace_records_fit_and_validation_spans(
     names = {e["name"] for e in payload["traceEvents"] if e.get("ph") == "X"}
     assert "validation.subsampling" in names
     assert "fit.neural" in names
-    assert "fit.scg_restart" in names or "fit.scg_batched" in names
+    assert "fit.scg_restart" in names
 
 
 def test_scrape_after_traffic_exposes_all_three_sources(

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.feature_sets import FeatureSet
 from repro.core.methodology import ModelKind, PerformancePredictor
-from repro.harness.parallel import map_scenarios
+from repro.harness.parallel import map_scenario_batches
 from repro.obs.collector import CollectorThread
 from repro.obs.otlp import hex_id
 from repro.obs.stream import SpanSender, StreamingTracer
@@ -167,9 +167,11 @@ class TestStitchedFleetTrace:
         assert ("route.request", "serve.request") in stitched
 
 
-def _solve_payload(engine, payload):
-    app, pstate = payload
-    return engine.run(app, (), pstate=pstate).target.execution_time_s
+def _solve_payloads(engine, payloads):
+    return [
+        engine.run(app, (), pstate=pstate).target.execution_time_s
+        for app, pstate in payloads
+    ]
 
 
 class TestParallelCollectionKeepsWorkerSpans:
@@ -186,19 +188,19 @@ class TestParallelCollectionKeepsWorkerSpans:
     def test_worker_spans_ingested_into_parent_ring(self, engine_6core):
         tracer = enable(service="collect")
         try:
-            map_scenarios(
-                engine_6core, _solve_payload, self.payloads(engine_6core),
+            map_scenario_batches(
+                engine_6core, _solve_payloads, self.payloads(engine_6core),
                 workers=2,
             )
             spans = {s.name: s for s in tracer.spans()}
-            assert "harness.map_scenarios" in spans
+            assert "harness.map_scenario_batches" in spans
             # The worker-side spans survived the pool teardown...
             chunk_spans = [
                 s for s in tracer.spans() if s.name == "harness.worker_chunk"
             ]
             assert chunk_spans, "worker spans were dropped"
             # ...parented under the parent's map span, in the same trace.
-            map_span = spans["harness.map_scenarios"]
+            map_span = spans["harness.map_scenario_batches"]
             assert all(
                 s.trace_id == map_span.trace_id
                 and s.parent_id == map_span.span_id
@@ -222,15 +224,15 @@ class TestParallelCollectionKeepsWorkerSpans:
         )
         set_tracer(tracer)
         try:
-            map_scenarios(
-                engine_6core, _solve_payload, self.payloads(engine_6core),
+            map_scenario_batches(
+                engine_6core, _solve_payloads, self.payloads(engine_6core),
                 workers=2,
             )
             tracer.flush()
             records = collector.records()
             names = [r["name"] for r in records]
             # Parent-side and worker-side spans meet at the collector.
-            assert "harness.map_scenarios" in names
+            assert "harness.map_scenario_batches" in names
             assert "harness.worker_chunk" in names
             # Streaming workers ship their own spans; the parent does not
             # ingest (and so cannot double-stream) them.

@@ -213,7 +213,7 @@ def test_cache_hits_served_without_entering_batch():
     assert_states_identical(warm, states[0])
 
 
-def test_duplicate_keys_in_one_batch_solved_once_and_inserted_once():
+def test_duplicate_keys_in_one_batch_are_solved_and_inserted_once():
     proc = XEON_E5649
     cg, ep = get_application("cg"), get_application("ep")
     cache = SolveCache()

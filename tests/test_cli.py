@@ -173,6 +173,27 @@ class TestPipelineCommands:
         assert "linear" in out and "neural" in out
         assert out.count("\n") >= 14  # 12 model rows + header
 
+    @pytest.mark.parametrize(
+        "command, rows, message",
+        [
+            (["train", "--model", "neural"], 1,
+             "error: cannot fit model: need at least two training samples"),
+            (["evaluate"], 3,
+             "error: cannot evaluate dataset: need at least four samples"),
+        ],
+    )
+    def test_degenerate_dataset_is_one_error_line(
+        self, dataset_csv, tmp_path, command, rows, message
+    ):
+        tiny = tmp_path / "tiny.csv"
+        lines = dataset_csv.read_text().splitlines()
+        tiny.write_text("\n".join(lines[: 1 + rows]) + "\n")
+        args = command + ["--data", str(tiny), "--verify-manifest", "skip"]
+        if command[0] == "train":
+            args += ["-o", str(tmp_path / "m.json")]
+        with pytest.raises(SystemExit, match=message):
+            main(args)
+
 
 class TestServingCommands:
     @pytest.fixture(scope="class")
@@ -385,23 +406,8 @@ class TestObsCommands:
         assert isinstance(get_tracer(), NullTracer)
         payload = json.loads(trace_path.read_text())
         names = {e["name"] for e in payload["traceEvents"] if e.get("ph") == "X"}
-        # Collection drives the batched solver by default.
+        # A sweep goes through the stacked solver.
         assert "collect.dataset" in names and "engine.solve_batch" in names
-
-    def test_no_batch_solve_uses_serial_reference_path(self, tmp_path, capsys):
-        trace_path = tmp_path / "serial.json"
-        assert main([
-            "collect", "--machine", "e5649",
-            "--targets", "ep", "--co-apps", "ep", "--counts", "1",
-            "-o", str(tmp_path / "ds.csv"),
-            "--no-batch-solve",
-            "--trace", str(trace_path),
-        ]) == 0
-        capsys.readouterr()
-        payload = json.loads(trace_path.read_text())
-        names = {e["name"] for e in payload["traceEvents"] if e.get("ph") == "X"}
-        assert "engine.solve" in names
-        assert "engine.solve_batch" not in names
 
 
 class TestRegistryLifecycleCLI:
