@@ -14,7 +14,6 @@ Set ``REPRO_SMOKE=1`` for the reduced configuration used by
 ``make bench-smoke`` (a routine throughput-regression check).
 """
 
-import json
 import os
 import time
 
@@ -33,14 +32,6 @@ _SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 #: clears 5x comfortably; the smoke shape has smaller batches (less
 #: vectorization to amortize the Python loop against), so CI gets a floor.
 MIN_BATCH_SPEEDUP = 2.0 if _SMOKE else 5.0
-
-
-def _record(results_dir, **values):
-    """Merge a measurement into the BENCH_engine.json trajectory."""
-    path = results_dir / "BENCH_engine.json"
-    payload = json.loads(path.read_text()) if path.exists() else {}
-    payload.update(values)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def test_engine_solo_solve(benchmark, ctx):
@@ -172,7 +163,7 @@ def test_parallel_collection_matches_serial(benchmark):
     ]
 
 
-def test_batched_collection_speedup(benchmark, results_dir):
+def test_batched_collection_speedup(benchmark, record):
     """Collection must beat one solve per scenario >= 5x (2x smoke) on a
 
     full-testbed sweep, while producing the bit-identical times.  Both
@@ -224,8 +215,8 @@ def test_batched_collection_speedup(benchmark, results_dir):
         f"({scenarios / batched_s:.0f} scenarios/s), speedup {speedup:.2f}x\n"
         + stats.summary()
     )
-    _record(
-        results_dir,
+    record(
+        "BENCH_engine.json",
         collection_scenarios=scenarios,
         serial_collection_s=serial_s,
         batched_collection_s=batched_s,

@@ -19,7 +19,6 @@ Set ``REPRO_SMOKE=1`` for the reduced configuration used by
 identical).
 """
 
-import json
 import os
 import tempfile
 import time
@@ -39,15 +38,7 @@ N_MEMBERS = 16 if _SMOKE else 128  # payload size: ~artifact bytes on the wire
 N_WARM_GETS = 50 if _SMOKE else 200
 
 
-def _record(results_dir, **values):
-    """Merge a measurement into the BENCH_registry.json trajectory."""
-    path = results_dir / "BENCH_registry.json"
-    payload = json.loads(path.read_text()) if path.exists() else {}
-    payload.update(values)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def test_registry_roundtrip(ctx, results_dir, benchmark):
+def test_registry_roundtrip(ctx, record, benchmark):
     dataset = list(ctx.dataset("e5649"))
     ensemble = EnsemblePredictor(
         ModelKind.LINEAR, FeatureSet.F, n_members=N_MEMBERS, seed=7
@@ -118,8 +109,8 @@ def test_registry_roundtrip(ctx, results_dir, benchmark):
         f"({requests_after_cold} HTTP request(s) total)\n"
         f"warm get {warm_get_s * 1e6:7.1f} us (0 HTTP requests)"
     )
-    _record(
-        results_dir,
+    record(
+        "BENCH_registry.json",
         registry_members=N_MEMBERS,
         registry_push_ms=round(push_s * 1e3, 3),
         registry_cold_pull_ms=round(cold_pull_s * 1e3, 3),

@@ -20,7 +20,6 @@ same floors — the decision rate barely depends on job count, and the
 quality comparison is already cheap).
 """
 
-import json
 import os
 import tempfile
 import time
@@ -60,14 +59,6 @@ QUALITY_ROUND = 8
 QUALITY_SEED = 7
 
 
-def _record(results_dir, **values):
-    """Merge a measurement into the BENCH_sched.json trajectory."""
-    path = results_dir / "BENCH_sched.json"
-    payload = json.loads(path.read_text()) if path.exists() else {}
-    payload.update(values)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _wait_until(predicate, timeout_s=300.0, interval_s=0.02):
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
@@ -84,7 +75,7 @@ def _fit_predictor(ctx):
     )
 
 
-def test_placement_throughput(ctx, results_dir, benchmark):
+def test_placement_throughput(ctx, record, benchmark):
     baselines = ctx.baselines("e5649")
     predictor = _fit_predictor(ctx)
     fleet = FleetState(
@@ -150,8 +141,8 @@ def test_placement_throughput(ctx, results_dir, benchmark):
         f"{decisions_per_s:.0f} placement decisions/s below the "
         f"{MIN_DECISIONS_PER_S:.0f}/s floor on a {FLEET_NODES}-node fleet"
     )
-    _record(
-        results_dir,
+    record(
+        "BENCH_sched.json",
         fleet_nodes=FLEET_NODES,
         throughput_jobs=THROUGHPUT_JOBS,
         decisions_per_s=decisions_per_s,
@@ -186,7 +177,7 @@ def _run_policy(policy, apps, baselines, scorer=None):
     return sum(slowdowns) / len(slowdowns), mean_regret
 
 
-def test_model_policy_beats_baselines(ctx, results_dir, benchmark):
+def test_model_policy_beats_baselines(ctx, record, benchmark):
     baselines = ctx.baselines("e5649")
     scorer = LocalScorer(_fit_predictor(ctx))
     stream = job_stream(
@@ -223,8 +214,8 @@ def test_model_policy_beats_baselines(ctx, results_dir, benchmark):
         f"model policy ({model_mean:.4f}) did not beat least-loaded "
         f"({least_loaded_mean:.4f})"
     )
-    _record(
-        results_dir,
+    record(
+        "BENCH_sched.json",
         quality_jobs=QUALITY_JOBS,
         quality_nodes=QUALITY_NODES,
         mean_degradation_model=model_mean,

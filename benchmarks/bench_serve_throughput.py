@@ -20,7 +20,6 @@ to 1.8x because tiny runs are noisy).
 """
 
 import concurrent.futures
-import json
 import os
 import threading
 import time
@@ -49,14 +48,6 @@ MIN_TIER_SPEEDUP = 2.0
 #: Four worker processes cannot beat one on fewer than four cores; the
 #: floor is only asserted where the hardware can express it.
 MULTI_CORE = (os.cpu_count() or 1) >= TIER_WORKERS
-
-
-def _record(results_dir, **values):
-    """Merge a measurement into the BENCH_serve.json trajectory."""
-    path = results_dir / "BENCH_serve.json"
-    payload = json.loads(path.read_text()) if path.exists() else {}
-    payload.update(values)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _percentile(sorted_values, p):
@@ -100,7 +91,7 @@ def _drive(registry, feature_dicts, *, max_batch):
     return total / elapsed, latencies, samples
 
 
-def test_micro_batching_speedup(ctx, results_dir, benchmark):
+def test_micro_batching_speedup(ctx, record, benchmark):
     dataset = list(ctx.dataset("e5649"))
     ensemble = EnsemblePredictor(
         ModelKind.LINEAR, FeatureSet.F, n_members=N_MEMBERS, seed=7
@@ -162,8 +153,8 @@ def test_micro_batching_speedup(ctx, results_dir, benchmark):
         f"micro-batching speedup {speedup:.2f}x below the "
         f"{MIN_SPEEDUP}x floor ({serial_rps:.0f} -> {batched_rps:.0f} req/s)"
     )
-    _record(
-        results_dir,
+    record(
+        "BENCH_serve.json",
         serial_rps=serial_rps,
         batched_rps=batched_rps,
         batching_speedup=speedup,
@@ -211,7 +202,7 @@ def _drive_port(port, feature_dicts):
     return (N_WORKERS * REQUESTS_PER_WORKER) / elapsed, predictions
 
 
-def test_worker_tier_scaling(ctx, results_dir, benchmark):
+def test_worker_tier_scaling(ctx, record, benchmark):
     dataset = list(ctx.dataset("e5649"))
     primary = EnsemblePredictor(
         ModelKind.LINEAR, FeatureSet.F, n_members=N_MEMBERS, seed=7
@@ -292,8 +283,8 @@ def test_worker_tier_scaling(ctx, results_dir, benchmark):
         f"speedup  {speedup:.2f}x  "
         f"(shadow divergence observations: {divergence_count:.0f})"
     )
-    _record(
-        results_dir,
+    record(
+        "BENCH_serve.json",
         single_process_rps=single_rps,
         tier_rps=tier_rps,
         tier_workers=TIER_WORKERS,

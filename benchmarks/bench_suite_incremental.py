@@ -25,7 +25,6 @@ identical).
 """
 
 import copy
-import json
 import os
 import tempfile
 import time
@@ -65,14 +64,6 @@ SPEC_DOC = {
 MIN_WARM_SPEEDUP = 5.0
 
 
-def _record(results_dir, **values):
-    """Merge a measurement into the BENCH_suite.json trajectory."""
-    path = results_dir / "BENCH_suite.json"
-    payload = json.loads(path.read_text()) if path.exists() else {}
-    payload.update(values)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _blob_map(store: ArtifactStore) -> dict[str, bytes]:
     out = {}
     for key in store.node_keys():
@@ -81,7 +72,7 @@ def _blob_map(store: ArtifactStore) -> dict[str, bytes]:
     return out
 
 
-def test_suite_incremental(results_dir):
+def test_suite_incremental(record):
     suite = parse_suite(SPEC_DOC)
     n_nodes = 2 * (1 + len(SPEC_DOC["defaults"]["model_kinds"]) + 1)
 
@@ -134,8 +125,8 @@ def test_suite_incremental(results_dir):
                 f"{node_id} differs between two cold runs"
             )
 
-    _record(
-        results_dir,
+    record(
+        "BENCH_suite.json",
         suite_nodes=n_nodes,
         cold_run_s=round(cold_s, 4),
         warm_run_s=round(warm_s, 6),

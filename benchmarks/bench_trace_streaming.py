@@ -17,7 +17,6 @@ streamed multi-process fleet trace as both export formats —
 ``results/OTLP_collector.json`` (OTLP/JSON) — uploaded as CI artifacts.
 """
 
-import json
 import os
 import time
 
@@ -36,13 +35,6 @@ APPS = ("cg", "ep") if _SMOKE else ("canneal", "cg", "ep", "sp")
 # map_scenario_batches falls back to its serial (in-process) path at
 # workers=1, which single-core CI runners would otherwise silently trigger.
 WORKERS = max(2, min(os.cpu_count() or 1, 4))
-
-
-def _record(results_dir, **values):
-    path = results_dir / "BENCH_obs_streaming.json"
-    payload = json.loads(path.read_text()) if path.exists() else {}
-    payload.update(values)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _solve_payloads(engine, payloads):
@@ -69,7 +61,7 @@ def _sweep(engine):
     return results, time.perf_counter() - start
 
 
-def test_streaming_overhead_guard(results_dir):
+def test_streaming_overhead_guard(results_dir, record):
     """Streaming spans to a collector must cost <2% of sweep wall time."""
     engine = SimulationEngine(XEON_E5649, cache=SolveCache())
     disable()
@@ -139,8 +131,8 @@ def test_streaming_overhead_guard(results_dir):
         f"streamed   streaming span {per_call_s * 1e6:.1f} us/call   "
         f"streaming-path overhead {100.0 * overhead_fraction:.4f}%"
     )
-    _record(
-        results_dir,
+    record(
+        "BENCH_obs_streaming.json",
         workers=WORKERS,
         sweep_s=disabled_s,
         streamed_spans=span_count,

@@ -21,7 +21,6 @@ leaves its captured trace at ``results/TRACE_validation.json`` (a
 Perfetto-loadable Chrome trace, uploaded as a CI artifact).
 """
 
-import json
 import os
 import time
 import tracemalloc
@@ -48,15 +47,7 @@ def _feature_data(ctx):
     return feature_matrix(list(ctx.dataset("e5649")), FeatureSet.F.features)
 
 
-def _record(results_dir, **values):
-    """Merge a measurement into the BENCH_validation.json trajectory."""
-    path = results_dir / "BENCH_validation.json"
-    payload = json.loads(path.read_text()) if path.exists() else {}
-    payload.update(values)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def test_parallel_validation_speedup(benchmark, ctx, results_dir):
+def test_parallel_validation_speedup(benchmark, ctx, record):
     """workers=N must match workers=1 bitwise and beat it on wall time."""
     X, y = _feature_data(ctx)
     factory = partial(make_model, ModelKind.NEURAL, FeatureSet.F)
@@ -96,8 +87,8 @@ def test_parallel_validation_speedup(benchmark, ctx, results_dir):
         f"{parallel_s:6.2f} s   speedup {speedup:.2f}x\n"
         + serial_stats.summary()
     )
-    _record(
-        results_dir,
+    record(
+        "BENCH_validation.json",
         repetitions=REPETITIONS,
         workers=WORKERS,
         serial_s=serial_s,
@@ -118,7 +109,7 @@ def test_parallel_validation_speedup(benchmark, ctx, results_dir):
         )
 
 
-def test_tracer_overhead_guard(ctx, results_dir):
+def test_tracer_overhead_guard(ctx, results_dir, record):
     """Disabled tracing must cost <2% of sweep wall time; traced run exported."""
     from repro.obs.trace import disable, enable, get_tracer
 
@@ -174,8 +165,8 @@ def test_tracer_overhead_guard(ctx, results_dir):
         f"traced   null span {per_call_s * 1e9:.0f} ns/call   "
         f"disabled-path overhead {100.0 * overhead_fraction:.4f}%"
     )
-    _record(
-        results_dir,
+    record(
+        "BENCH_validation.json",
         trace_spans=span_count,
         tracer_noop_ns=per_call_s * 1e9,
         tracer_overhead_fraction=overhead_fraction,
@@ -186,7 +177,7 @@ def test_tracer_overhead_guard(ctx, results_dir):
     )
 
 
-def test_loss_workspace_allocation(ctx, results_dir):
+def test_loss_workspace_allocation(ctx, record):
     """A warmed workspace call must allocate far less than a cold call."""
     X, y = _feature_data(ctx)
     model = NeuralNetworkModel(hidden_units=20, n_restarts=1)
@@ -212,7 +203,11 @@ def test_loss_workspace_allocation(ctx, results_dir):
         f"\nloss+grad allocation: cold {cold_peak / 1e3:.1f} kB, "
         f"warm {warm_peak / 1e3:.1f} kB per call"
     )
-    _record(results_dir, loss_cold_bytes=cold_peak, loss_warm_bytes=warm_peak)
+    record(
+        "BENCH_validation.json",
+        loss_cold_bytes=cold_peak,
+        loss_warm_bytes=warm_peak,
+    )
     assert warm_peak < 0.5 * cold_peak, (
         f"workspace reuse ineffective: warm call allocated {warm_peak} of "
         f"a cold call's {cold_peak} bytes"

@@ -15,9 +15,13 @@ figures do not depend on it.
 
 from __future__ import annotations
 
+import json
 import os
+import platform
+import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.harness.experiments import ExperimentContext
@@ -51,3 +55,48 @@ def emit(results_dir):
         (results_dir / f"{name}.txt").write_text(text + "\n")
 
     return _emit
+
+
+def _git_sha() -> str:
+    """The checkout's HEAD commit, or ``"unknown"`` outside a checkout."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
+
+
+@pytest.fixture(scope="session")
+def bench_env() -> dict:
+    """What a recorded point was measured with: code, host and versions."""
+    return {
+        "git_sha": _git_sha(),
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+
+
+@pytest.fixture
+def record(results_dir, bench_env):
+    """Merge measurements into one ``results/BENCH_*.json`` trajectory file.
+
+    ``record("BENCH_engine.json", solves_per_s=...)`` updates the named
+    keys and leaves the file's other keys alone; ``env`` holds
+    :func:`bench_env` of the latest write.
+    """
+
+    def _record(filename: str, **values) -> None:
+        path = results_dir / filename
+        payload = json.loads(path.read_text()) if path.exists() else {}
+        payload.update(values)
+        payload["env"] = bench_env
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+    return _record

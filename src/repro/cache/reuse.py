@@ -22,6 +22,8 @@ regardless of capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +33,7 @@ __all__ = [
     "MissRatioCurve",
     "ProfileTable",
     "ProfileStack",
+    "distinct_index",
     "ordered_sum",
 ]
 
@@ -62,6 +65,39 @@ def ordered_sum(x: np.ndarray) -> np.ndarray:
     for j in range(x.shape[-1]):
         out += x[..., j]
     return out
+
+
+def distinct_index(
+    rows: Sequence[Sequence[object]], width: int | None = None
+) -> tuple[list, np.ndarray]:
+    """The distinct objects of ragged ``rows`` and a padded gather index.
+
+    Returns ``(items, index)``: ``items`` lists each distinct object once,
+    in first-seen order, and ``index`` is a ``(len(rows), width)`` integer
+    array whose ``[s, j]`` entry is one plus the position in ``items`` of
+    ``rows[s][j]``, or 0 past the end of row ``s``.  A table with an inert
+    pad row 0 followed by one row per item is therefore gathered into
+    padded ``(S, A)`` form by a single ``table[index]``.
+
+    Objects are told apart by identity, not equality: hashing a frozen
+    dataclass costs about as much as reading the values it holds, while
+    a sweep repeats the same few application objects thousands of times.
+    ``width`` defaults to the longest row.
+    """
+    if width is None:
+        width = max((len(row) for row in rows), default=0)
+    positions: dict[int, int] = {}
+    items: list = []
+    flat: list[int] = []
+    for row in rows:
+        for item in row:
+            position = positions.get(id(item))
+            if position is None:
+                items.append(item)
+                position = positions[id(item)] = len(items)
+            flat.append(position)
+        flat.extend([0] * (width - len(row)))
+    return items, np.array(flat, dtype=np.intp).reshape(len(rows), width)
 
 
 @dataclass(frozen=True)
@@ -176,14 +212,15 @@ class ReuseProfile:
         )
         return cls(components=comps, compulsory=compulsory)
 
-    @property
+    @cached_property
     def footprint_bytes(self) -> float:
         """Occupancy demand: capacity beyond which extra cache barely helps.
 
         Defined as the largest component's settled capacity (miss fraction
         below 5%); this is what the sharing model uses as the most cache an
         application will hold, and what the trace generator uses to bound
-        its LRU stack.
+        its LRU stack.  Computed once per profile object: the profile is
+        frozen, and a sweep reads it for every scenario the profile is in.
         """
         return max(c.settled_capacity() for c in self.components)
 
@@ -320,6 +357,12 @@ class ProfileStack:
     :class:`ProfileTable`: one ``miss_ratio`` call evaluates every
     application of every scenario in a handful of vectorized operations.
 
+    The arrays are gathered, not filled cell by cell: the distinct
+    profiles go into one :class:`ProfileTable` behind an inert pad row,
+    and a ``(S, A)`` index (see :func:`distinct_index`) picks each
+    scenario's rows out of it.  A sweep that repeats a dozen applications
+    across thousands of scenarios thus reads each profile once.
+
     Padding is exact: pad applications carry zero weights and zero
     compulsory ratio (their miss ratio is exactly 0.0 and their footprint
     0.0), pad components carry zero weight — under the
@@ -327,6 +370,10 @@ class ProfileStack:
     entries by even an ulp relative to the per-scenario
     :class:`ProfileTable` evaluation.
     """
+
+    _ARRAYS = (
+        "valid", "working_sets", "weights", "sharpness", "compulsory", "footprints",
+    )
 
     def __init__(
         self,
@@ -338,7 +385,6 @@ class ProfileStack:
             raise ValueError("profile stack needs at least one scenario")
         if any(not row for row in profile_rows):
             raise ValueError("every scenario needs at least one profile")
-        s = len(profile_rows)
         a = max(len(row) for row in profile_rows)
         if pad_apps is not None:
             if pad_apps < a:
@@ -346,56 +392,73 @@ class ProfileStack:
                     f"pad_apps={pad_apps} below the widest scenario ({a})"
                 )
             a = pad_apps
-        k = max(len(p.components) for row in profile_rows for p in row)
-        self.n_apps = np.array([len(row) for row in profile_rows])
-        self.valid = np.arange(a)[None, :] < self.n_apps[:, None]
-        self.working_sets = np.ones((s, a, k))
-        self.weights = np.zeros((s, a, k))
-        self.sharpness = np.ones((s, a, k))
-        self.compulsory = np.zeros((s, a))
-        self.footprints = np.zeros((s, a))
-        for i, row in enumerate(profile_rows):
-            for j, p in enumerate(row):
-                self.compulsory[i, j] = p.compulsory
-                self.footprints[i, j] = p.footprint_bytes
-                for m, comp in enumerate(p.components):
-                    self.working_sets[i, j, m] = comp.working_set_bytes
-                    self.weights[i, j, m] = comp.weight
-                    self.sharpness[i, j, m] = comp.sharpness
+        self._gather(*distinct_index(profile_rows, a))
+
+    @classmethod
+    def gather(
+        cls, profiles: Sequence[ReuseProfile], index: np.ndarray
+    ) -> "ProfileStack":
+        """Stack gathered from distinct ``profiles`` through ``index``.
+
+        ``index`` is ``(S, A)`` with the layout :func:`distinct_index`
+        returns: ``index[s, j] - 1`` is the position in ``profiles`` of
+        scenario ``s``'s ``j``-th application, 0 a pad application.
+        Callers that already dedupe their applications (the batched
+        solver) pass their own index instead of profile rows.
+        """
+        stack = cls.__new__(cls)
+        stack._gather(profiles, np.asarray(index, dtype=np.intp))
+        return stack
+
+    def _gather(self, profiles: Sequence[ReuseProfile], index: np.ndarray) -> None:
+        table = ProfileTable(profiles)
+
+        def padded(values: np.ndarray, pad: float) -> np.ndarray:
+            pad_row = np.full((1,) + values.shape[1:], pad)
+            return np.concatenate((pad_row, values))[index]
+
+        self.valid = index != 0
+        self.working_sets = padded(table.working_sets, 1.0)
+        self.weights = padded(table.weights, 0.0)
+        self.sharpness = padded(table.sharpness, 1.0)
+        self.compulsory = padded(table.compulsory, 0.0)
+        self.footprints = padded(table.footprints, 0.0)
+
+    def subset(self, rows: np.ndarray) -> "ProfileStack":
+        """The stack of scenarios ``rows`` (an index array or boolean mask).
+
+        The batched solver evaluates only its still-live scenarios, and
+        narrows its stack with this whenever some of them converge.
+        """
+        rows = np.asarray(rows)
+        if rows.dtype == bool:
+            rows = np.flatnonzero(rows)
+        stack = ProfileStack.__new__(ProfileStack)
+        for name in self._ARRAYS:
+            setattr(stack, name, getattr(self, name).take(rows, axis=0))
+        return stack
 
     @property
     def shape(self) -> tuple[int, int]:
         """``(scenarios, padded apps per scenario)``."""
         return self.compulsory.shape
 
-    def miss_ratio(
-        self, occupancies_bytes: np.ndarray, rows: np.ndarray | None = None
-    ) -> np.ndarray:
+    def miss_ratio(self, occupancies_bytes: np.ndarray) -> np.ndarray:
         """Per-app miss ratios at per-app occupancies, scenario-batched.
 
-        ``occupancies_bytes`` is ``(S, A)`` — or ``(len(rows), A)`` when
-        ``rows`` selects a subset of scenarios (the solver's frozen-member
-        discipline evaluates only still-active rows).  Pad applications
-        evaluate to exactly 0.0.
+        ``occupancies_bytes`` is ``(S, A)``.  Pad applications evaluate to
+        exactly 0.0.
         """
         occ = np.asarray(occupancies_bytes, dtype=float)
-        if rows is None:
-            ws, w, sh, comp = (
-                self.working_sets, self.weights, self.sharpness, self.compulsory
-            )
-        else:
-            ws, w, sh, comp = (
-                self.working_sets[rows], self.weights[rows],
-                self.sharpness[rows], self.compulsory[rows],
-            )
-        if occ.shape != comp.shape:
+        if occ.shape != self.compulsory.shape:
             raise ValueError(
-                f"expected occupancies of shape {comp.shape}, got {occ.shape}"
+                f"expected occupancies of shape {self.compulsory.shape}, "
+                f"got {occ.shape}"
             )
-        ratio = np.maximum(occ, 0.0)[..., None] / ws
+        ratio = np.maximum(occ, 0.0)[..., None] / self.working_sets
         with np.errstate(over="ignore"):
-            mix = ordered_sum(w / (1.0 + ratio**sh))
-        return comp + (1.0 - comp) * mix
+            mix = ordered_sum(self.weights / (1.0 + ratio**self.sharpness))
+        return self.compulsory + (1.0 - self.compulsory) * mix
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ Profiles are plain serializable records; :func:`profile_to_dict` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,12 @@ DEFAULT_EVENTS: tuple[PresetEvent, ...] = (
 
 @dataclass(frozen=True)
 class FlatProfile:
-    """One flat-profiler output: wall time plus final counter totals."""
+    """One flat-profiler output: wall time plus final counter totals.
+
+    The derived ratios are computed once per profile object: a Table V
+    sweep reads each baseline's ratios for every scenario it appears in,
+    and ``counts`` is never written after construction.
+    """
 
     app_name: str
     processor_name: str
@@ -66,17 +72,17 @@ class FlatProfile:
         """Last-level total cache misses (TCM)."""
         return self.counts[PresetEvent.PAPI_L3_TCM.value]
 
-    @property
+    @cached_property
     def memory_intensity(self) -> float:
         """LLC misses per instruction (the paper's memory intensity)."""
         return self.llc_misses / self.instructions if self.instructions else 0.0
 
-    @property
+    @cached_property
     def cm_per_ca(self) -> float:
         """LLC misses per LLC access (Table I's CM/CA)."""
         return self.llc_misses / self.llc_accesses if self.llc_accesses else 0.0
 
-    @property
+    @cached_property
     def ca_per_ins(self) -> float:
         """LLC accesses per instruction (Table I's CA/INS)."""
         return self.llc_accesses / self.instructions if self.instructions else 0.0

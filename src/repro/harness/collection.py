@@ -131,6 +131,43 @@ def _scenario_payloads(
     ]
 
 
+def _collect(
+    engine: SimulationEngine,
+    baselines: BaselineTable,
+    scenarios: list[tuple[ApplicationSpec, ApplicationSpec, int, PState]],
+    rng: np.random.Generator,
+    workers: int,
+    **span_attrs,
+) -> ObservationDataset:
+    """Run ``(target, co_app, count, pstate)`` scenarios into a dataset.
+
+    The one observation loop behind both samplers.  The ``collect.dataset``
+    span covers the whole build, observations included, so a trace shows
+    where a sweep's time goes outside the solver too.
+    """
+    with get_tracer().span(
+        "collect.dataset",
+        processor=engine.processor.name,
+        scenarios=len(scenarios),
+        workers=workers,
+        **span_attrs,
+    ):
+        payloads = _scenario_payloads(scenarios, rng)
+        times = map_scenario_batches(
+            engine, _run_scenario_batch, payloads, workers=workers
+        )
+        dataset = ObservationDataset(processor_name=engine.processor.name)
+        for (target, co_app, count, pstate), time_s in zip(scenarios, times):
+            dataset.add(
+                observation_from_profiles(
+                    baselines.get(target.name, pstate.frequency_ghz),
+                    [baselines.get(co_app.name, pstate.frequency_ghz)] * count,
+                    time_s,
+                )
+            )
+    return dataset
+
+
 def collect_training_data(
     engine: SimulationEngine,
     *,
@@ -205,26 +242,7 @@ def collect_training_data(
         for co_app in co_apps
         for count in counts
     ]
-    with get_tracer().span(
-        "collect.dataset",
-        processor=engine.processor.name,
-        scenarios=len(scenarios),
-        workers=workers,
-    ):
-        payloads = _scenario_payloads(scenarios, rng)
-        times = map_scenario_batches(
-            engine, _run_scenario_batch, payloads, workers=workers
-        )
-    dataset = ObservationDataset(processor_name=engine.processor.name)
-    for (target, co_app, count, pstate), time_s in zip(scenarios, times):
-        dataset.add(
-            observation_from_profiles(
-                baselines.get(target.name, pstate.frequency_ghz),
-                [baselines.get(co_app.name, pstate.frequency_ghz)] * count,
-                time_s,
-            )
-        )
-    return dataset
+    return _collect(engine, baselines, scenarios, rng, workers)
 
 
 def collect_random_training_data(
@@ -275,24 +293,4 @@ def collect_random_training_data(
         co_app = co_apps[rng.integers(len(co_apps))]
         count = int(rng.integers(1, max_count + 1))
         scenarios.append((target, co_app, count, pstate))
-    with get_tracer().span(
-        "collect.dataset",
-        processor=engine.processor.name,
-        scenarios=len(scenarios),
-        workers=workers,
-        sampling="random",
-    ):
-        payloads = _scenario_payloads(scenarios, rng)
-        times = map_scenario_batches(
-            engine, _run_scenario_batch, payloads, workers=workers
-        )
-    dataset = ObservationDataset(processor_name=engine.processor.name)
-    for (target, co_app, count, pstate), time_s in zip(scenarios, times):
-        dataset.add(
-            observation_from_profiles(
-                baselines.get(target.name, pstate.frequency_ghz),
-                [baselines.get(co_app.name, pstate.frequency_ghz)] * count,
-                time_s,
-            )
-        )
-    return dataset
+    return _collect(engine, baselines, scenarios, rng, workers, sampling="random")

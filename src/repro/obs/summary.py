@@ -4,7 +4,8 @@
 exists for without leaving the terminal:
 
 * **where did the time go** — spans aggregated by name (count, total,
-  mean, max), sorted by total self-reported duration; and
+  self, mean, max), sorted by total duration, where a span's *self* time
+  is what its children do not cover (:func:`self_time_us`); and
 * **what called what** — the span tree per trace, reconstructed from the
   ``span_id``/``parent_id`` args the exporter stamps on every event, with
   durations and attributes (a serving request's ``request_id`` shows up
@@ -21,7 +22,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-__all__ = ["SpanNode", "load_trace", "render_summary", "span_forest"]
+__all__ = [
+    "SpanNode",
+    "load_trace",
+    "render_summary",
+    "self_time_us",
+    "span_forest",
+]
 
 #: Attributes that are exporter plumbing, not user-level span attributes.
 _INTERNAL_ARGS = ("trace_id", "span_id", "parent_id")
@@ -102,7 +109,11 @@ def span_forest(events: list[dict]) -> list[SpanNode]:
     Spans whose parent is missing from the capture (ring-buffer eviction,
     partial export) become roots, so a truncated trace still renders.
     """
-    nodes = [_node(e) for e in events]
+    return _link([_node(e) for e in events])
+
+
+def _link(nodes: list[SpanNode]) -> list[SpanNode]:
+    """Attach each node to its parent; returns the roots."""
     by_id = {n.span_id: n for n in nodes if n.span_id}
     roots: list[SpanNode] = []
     for node in nodes:
@@ -115,6 +126,27 @@ def span_forest(events: list[dict]) -> list[SpanNode]:
         node.children.sort(key=lambda c: c.start_us)
     roots.sort(key=lambda n: n.start_us)
     return roots
+
+
+def self_time_us(node: SpanNode) -> float:
+    """``node``'s duration minus the union of its children's intervals.
+
+    Children are clipped to the span first, so a child that outruns its
+    parent (an async task still running after the caller returned) only
+    counts while the parent was open, and children that overlap each
+    other (concurrent threads or tasks) count their shared time once.
+    """
+    start = node.start_us
+    end = start + node.duration_us
+    covered = 0.0
+    cursor = start  # end of the union so far
+    for child in sorted(node.children, key=lambda c: c.start_us):
+        lo = max(child.start_us, cursor)
+        hi = min(child.start_us + child.duration_us, end)
+        if hi > lo:
+            covered += hi - lo
+            cursor = hi
+    return node.duration_us - covered
 
 
 def _format_attrs(attributes: dict) -> str:
@@ -151,27 +183,28 @@ def render_summary(
     """
     if top < 1 or tree_spans < 1:
         raise ValueError("top and tree_spans must be >= 1")
-    totals: dict[str, list[float]] = {}
-    for event in events:
-        dur = float(event.get("dur", 0.0)) / 1e3
-        entry = totals.setdefault(str(event["name"]), [0, 0.0, 0.0])
-        entry[0] += 1
-        entry[1] += dur
-        entry[2] = max(entry[2], dur)
-    roots = span_forest(events)
+    nodes = [_node(e) for e in events]
+    roots = _link(nodes)
     traces = {r.trace_id for r in roots if r.trace_id}
+    totals: dict[str, list[float]] = {}
+    for node in nodes:
+        entry = totals.setdefault(node.name, [0, 0.0, 0.0, 0.0])
+        entry[0] += 1
+        entry[1] += node.duration_ms
+        entry[2] += self_time_us(node) / 1e3
+        entry[3] = max(entry[3], node.duration_ms)
 
     lines = [
         f"trace summary: {len(events)} spans across "
         f"{max(len(traces), 1)} trace(s)",
         "",
-        f"{'span':<38} {'count':>7} {'total ms':>11} {'mean ms':>10} "
-        f"{'max ms':>10}",
+        f"{'span':<38} {'count':>7} {'total ms':>11} {'self ms':>11} "
+        f"{'mean ms':>10} {'max ms':>10}",
     ]
     ranked = sorted(totals.items(), key=lambda kv: kv[1][1], reverse=True)
-    for name, (count, total, peak) in ranked[:top]:
+    for name, (count, total, own, peak) in ranked[:top]:
         lines.append(
-            f"{name:<38} {count:>7} {total:>11.3f} "
+            f"{name:<38} {count:>7} {total:>11.3f} {own:>11.3f} "
             f"{total / count:>10.3f} {peak:>10.3f}"
         )
     if len(ranked) > top:

@@ -108,10 +108,11 @@ class MicroBatcher:
         Deadline for the *oldest* queued row; bounds the latency cost a
         lone request pays waiting for company.
     max_backlog:
-        Admission bound: a :meth:`submit` arriving while this many rows
-        are already queued is shed with :class:`BacklogFullError`
-        (counted in :attr:`BatcherStats.shed`) instead of growing the
-        queue.  ``None`` (default) never sheds.
+        Admission bound, per request: rows that would take the queue past
+        this many are shed with :class:`BacklogFullError` (counted in
+        :attr:`BatcherStats.shed`) instead of growing the queue.  A
+        multi-row request is admitted all or none.  ``None`` (default)
+        never sheds.
     on_flush:
         Optional callback ``(batch_size, reason)`` — the server uses it
         to feed the batch-size histogram.
@@ -162,36 +163,63 @@ class MicroBatcher:
         the affected batch.  Raises :class:`BacklogFullError` without
         queueing when ``max_backlog`` is set and already reached.
         """
-        row = np.asarray(row, dtype=float)
-        if row.ndim != 1:
-            raise ValueError(f"submit takes one 1-D feature row; got {row.shape}")
-        if (
-            self.max_backlog is not None
-            and len(self._pending) >= self.max_backlog
-        ):
-            self.stats.record_shed(1)
-            # The drain horizon: the oldest queued row flushes within
-            # max_wait_ms, so the backlog has space again by then.
-            # ceil, not int()+1 — a 60 s deadline means retry after 60 s,
-            # not 61; floor of 1 s because Retry-After is whole seconds.
-            retry_after_s = max(1, math.ceil(self.max_wait_ms / 1000.0))
-            raise BacklogFullError(
-                f"backlog full: {len(self._pending)} row(s) already queued "
-                f"(max_backlog={self.max_backlog}); retry after "
-                f"{retry_after_s}s",
-                retry_after_s=retry_after_s,
-            )
+        (result,) = await self.submit_many([row])
+        return result
+
+    async def submit_many(self, rows) -> list:
+        """Queue one request's feature rows; resolves to their predictions.
+
+        Admission is all or none: when ``max_backlog`` is set and the
+        rows do not all fit, none is queued, every row counts as shed, and
+        :class:`BacklogFullError` is raised at once.  Admitted rows batch
+        exactly as if submitted one by one, in order.
+        """
+        rows = [np.asarray(row, dtype=float) for row in rows]
+        for row in rows:
+            if row.ndim != 1:
+                raise ValueError(
+                    f"submit takes one 1-D feature row; got {row.shape}"
+                )
+        self._admit(len(rows))
         loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
         parent = current_span() if get_tracer().enabled else None
-        self._pending.append((row, future, time.perf_counter(), parent))
-        if len(self._pending) >= self.max_batch:
-            self._flush("size")
-        elif self._timer is None:
+        futures = []
+        for row in rows:
+            future: asyncio.Future = loop.create_future()
+            self._pending.append((row, future, time.perf_counter(), parent))
+            futures.append(future)
+            if len(self._pending) >= self.max_batch:
+                self._flush("size")
+        if self._pending and self._timer is None:
             self._timer = loop.call_later(
                 self.max_wait_ms / 1000.0, self._flush, "deadline"
             )
-        return await future
+        if len(futures) == 1:
+            return [await futures[0]]
+        return list(await asyncio.gather(*futures))
+
+    def _admit(self, n: int) -> None:
+        """Shed all ``n`` rows of a request the backlog cannot take."""
+        pending = len(self._pending)
+        if self.max_backlog is None or pending + n <= self.max_backlog:
+            return
+        self.stats.record_shed(n)
+        # The drain horizon: the oldest queued row flushes within
+        # max_wait_ms, so the backlog has space again by then.
+        # ceil, not int()+1 — a 60 s deadline means retry after 60 s,
+        # not 61; floor of 1 s because Retry-After is whole seconds.
+        retry_after_s = max(1, math.ceil(self.max_wait_ms / 1000.0))
+        detail = ""
+        if n > 1:
+            detail = f" and a request of {n} rows does not fit"
+            if n > self.max_backlog:
+                detail += " even into an empty queue (split it)"
+        raise BacklogFullError(
+            f"backlog full: {pending} row(s) already queued "
+            f"(max_backlog={self.max_backlog}){detail}; retry after "
+            f"{retry_after_s}s",
+            retry_after_s=retry_after_s,
+        )
 
     def _flush(self, reason: str) -> None:
         """Run one batch through ``predict_fn`` and resolve its futures."""

@@ -29,10 +29,11 @@ slow registry never stalls in-flight predictions.
 
 Two production behaviours are optional:
 
-* **Admission control** (``max_backlog``): once a model's micro-batcher
-  queue passes the bound, further rows are shed with ``429 Too Many
-  Requests`` + ``Retry-After`` instead of growing the queue without
-  limit; sheds are counted in ``repro_serve_shed_total``.
+* **Admission control** (``max_backlog``): a request whose rows would
+  take a model's micro-batcher queue past the bound is shed whole with
+  ``429 Too Many Requests`` + ``Retry-After`` instead of growing the
+  queue without limit; none of its rows is queued or predicted, and all
+  of them are counted in ``repro_serve_shed_total``.
 * **Hot-reload** (``hot_reload_s``): a background task polls the backend
   for new latest versions, pre-warms them into the resident-model LRU
   (so the first request after a push never pays the artifact load), and
@@ -96,8 +97,9 @@ class PredictionServer(HttpServerBase):
     max_batch, max_wait_ms:
         Micro-batching knobs, applied to every served model.
     max_backlog:
-        Per-model admission bound: rows queued beyond this are shed with
-        429 + ``Retry-After``.  ``None`` (default) disables shedding.
+        Per-model admission bound: a request whose rows would queue
+        beyond this is shed whole with 429 + ``Retry-After``.  ``None``
+        (default) disables shedding.
     model_cache_size:
         Resident-model LRU capacity (distinct ``name@version`` entries).
     hot_reload_s:
@@ -507,7 +509,7 @@ class PredictionServer(HttpServerBase):
         # records "batch_wait" and "predict"; "serialize" follows below.
         self.metrics.record_phase("queue", time.perf_counter() - entered)
         try:
-            results = await self._submit_rows(resident.batcher, rows)
+            results = await resident.batcher.submit_many(rows)
         except BacklogFullError as exc:
             raise HTTPError(
                 429, "backlog_full", str(exc),
@@ -544,19 +546,6 @@ class PredictionServer(HttpServerBase):
             "serialize", time.perf_counter() - serialize_started
         )
         return 200, "application/json", encoded
-
-    @staticmethod
-    async def _submit_rows(batcher: MicroBatcher, rows: list[np.ndarray]):
-        """Queue all rows; a shed anywhere rejects the whole request."""
-        if len(rows) == 1:
-            return [await batcher.submit(rows[0])]
-        gathered = await asyncio.gather(
-            *(batcher.submit(row) for row in rows), return_exceptions=True
-        )
-        for result in gathered:
-            if isinstance(result, BaseException):
-                raise result
-        return list(gathered)
 
     @staticmethod
     def _feature_row(resident: _ResidentModel, features) -> np.ndarray:

@@ -31,13 +31,14 @@ across repetitions).
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from ..cache.reuse import ProfileStack, ProfileTable, ordered_sum
+from ..cache.reuse import ProfileStack, ProfileTable, distinct_index, ordered_sum
 from ..cache.sharing import waterfill, waterfill_batched
 from ..machine.pstates import PState
 from ..machine.processor import MulticoreProcessor
@@ -217,6 +218,22 @@ class ColocationRun:
     def co_runners(self) -> tuple[AppRun, ...]:
         """All co-located applications' runs."""
         return self.runs[1:]
+
+
+def _relabel(
+    state: SteadyState, apps: tuple[ApplicationSpec, ...], pstate: PState
+) -> SteadyState:
+    """``state`` labelled with the requested ``apps`` and ``pstate``.
+
+    The solve keys on behaviour only, so a cache hit or in-batch
+    duplicate may carry other application or P-state objects (other
+    names, run lengths); only then is a relabelled copy made, so a caller
+    always gets back the very objects it passed.  ``apps`` has as many
+    entries as ``state.apps``: their solve keys matched.
+    """
+    if state.pstate is pstate and all(map(operator.is_, state.apps, apps)):
+        return state
+    return replace(state, apps=apps, pstate=pstate)
 
 
 class SimulationEngine:
@@ -429,9 +446,7 @@ class SimulationEngine:
             if cached is not None:
                 self.stats.record_hit()
                 GLOBAL_ENGINE_STATS.record_hit()
-                # Re-label with the requested apps/pstate: the cache keys on
-                # behaviour only, so names and run lengths may differ.
-                return replace(cached, apps=apps, pstate=pstate)
+                return _relabel(cached, apps, pstate)
             self.stats.record_miss()
             GLOBAL_ENGINE_STATS.record_miss()
         try:
@@ -557,34 +572,33 @@ class SimulationEngine:
         *outside* the solve — which is what makes caching and batching
         exact.
         """
-        apps = state.apps
-        pstate = state.pstate
-        tpi = state.seconds_per_instruction
-        miss = state.miss_ratios
-        occ = state.occupancies_bytes
-        api = np.array([a.accesses_per_instruction for a in apps])
+        # Python floats multiply exactly as float64 scalars do, without the
+        # cost of indexing numpy scalars out of the arrays.
+        tpi = state.seconds_per_instruction.tolist()
+        miss = state.miss_ratios.tolist()
+        occ = state.occupancies_bytes.tolist()
 
         runs = []
-        for i, app in enumerate(apps):
+        for i, app in enumerate(state.apps):
             time_s = float(app.instructions * tpi[i])
             if i == 0 and rng is not None and self.noise_sigma > 0.0:
                 time_s *= float(np.exp(rng.normal(0.0, self.noise_sigma)))
-            accesses = app.instructions * api[i]
+            accesses = float(app.instructions * app.accesses_per_instruction)
             runs.append(
                 AppRun(
                     app=app,
                     execution_time_s=time_s,
                     instructions=app.instructions,
                     llc_accesses=accesses,
-                    llc_misses=accesses * float(miss[i]),
-                    miss_ratio=float(miss[i]),
-                    occupancy_bytes=float(occ[i]),
-                    instructions_per_second=1.0 / float(tpi[i]),
+                    llc_misses=accesses * miss[i],
+                    miss_ratio=miss[i],
+                    occupancy_bytes=occ[i],
+                    instructions_per_second=1.0 / tpi[i],
                 )
             )
         return ColocationRun(
             processor_name=self.processor.name,
-            frequency_ghz=pstate.frequency_ghz,
+            frequency_ghz=state.pstate.frequency_ghz,
             runs=tuple(runs),
             dram_utilization=state.dram_utilization,
             dram_latency_ns=state.dram_latency_ns,
@@ -745,7 +759,7 @@ class SimulationEngine:
                     self.stats.record_hit()
                     GLOBAL_ENGINE_STATS.record_hit()
                     apps, pstate, _ = entries[i]
-                    results[i] = replace(cached, apps=apps, pstate=pstate)
+                    results[i] = _relabel(cached, apps, pstate)
                     continue
                 self.stats.record_miss()
                 GLOBAL_ENGINE_STATS.record_miss()
@@ -781,7 +795,7 @@ class SimulationEngine:
                         GLOBAL_ENGINE_STATS.record_eviction()
                 for i in members:
                     apps, pstate, _ = entries[i]
-                    results[i] = replace(state, apps=apps, pstate=pstate)
+                    results[i] = _relabel(state, apps, pstate)
         self.stats.record_batch(len(entries), dedupe_hits, iterations_saved)
         GLOBAL_ENGINE_STATS.record_batch(
             len(entries), dedupe_hits, iterations_saved
@@ -809,42 +823,40 @@ class SimulationEngine:
         contribution to a reduction is an exact IEEE zero — combined with
         the :func:`~repro.cache.reuse.ordered_sum` discipline this makes
         each row's trajectory bit-identical to the serial solver's.
-        Converged rows freeze: they leave the live set and stop paying for
-        iterations (the savings are tallied for :class:`EngineStats`).
+
+        Per-app constants are read once per distinct application object
+        into a table whose row 0 is the inert pad, and one gather through
+        a :func:`~repro.cache.reuse.distinct_index` lays them out as
+        ``(S, A)``.  Converged rows freeze: they leave the live set and
+        stop paying for iterations (the savings are tallied for
+        :class:`EngineStats`).  The live rows' constants are re-gathered
+        only on iterations where some rows freeze.
         """
         s = len(entries)
-        n_apps = [len(apps) for apps, _, _ in entries]
-        a = max(n_apps)
+        a = max(len(apps) for apps, _, _ in entries)
         capacity = float(self.processor.llc.size_bytes)
         line = float(self.processor.llc.line_bytes)
         hit_ns = self.processor.llc.hit_latency_ns * HIT_EXPOSURE
 
-        f_hz = np.array([pstate.frequency_hz for _, pstate, _ in entries])[:, None]
-        cpi = np.ones((s, a))
-        api = np.zeros((s, a))
-        mlp = np.ones((s, a))
-        for i, (apps, _, _) in enumerate(entries):
-            n = n_apps[i]
-            cpi[i, :n] = [app.base_cpi for app in apps]
-            api[i, :n] = [app.accesses_per_instruction for app in apps]
-            mlp[i, :n] = [app.mlp for app in apps]
-        stack = ProfileStack(
-            [[app.reuse for app in apps] for apps, _, _ in entries], pad_apps=a
-        )
+        distinct, index = distinct_index([apps for apps, _, _ in entries], a)
+        cpi = np.array([1.0] + [x.base_cpi for x in distinct])[index]
+        api = np.array([0.0] + [x.accesses_per_instruction for x in distinct])[index]
+        mlp = np.array([1.0] + [x.mlp for x in distinct])[index]
+        stack = ProfileStack.gather([x.reuse for x in distinct], index)
         valid = stack.valid
         demand = np.minimum(stack.footprints, capacity)
+        f_hz = np.array([pstate.frequency_hz for _, pstate, _ in entries])[:, None]
 
         pinned = np.array([alloc is not None for _, _, alloc in entries])
         fixed = np.zeros((s, a))
-        for i, (apps, _, alloc) in enumerate(entries):
-            if alloc is not None:
-                fixed[i, : n_apps[i]] = np.minimum(alloc, demand[i, : n_apps[i]])
+        for i in np.flatnonzero(pinned):
+            apps, _, alloc = entries[i]
+            fixed[i, : len(apps)] = np.minimum(alloc, demand[i, : len(apps)])
         # Row policies, mirroring the serial branches: pinned rows never
-        # move, rows whose demand fits keep occupancy == demand, the rest
-        # compete through the waterfill.
-        fits = np.where(pinned, True, ordered_sum(demand) <= capacity)
-        free = fits & ~pinned
-        compete = ~fits
+        # move, rows whose demand fits keep occupancy == demand (so, like
+        # pinned rows, they never move from their initial iterate), the
+        # rest compete through the waterfill.
+        compete = ~np.where(pinned, True, ordered_sum(demand) <= capacity)
 
         occ = np.where(pinned[:, None], fixed, demand)
         if compete.any():
@@ -852,65 +864,90 @@ class SimulationEngine:
             occ[rows] = waterfill_batched(
                 demand[rows], demand[rows], capacity, valid=valid[rows]
             )
-        tpi = cpi / f_hz
+        base_tpi = cpi / f_hz  # compute-only seconds per instruction
+        tpi = base_tpi.copy()
         damp = self.damping
-        active = np.ones(s, dtype=bool)
         iters = np.zeros(s, dtype=int)
         last_it = 0
+
+        # The live set, compacted whenever rows freeze: ``live`` maps live
+        # rows back to scenarios, the ``*_l`` arrays hold their state and
+        # constants, and ``comp`` indexes the competing rows among them.
+        live = np.arange(s)
+        occ_l, tpi_l = occ.copy(), tpi.copy()
+        api_l, base_l, mlp_l, stack_l = api, base_tpi, mlp, stack
+        comp = np.flatnonzero(compete)
+        demand_c, valid_c = demand[comp], valid[comp]
         for it in range(1, self.max_iterations + 1):
-            if not active.any():
+            if not live.size:
                 break
             last_it = it
             if it % 100 == 0:
                 damp *= 0.5
-            live = np.flatnonzero(active)
-            occ_l = occ[live]
-            tpi_l = tpi[live]
-            rate = api[live] / tpi_l
-            miss = stack.miss_ratio(occ_l, rows=live)
-            occ_new = occ_l.copy()
-            free_l = free[live]
-            if free_l.any():
-                occ_new[free_l] = demand[live][free_l]
-            comp_l = compete[live]
-            if comp_l.any():
-                rows = live[comp_l]
-                pressure = rate[comp_l] * np.maximum(miss[comp_l], PRESSURE_FLOOR)
-                target = waterfill_batched(
-                    pressure, demand[rows], capacity, valid=valid[rows]
+            rate = api_l / tpi_l
+            miss = stack_l.miss_ratio(occ_l)
+            occ_new = occ_l
+            if comp.size:
+                pressure = rate.take(comp, axis=0) * np.maximum(
+                    miss.take(comp, axis=0), PRESSURE_FLOOR
                 )
-                occ_new[comp_l] = (1.0 - damp) * occ_l[comp_l] + damp * target
+                target = waterfill_batched(
+                    pressure, demand_c, capacity, valid=valid_c
+                )
+                occ_new = occ_l.copy()
+                occ_new[comp] = (
+                    (1.0 - damp) * occ_l.take(comp, axis=0) + damp * target
+                )
             bandwidth = ordered_sum(rate * miss) * line
             lat_ns = np.asarray(
                 self.dram.effective_latency_ns(bandwidth), dtype=float
             )
-            stall_ns = (1.0 - miss) * hit_ns + miss * (lat_ns[:, None] / mlp[live])
+            stall_ns = (1.0 - miss) * hit_ns + miss * (lat_ns[:, None] / mlp_l)
             tpi_new = (1.0 - damp) * tpi_l + damp * (
-                cpi[live] / f_hz[live] + api[live] * stall_ns * 1e-9
+                base_l + api_l * stall_ns * 1e-9
             )
-            occ_delta = np.max(np.abs(occ_new - occ_l), axis=1) / capacity
-            tpi_delta = np.max(np.abs(tpi_new - tpi_l) / tpi_l, axis=1)
-            occ[live] = occ_new
-            tpi[live] = tpi_new
-            iters[live] = it
+            occ_delta = np.abs(occ_new - occ_l).max(axis=1) / capacity
+            tpi_delta = (np.abs(tpi_new - tpi_l) / tpi_l).max(axis=1)
+            occ_l, tpi_l = occ_new, tpi_new
             done = (occ_delta < self.rel_tolerance) & (
                 tpi_delta < self.rel_tolerance
             )
             if done.any():
-                active[live[done]] = False
+                frozen = np.flatnonzero(done)
+                rows = live[frozen]
+                occ[rows] = occ_l.take(frozen, axis=0)
+                tpi[rows] = tpi_l.take(frozen, axis=0)
+                iters[rows] = it
+                keep = np.flatnonzero(~done)
+                live = live[keep]
+                occ_l, tpi_l, api_l, base_l, mlp_l = (
+                    x.take(keep, axis=0)
+                    for x in (occ_l, tpi_l, api_l, base_l, mlp_l)
+                )
+                stack_l = stack_l.subset(keep)
+                comp = np.flatnonzero(compete[live])
+                demand_c = demand.take(live[comp], axis=0)
+                valid_c = valid.take(live[comp], axis=0)
+        # Rows still live did not converge; keep their last iterate.
+        occ[live] = occ_l
+        tpi[live] = tpi_l
 
-        converged = ~active
+        converged = np.ones(s, dtype=bool)
+        converged[live] = False
         iterations_saved = int(np.sum(last_it - iters[converged]))
         miss = stack.miss_ratio(occ)
         bandwidth = ordered_sum(api / tpi * miss) * line
         rho = np.asarray(self.dram.utilization(bandwidth), dtype=float)
         lat_ns = np.asarray(self.dram.effective_latency_ns(bandwidth), dtype=float)
         states: list[SteadyState | None] = []
-        for i, (apps, pstate, _) in enumerate(entries):
-            if active[i]:
+        for i, (apps, pstate, _), ok, bw, util, lat, its in zip(
+            range(s), entries, converged.tolist(), bandwidth.tolist(),
+            rho.tolist(), lat_ns.tolist(), iters.tolist(),
+        ):
+            if not ok:
                 states.append(None)
                 continue
-            n = n_apps[i]
+            n = len(apps)
             states.append(
                 SteadyState(
                     apps=apps,
@@ -918,10 +955,10 @@ class SimulationEngine:
                     seconds_per_instruction=tpi[i, :n].copy(),
                     miss_ratios=miss[i, :n].copy(),
                     occupancies_bytes=occ[i, :n].copy(),
-                    miss_bandwidth_bytes_per_s=float(bandwidth[i]),
-                    dram_utilization=float(rho[i]),
-                    dram_latency_ns=float(lat_ns[i]),
-                    iterations=int(iters[i]),
+                    miss_bandwidth_bytes_per_s=bw,
+                    dram_utilization=util,
+                    dram_latency_ns=lat,
+                    iterations=its,
                 )
             )
         return states, iterations_saved

@@ -42,24 +42,39 @@ __all__ = [
 ]
 
 
+#: Instance attribute under which :func:`app_signature` memoizes.
+_SIGNATURE_ATTR = "_solve_signature"
+
+
 def app_signature(app: ApplicationSpec) -> tuple:
     """Hashable signature of everything that affects an app's steady state.
 
     Deliberately excludes ``name``, ``suite``, and ``instructions``: the
     fixed point solves *rates*, so two applications that differ only in
     identity or run length share one solve.
+
+    The signature is computed once per application object and kept on
+    the instance, the way :func:`functools.cached_property` keeps its
+    value (the frozen dataclass blocks ``setattr``, not its ``__dict__``).
+    It cannot go stale: every changed copy (``dataclasses.replace``,
+    :meth:`~repro.workloads.app.ApplicationSpec.scaled`) is a new object
+    that computes its own.
     """
-    reuse = app.reuse
-    return (
-        float(app.base_cpi),
-        float(app.accesses_per_instruction),
-        float(app.mlp),
-        float(reuse.compulsory),
-        tuple(
-            (float(c.working_set_bytes), float(c.weight), float(c.sharpness))
-            for c in reuse.components
-        ),
-    )
+    memo = app.__dict__
+    signature = memo.get(_SIGNATURE_ATTR)
+    if signature is None:
+        reuse = app.reuse
+        signature = memo[_SIGNATURE_ATTR] = (
+            float(app.base_cpi),
+            float(app.accesses_per_instruction),
+            float(app.mlp),
+            float(reuse.compulsory),
+            tuple(
+                (float(c.working_set_bytes), float(c.weight), float(c.sharpness))
+                for c in reuse.components
+            ),
+        )
+    return signature
 
 
 def solve_key(

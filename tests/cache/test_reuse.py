@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.reuse import (
     MissRatioCurve,
+    ProfileStack,
     ProfileTable,
     ReuseComponent,
     ReuseProfile,
+    distinct_index,
 )
 
 KB = 1024.0
@@ -216,3 +218,129 @@ class TestProfileTable:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ProfileTable([])
+
+
+def _per_cell_stack(profile_rows, pad_apps):
+    """The cell-by-cell fill ``ProfileStack`` replaced (the gather's oracle).
+
+    Footprints use the settled-capacity formula directly, so the memo on
+    :attr:`ReuseProfile.footprint_bytes` is checked too.
+    """
+    s = len(profile_rows)
+    k = max(len(p.components) for row in profile_rows for p in row)
+    n_apps = np.array([len(row) for row in profile_rows])
+    arrays = {
+        "valid": np.arange(pad_apps)[None, :] < n_apps[:, None],
+        "working_sets": np.ones((s, pad_apps, k)),
+        "weights": np.zeros((s, pad_apps, k)),
+        "sharpness": np.ones((s, pad_apps, k)),
+        "compulsory": np.zeros((s, pad_apps)),
+        "footprints": np.zeros((s, pad_apps)),
+    }
+    for i, row in enumerate(profile_rows):
+        for j, p in enumerate(row):
+            arrays["compulsory"][i, j] = p.compulsory
+            arrays["footprints"][i, j] = max(
+                c.settled_capacity() for c in p.components
+            )
+            for m, comp in enumerate(p.components):
+                arrays["working_sets"][i, j, m] = comp.working_set_bytes
+                arrays["weights"][i, j, m] = comp.weight
+                arrays["sharpness"][i, j, m] = comp.sharpness
+    return arrays
+
+
+def _assert_stack_equals(stack, arrays):
+    for name, expected in arrays.items():
+        got = getattr(stack, name)
+        assert got.dtype == expected.dtype, name
+        assert np.array_equal(got, expected), name
+
+
+class TestProfileStack:
+    def _rows(self):
+        three = ReuseProfile.mixture(
+            [(64 * KB, 0.2, 2.0), (2 * MB, 0.5, 4.0), (9 * MB, 0.3)],
+            compulsory=0.02,
+        )
+        one = ReuseProfile.single(512 * KB, compulsory=0.1)
+        one_twin = ReuseProfile.single(512 * KB, compulsory=0.1)  # equal, distinct
+        two = ReuseProfile.mixture([(1 * MB, 0.7), (8 * MB, 0.3)])
+        assert one == one_twin and one is not one_twin
+        return [
+            [one],
+            [three, one, one, one],     # repeated object
+            [one_twin, two, one],       # equal-but-distinct objects
+            [two, two, three, one_twin, one],
+        ]
+
+    def test_gather_equals_the_per_cell_fill(self):
+        rows = self._rows()
+        for pad in (5, 7):
+            _assert_stack_equals(
+                ProfileStack(rows, pad_apps=pad), _per_cell_stack(rows, pad)
+            )
+        _assert_stack_equals(ProfileStack(rows), _per_cell_stack(rows, 5))
+
+    def test_gather_from_an_index_equals_the_row_form(self):
+        rows = self._rows()
+        profiles, index = distinct_index(rows, 6)
+        _assert_stack_equals(
+            ProfileStack.gather(profiles, index), _per_cell_stack(rows, 6)
+        )
+
+    def test_subset_equals_those_rows_of_the_per_cell_fill(self):
+        rows = self._rows()
+        stack = ProfileStack(rows, pad_apps=5)
+        full = _per_cell_stack(rows, 5)
+        for keep in ([1, 3], [0], [3, 2, 1, 0]):
+            expected = {name: arr[keep] for name, arr in full.items()}
+            _assert_stack_equals(stack.subset(np.array(keep)), expected)
+        mask = np.array([True, False, True, False])
+        expected = {name: arr[mask] for name, arr in full.items()}
+        _assert_stack_equals(stack.subset(mask), expected)
+
+    def test_miss_ratio_matches_profile_table_rows(self, rng):
+        rows = self._rows()
+        stack = ProfileStack(rows, pad_apps=5)
+        occ = rng.uniform(0.0, 16 * MB, size=(len(rows), 5)) * stack.valid
+        batched = stack.miss_ratio(occ)
+        for i, row in enumerate(rows):
+            serial = ProfileTable(row).miss_ratio(occ[i, : len(row)])
+            assert np.array_equal(serial, batched[i, : len(row)])
+            assert np.all(batched[i, len(row):] == 0.0)
+
+    def test_validation(self):
+        one = ReuseProfile.single(1 * MB)
+        with pytest.raises(ValueError, match="at least one scenario"):
+            ProfileStack([])
+        with pytest.raises(ValueError, match="at least one profile"):
+            ProfileStack([[one], []])
+        with pytest.raises(ValueError, match="pad_apps"):
+            ProfileStack([[one, one]], pad_apps=1)
+        with pytest.raises(ValueError, match="expected occupancies"):
+            ProfileStack([[one]]).miss_ratio(np.zeros((1, 2)))
+
+
+class TestDistinctIndex:
+    def test_identity_not_equality(self):
+        a, b = ReuseProfile.single(1 * MB), ReuseProfile.single(1 * MB)
+        items, index = distinct_index([[a, b, a], [b]], 4)
+        assert items[0] is a and items[1] is b and len(items) == 2
+        assert index.tolist() == [[1, 2, 1, 0], [2, 0, 0, 0]]
+
+    def test_width_defaults_to_the_longest_row(self):
+        items, index = distinct_index([["x"], ["y", "x"]])
+        assert items == ["x", "y"]
+        assert index.shape == (2, 2)
+
+
+class TestFootprintMemo:
+    def test_memo_equals_the_formula(self):
+        profile = ReuseProfile.mixture([(1 * MB, 0.6, 2.5), (6 * MB, 0.4)])
+        expected = max(c.settled_capacity() for c in profile.components)
+        assert profile.footprint_bytes == expected
+        assert profile.footprint_bytes == expected  # memo hit
+        # The memo is not a field: equality and hashing ignore it.
+        twin = ReuseProfile.mixture([(1 * MB, 0.6, 2.5), (6 * MB, 0.4)])
+        assert twin == profile and hash(twin) == hash(profile)

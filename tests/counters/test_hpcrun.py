@@ -5,6 +5,7 @@ import pytest
 
 from repro.counters.hpcrun import (
     DEFAULT_EVENTS,
+    FlatProfile,
     hpcrun_flat,
     profile_from_dict,
     profile_to_dict,
@@ -77,3 +78,59 @@ class TestSerialization:
         import json
 
         json.dumps(data)  # must be JSON-serializable
+
+
+INS = PresetEvent.PAPI_TOT_INS.value
+TCA = PresetEvent.PAPI_L3_TCA.value
+TCM = PresetEvent.PAPI_L3_TCM.value
+
+
+def _reference_ratios(profile):
+    """The counter formulas, read from ``counts`` on every call (oracle)."""
+    ins, tca, tcm = (profile.counts[e] for e in (INS, TCA, TCM))
+    return (
+        tcm / ins if ins else 0.0,
+        tcm / tca if tca else 0.0,
+        tca / ins if ins else 0.0,
+    )
+
+
+def _ratios(profile):
+    return (profile.memory_intensity, profile.cm_per_ca, profile.ca_per_ins)
+
+
+def _profile(ins, tca, tcm):
+    return FlatProfile(
+        app_name="x",
+        processor_name="p",
+        frequency_ghz=2.0,
+        wall_time_s=1.0,
+        counts={INS: ins, TCA: tca, TCM: tcm},
+    )
+
+
+class TestMemoizedRatios:
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            (0.0, 0.0, 0.0),        # nothing counted: every ratio is 0
+            (1e9, 0.0, 0.0),        # no LLC traffic
+            (0.0, 5e6, 1e6),        # zero instructions, non-zero cache counts
+            (1e9, 3.3e7, 1.1e7),
+        ],
+    )
+    def test_equal_the_counter_formulas(self, counts):
+        profile = _profile(*counts)
+        assert _ratios(profile) == _reference_ratios(profile)
+        assert _ratios(profile) == _reference_ratios(profile)  # memo hit
+
+    def test_profiled_runs_and_their_round_trip(self, engine_6core):
+        for name in ("canneal", "cg", "ep"):
+            profile = hpcrun_flat(engine_6core, get_application(name))
+            expected = _reference_ratios(profile)
+            assert _ratios(profile) == expected
+            restored = profile_from_dict(profile_to_dict(profile))
+            assert _ratios(restored) == expected
+            # The memo is not a field: it neither travels nor compares.
+            assert profile_to_dict(restored) == profile_to_dict(profile)
+            assert restored == profile

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.obs.summary import load_trace, render_summary, span_forest
+from repro.obs.summary import (
+    load_trace,
+    render_summary,
+    self_time_us,
+    span_forest,
+)
 from repro.obs.trace import Tracer
 
 
@@ -68,6 +73,65 @@ class TestSpanForest:
         ]
         (root,) = span_forest(events)
         assert root.name == "child"
+
+
+def _span(name, ts, dur, span_id, parent_id=None):
+    args = {"trace_id": "t", "span_id": span_id}
+    if parent_id is not None:
+        args["parent_id"] = parent_id
+    return {"name": name, "ph": "X", "ts": ts, "dur": dur, "args": args}
+
+
+class TestSelfTime:
+    def test_childless_span_is_all_self(self):
+        (root,) = span_forest([_span("a", 0.0, 40.0, "a")])
+        assert self_time_us(root) == 40.0
+
+    def test_overlapping_children_count_once(self):
+        # Parent [0, 100); children [10, 40) and [30, 60) overlap on
+        # [30, 40), so together they cover [10, 60): 50 us, not 60.
+        (root,) = span_forest([
+            _span("parent", 0.0, 100.0, "p"),
+            _span("child", 10.0, 30.0, "c1", "p"),
+            _span("child", 30.0, 30.0, "c2", "p"),
+        ])
+        assert self_time_us(root) == 50.0
+
+    def test_child_outrunning_its_parent_is_clipped(self):
+        # Parent [0, 100); an async child [80, 150) only covers [80, 100)
+        # and one starting before the parent (clock skew) only [0, 5).
+        (root,) = span_forest([
+            _span("parent", 0.0, 100.0, "p"),
+            _span("late", 80.0, 70.0, "c1", "p"),
+            _span("early", -10.0, 15.0, "c2", "p"),
+        ])
+        assert self_time_us(root) == 75.0
+
+    def test_children_covering_everything_leave_zero(self):
+        (root,) = span_forest([
+            _span("parent", 0.0, 100.0, "p"),
+            _span("child", 0.0, 60.0, "c1", "p"),
+            _span("child", 50.0, 70.0, "c2", "p"),
+        ])
+        assert self_time_us(root) == 0.0
+
+    def test_summary_reports_self_ms_per_name(self):
+        events = [
+            _span("parent", 0.0, 100.0, "p"),
+            _span("child", 10.0, 30.0, "c1", "p"),
+            _span("child", 30.0, 30.0, "c2", "p"),
+        ]
+        lines = render_summary(events).splitlines()
+        header = next(line for line in lines if line.startswith("span "))
+        assert header.split()[:5] == ["span", "count", "total", "ms", "self"]
+        rows = {
+            line.split()[0]: line.split()
+            for line in lines
+            if line.startswith(("parent ", "child "))
+        }
+        # name, count, total, self, mean, max (ms)
+        assert rows["parent"][1:4] == ["1", "0.100", "0.050"]
+        assert rows["child"][1:4] == ["2", "0.060", "0.060"]
 
 
 class TestRenderSummary:

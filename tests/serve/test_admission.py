@@ -1,10 +1,10 @@
 """Admission control: bounded backlog, 429 + Retry-After, shed metrics.
 
 An overloaded server must refuse quickly instead of queueing without
-bound.  ``MicroBatcher(max_backlog=...)`` rejects rows once the pending
-queue is full; the server maps the rejection to ``429 Too Many
-Requests`` with a ``Retry-After`` hint and counts every shed row into
-``repro_serve_shed_total``.
+bound.  ``MicroBatcher(max_backlog=...)`` rejects a request whose rows
+do not all fit the pending queue, all or none; the server maps the
+rejection to ``429 Too Many Requests`` with a ``Retry-After`` hint and
+counts every shed row into ``repro_serve_shed_total``.
 """
 
 import asyncio
@@ -55,6 +55,51 @@ class TestBatcherBackpressure:
         assert len(accepted) == 3
         assert stats.shed == 2
         assert stats.rows == 3  # shed rows never reach a flush
+
+    def test_multi_row_request_is_admitted_all_or_none(self):
+        async def run():
+            batcher = MicroBatcher(
+                _echo_sum, max_batch=64, max_wait_ms=60_000.0, max_backlog=2
+            )
+            rows = [np.array([float(i)]) for i in range(5)]
+            with pytest.raises(BacklogFullError) as excinfo:
+                await batcher.submit_many(rows)
+            # Nothing was queued, so the rejected rows cannot flush later.
+            pending = batcher.pending
+            await batcher.drain()
+            return excinfo.value, pending, batcher.stats
+
+        exc, pending, stats = asyncio.run(run())
+        assert pending == 0
+        assert stats.shed == 5
+        assert stats.batches == 0 and stats.rows == 0
+        assert "max_backlog=2" in str(exc)
+        assert "request of 5 rows" in str(exc)
+        assert exc.retry_after_s == 60
+
+    def test_request_that_fits_is_admitted_whole(self):
+        async def run():
+            batcher = MicroBatcher(
+                _echo_sum, max_batch=64, max_wait_ms=60_000.0, max_backlog=4
+            )
+            queued = asyncio.ensure_future(batcher.submit(np.array([1.0])))
+            await asyncio.sleep(0)
+            # 1 queued + 3 requested == max_backlog: admitted.
+            fits = asyncio.ensure_future(
+                batcher.submit_many([np.array([float(i)]) for i in range(3)])
+            )
+            await asyncio.sleep(0)
+            # 4 queued + 2 requested > max_backlog: shed whole.
+            with pytest.raises(BacklogFullError):
+                await batcher.submit_many([np.array([7.0]), np.array([8.0])])
+            await batcher.drain()
+            return await queued, await fits, batcher.stats
+
+        single, many, stats = asyncio.run(run())
+        assert single == 1.0
+        assert many == [0.0, 1.0, 2.0]
+        assert stats.shed == 2
+        assert stats.rows == 4 and stats.batches == 1
 
     def test_rejection_names_the_limit_and_retry(self):
         async def run():
@@ -151,6 +196,21 @@ class TestServer429:
             response.read()
         finally:
             conn.close()
+
+    def test_rejected_request_queues_and_predicts_nothing(
+        self, tight_server, feature_dicts
+    ):
+        # Five rows against a two-row backlog: the whole request is shed
+        # before any row is queued, so no micro-batch ever runs for it.
+        with PredictionClient("127.0.0.1", tight_server.port) as client:
+            with pytest.raises(ClientError) as excinfo:
+                client.predict_batch(feature_dicts[:5], model="point")
+            assert excinfo.value.status == 429
+            samples = client.metrics()
+        assert samples["repro_serve_batch_size_count"] == 0.0
+        assert samples["repro_serve_batch_size_sum"] == 0.0
+        assert samples["repro_serve_shed_total"] == 5.0
+        assert samples["repro_serve_predictions_total"] == 0.0
 
     def test_shed_rows_reach_the_metrics(self, tight_server, feature_dicts):
         with PredictionClient("127.0.0.1", tight_server.port) as client:

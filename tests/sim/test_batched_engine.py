@@ -127,6 +127,25 @@ def test_batched_relabels_apps_and_pstate_per_member():
     assert engine.stats.batch_dedupe_hits == 1
 
 
+def test_members_with_the_same_labels_share_the_solved_state():
+    """Only a member whose apps or P-state differ gets a relabelled copy."""
+    from dataclasses import replace as dc_replace
+
+    proc = XEON_E5649
+    cg, ep = get_application("cg"), get_application("ep")
+    cg_alias = dc_replace(cg, name="cg-alias")
+    engine = SimulationEngine(proc, cache=SolveCache())
+    requests = [(cg, ep), (cg, ep), (cg_alias, ep)]
+    states = engine.solve_steady_state_batched(requests)
+    assert states[1] is states[0]
+    assert states[2] is not states[0]
+    assert states[2].apps == (cg_alias, ep)
+    assert_states_identical(states[0], states[2])
+    # A later cache hit with the same labels is served without a copy.
+    (again,) = engine.solve_steady_state_batched([(cg, ep)])
+    assert again is states[0]
+
+
 def test_bare_app_tuples_accepted_as_requests():
     proc = XEON_E5649
     cg, ep = get_application("cg"), get_application("ep")

@@ -1,5 +1,7 @@
 """Tests for steady-state solve memoization and engine observability."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,20 @@ def cached_engine():
     return SimulationEngine(XEON_E5649, cache=SolveCache())
 
 
+def _reference_signature(app):
+    """The signature formula, recomputed on every call (the memo's oracle)."""
+    return (
+        float(app.base_cpi),
+        float(app.accesses_per_instruction),
+        float(app.mlp),
+        float(app.reuse.compulsory),
+        tuple(
+            (float(c.working_set_bytes), float(c.weight), float(c.sharpness))
+            for c in app.reuse.components
+        ),
+    )
+
+
 class TestAppSignature:
     def test_identity_free(self):
         """Name, suite, and run length do not enter the rate computation."""
@@ -24,6 +40,27 @@ class TestAppSignature:
         assert app_signature(get_application("canneal")) != app_signature(
             get_application("cg")
         )
+
+    def test_memo_equals_the_formula_and_is_kept(self):
+        for name in ("canneal", "cg", "ep"):
+            app = get_application(name)
+            first = app_signature(app)
+            assert first == _reference_signature(app)
+            assert app_signature(app) is first  # computed once per object
+
+    def test_changed_copies_never_see_a_stale_memo(self):
+        canneal = get_application("canneal")
+        app_signature(canneal)  # memoize on the original first
+        assert app_signature(canneal.scaled(2.0)) == app_signature(canneal)
+        faster = replace(canneal, base_cpi=canneal.base_cpi * 0.5)
+        assert app_signature(faster) != app_signature(canneal)
+        assert app_signature(faster) == _reference_signature(faster)
+
+    def test_memo_leaves_equality_and_hash_alone(self):
+        canneal = get_application("canneal")
+        twin = replace(canneal)
+        app_signature(canneal)
+        assert twin == canneal and hash(twin) == hash(canneal)
 
 
 class TestSolveKey:
@@ -36,6 +73,17 @@ class TestSolveKey:
         )
         assert solve_key("a", fast.frequency_hz, apps) != solve_key(
             "b", fast.frequency_hz, apps
+        )
+
+    def test_key_values_match_the_formula(self):
+        """Keys of persisted snapshots stay valid: same tuple as ever."""
+        apps = (get_application("canneal"), get_application("cg"))
+        f = XEON_E5649.pstates.fastest.frequency_hz
+        assert solve_key("a", f, apps, np.array([1.0, 2.0])) == (
+            "a",
+            float(f),
+            tuple(_reference_signature(a) for a in apps),
+            (1.0, 2.0),
         )
 
     def test_pinned_occupancies_in_key(self):
@@ -68,6 +116,19 @@ class TestSolveCache:
         state = cached_engine.solve_steady_state((longer,))
         assert cached_engine.cache.hits == 1
         assert state.apps == (longer,)
+
+    def test_hit_with_the_same_labels_is_not_copied(self, cached_engine):
+        canneal, cg = get_application("canneal"), get_application("cg")
+        first = cached_engine.solve_steady_state((canneal, cg))
+        # A new tuple of the same objects is the same label.
+        assert cached_engine.solve_steady_state((canneal, cg)) is first
+        # An equal but distinct object is relabelled: callers always get
+        # back the objects they passed.
+        twin = replace(cg)
+        relabelled = cached_engine.solve_steady_state((canneal, twin))
+        assert relabelled is not first
+        assert relabelled.apps[1] is twin
+        assert cached_engine.cache.hits == 2
 
     def test_cached_run_times_identical(self, cached_engine):
         canneal = get_application("canneal")
