@@ -23,8 +23,8 @@ from repro.harness.baselines import collect_baselines
 from repro.harness.collection import collect_training_data
 from repro.harness.parallel import spawn_streams
 from repro.machine import XEON_E5649
-from repro.sim import SimulationEngine, SolveCache
-from repro.workloads.suite import get_application
+from repro.sim import SimulationEngine, SolveCache, SolveRequest
+from repro.workloads.suite import all_applications, get_application
 
 _SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 
@@ -32,6 +32,10 @@ _SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 #: clears 5x comfortably; the smoke shape has smaller batches (less
 #: vectorization to amortize the Python loop against), so CI gets a floor.
 MIN_BATCH_SPEEDUP = 2.0 if _SMOKE else 5.0
+
+#: Minimum speedup of the serial fixed point over the stacked solver on
+#: one scenario, the premise of routing single solves to the serial one.
+MIN_SINGLE_SOLVE_SPEEDUP = 2.0
 
 
 def test_engine_solo_solve(benchmark, ctx):
@@ -228,4 +232,90 @@ def test_batched_collection_speedup(benchmark, record):
         batch_dedupe_hits=stats.batch_dedupe_hits,
         frozen_iterations_saved=stats.frozen_iterations_saved,
         smoke=_SMOKE,
+    )
+
+
+def _random_mixes(processor, count, seed):
+    """Scheduler-shaped scenarios: 1..num_cores catalog apps, any P-state."""
+    rng = np.random.default_rng(seed)
+    catalog = all_applications()
+    mixes = []
+    for _ in range(count):
+        n = int(rng.integers(1, processor.num_cores + 1))
+        apps = tuple(catalog[i] for i in rng.integers(len(catalog), size=n))
+        pstate = processor.pstates[int(rng.integers(len(processor.pstates)))]
+        mixes.append((apps, pstate))
+    return mixes
+
+
+def _state_fields(state):
+    return (
+        state.iterations,
+        state.seconds_per_instruction.tolist(),
+        state.miss_ratios.tolist(),
+        state.occupancies_bytes.tolist(),
+        state.miss_bandwidth_bytes_per_s,
+        state.dram_utilization,
+        state.dram_latency_ns,
+    )
+
+
+def test_single_solve_cost(benchmark, record):
+    """One scenario must cost >= 2x less on the serial fixed point than as
+
+    a one-request stacked solve, with the bit-identical result.  This is
+    why single-scenario callers (the scheduler, the fleet model) take the
+    serial solver.  Neither engine has a cache, so every call solves.
+    Persists ms per solve and us per iteration of both solvers to
+    ``results/BENCH_engine.json``.
+    """
+    mixes = _random_mixes(XEON_E5649, 60 if _SMOKE else 300, seed=16)
+    engine = SimulationEngine(XEON_E5649)
+
+    def serial_pass():
+        start = time.perf_counter()
+        states = [engine.solve_steady_state(apps, pstate) for apps, pstate in mixes]
+        return states, time.perf_counter() - start
+
+    def stacked_pass():
+        start = time.perf_counter()
+        states = [
+            engine.solve_steady_state_batched(
+                [SolveRequest(apps=apps, pstate=pstate)]
+            )[0]
+            for apps, pstate in mixes
+        ]
+        return states, time.perf_counter() - start
+
+    serial, serial_s = benchmark.pedantic(serial_pass, rounds=1, iterations=1)
+    stacked, stacked_s = stacked_pass()
+    bit_identical = [_state_fields(s) for s in serial] == [
+        _state_fields(s) for s in stacked
+    ]
+    assert bit_identical, "serial and stacked solves diverged"
+    iterations = sum(state.iterations for state in serial)
+    speedup = stacked_s / serial_s
+    assert speedup >= MIN_SINGLE_SOLVE_SPEEDUP, (
+        f"serial solve only {speedup:.2f}x faster than a one-request stacked "
+        f"solve (need >= {MIN_SINGLE_SOLVE_SPEEDUP}x): serial "
+        f"{serial_s / len(mixes) * 1e3:.3f} ms, stacked "
+        f"{stacked_s / len(mixes) * 1e3:.3f} ms per solve"
+    )
+    print(
+        f"\n{len(mixes)} mixes, {iterations / len(mixes):.1f} iterations per "
+        f"solve: serial {serial_s / len(mixes) * 1e3:.3f} ms "
+        f"({serial_s / iterations * 1e6:.1f} us/iteration), stacked "
+        f"{stacked_s / len(mixes) * 1e3:.3f} ms "
+        f"({stacked_s / iterations * 1e6:.1f} us/iteration), {speedup:.2f}x"
+    )
+    record(
+        "BENCH_engine.json",
+        single_solve_mixes=len(mixes),
+        single_solve_iterations=iterations,
+        serial_single_solve_ms=serial_s / len(mixes) * 1e3,
+        serial_us_per_iteration=serial_s / iterations * 1e6,
+        stacked_single_solve_ms=stacked_s / len(mixes) * 1e3,
+        stacked_us_per_iteration=stacked_s / iterations * 1e6,
+        single_solve_speedup=speedup,
+        single_solve_bit_identical=bit_identical,
     )

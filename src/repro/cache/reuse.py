@@ -298,15 +298,22 @@ class ReuseProfile:
 
 
 class ProfileTable:
-    """Batched miss-ratio evaluation over several profiles at once.
+    """Miss-ratio evaluation over the few profiles of one co-location.
 
-    The analytic execution engine evaluates every co-runner's miss ratio on
-    each fixed-point iteration; doing that through per-profile Python calls
-    dominates runtime.  ``ProfileTable`` packs the mixture parameters of
-    *n* profiles into padded ``(n, k)`` arrays so one iteration is a handful
-    of vectorized numpy operations.
+    The serial steady-state solver evaluates every co-runner's miss ratio
+    on each fixed-point iteration, for at most a dozen applications.  At
+    that size numpy's per-call overhead dwarfs the arithmetic, so the
+    table keeps each real mixture component once, in profile order, and
+    :meth:`miss_ratio_floats` evaluates the mixture on Python floats with
+    a single numpy call: the ``ratio ** sharpness`` power over all
+    components as one contiguous array.  The power stays in numpy because
+    Python's ``**`` rounds differently from numpy's on some inputs, and
+    :class:`ProfileStack` (the bit-identity partner) evaluates it in
+    numpy.
 
-    Padding components carry zero weight, so they contribute nothing.
+    The padded ``(n, k)`` arrays (``working_sets``, ``weights``,
+    ``sharpness``; padding components carry zero weight) are what
+    :class:`ProfileStack` gathers from.
     """
 
     def __init__(self, profiles: list[ReuseProfile] | tuple[ReuseProfile, ...]) -> None:
@@ -320,6 +327,11 @@ class ProfileTable:
         self.sharpness = np.ones((n, k))
         self.compulsory = np.empty(n)
         self.footprints = np.empty(n)
+        # The float path: one entry per real component, profile by profile.
+        self._owners: list[int] = []
+        self._working_sets: list[float] = []
+        self._weights: list[float] = []
+        sharpness: list[float] = []
         for i, p in enumerate(profiles):
             self.compulsory[i] = p.compulsory
             self.footprints[i] = p.footprint_bytes
@@ -327,6 +339,12 @@ class ProfileTable:
                 self.working_sets[i, j] = comp.working_set_bytes
                 self.weights[i, j] = comp.weight
                 self.sharpness[i, j] = comp.sharpness
+                self._owners.append(i)
+                self._working_sets.append(float(comp.working_set_bytes))
+                self._weights.append(float(comp.weight))
+                sharpness.append(float(comp.sharpness))
+        self._sharpness = np.array(sharpness)
+        self._compulsory: list[float] = self.compulsory.tolist()
 
     def __len__(self) -> int:
         return len(self.profiles)
@@ -336,16 +354,36 @@ class ProfileTable:
 
         Equivalent to ``[p.miss_ratio(o) for p, o in zip(profiles, occ)]``
         but in one shot (verified against the scalar path in the tests).
+        The array form of :meth:`miss_ratio_floats`.
         """
         occ = np.asarray(occupancies_bytes, dtype=float)
         if occ.shape != (len(self.profiles),):
             raise ValueError(
                 f"expected {len(self.profiles)} occupancies, got shape {occ.shape}"
             )
-        ratio = np.maximum(occ, 0.0)[:, None] / self.working_sets
         with np.errstate(over="ignore"):
-            mix = ordered_sum(self.weights / (1.0 + ratio**self.sharpness))
-        return self.compulsory + (1.0 - self.compulsory) * mix
+            return np.array(self.miss_ratio_floats(occ.tolist()))
+
+    def miss_ratio_floats(self, occupancies_bytes: Sequence[float]) -> list[float]:
+        """Per-profile miss ratio at per-profile occupancy, as floats.
+
+        Every operation but the power is an IEEE basic operation on Python
+        floats, in the order the padded arrays of :class:`ProfileStack`
+        evaluate it, so the two agree bit for bit.  Skipping the padding
+        components is exact: each adds ``+0.0`` to a sum that starts at
+        ``+0.0``.  A power that overflows yields ``inf`` (a miss fraction
+        of 0, the right limit) and numpy warns about it unless the caller
+        silences overflow, as :meth:`miss_ratio` and the steady-state
+        solver do.
+        """
+        # np.maximum(occ, 0.0), exactly: NaN passes through, -0.0 gives 0.0.
+        occ = [0.0 if o <= 0.0 else o for o in occupancies_bytes]
+        ratio = [occ[i] / ws for i, ws in zip(self._owners, self._working_sets)]
+        powered = (np.array(ratio) ** self._sharpness).tolist()
+        mix = [0.0] * len(self._compulsory)
+        for i, w, x in zip(self._owners, self._weights, powered):
+            mix[i] += w / (1.0 + x)
+        return [c + (1.0 - c) * m for c, m in zip(self._compulsory, mix)]
 
 
 class ProfileStack:

@@ -29,6 +29,7 @@ mechanisms that make the paper's linear models plateau.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "solve_shared_cache",
     "waterfill",
     "waterfill_batched",
+    "waterfill_floats",
 ]
 
 
@@ -92,38 +94,64 @@ def waterfill(pressure: np.ndarray, demand: np.ndarray, capacity: float) -> np.n
 
     Classic waterfilling: applications whose proportional share exceeds
     their demand are clipped and the slack re-split among the rest.
-    Terminates in at most ``len(pressure)`` rounds.
-
-    Every reduction goes through :func:`~repro.cache.reuse.ordered_sum`
-    over masked (exact-zero) inactive entries, the form
-    :func:`waterfill_batched` applies row-wise — the two are bit-identical
-    per scenario, which the batched steady-state solver relies on.
+    Terminates in at most ``len(pressure)`` rounds.  The array form of
+    :func:`waterfill_floats`, which does the arithmetic.
     """
-    n = pressure.size
-    alloc = np.zeros(n)
-    active = np.ones(n, dtype=bool)
+    return np.array(
+        waterfill_floats(
+            np.asarray(pressure, dtype=float).tolist(),
+            np.asarray(demand, dtype=float).tolist(),
+            capacity,
+        ),
+        dtype=float,
+    )
+
+
+def waterfill_floats(
+    pressure: Sequence[float], demand: Sequence[float], capacity: float
+) -> list[float]:
+    """:func:`waterfill` on Python floats, for the few apps of one scenario.
+
+    Each round sums the active pressures left to right from ``+0.0`` and
+    gives every active entry ``alloc + remaining * pressure / total`` (or
+    an even split when no pressure is left), the masked arithmetic
+    :func:`waterfill_batched` applies row-wise over ``(S, A)`` arrays.
+    Leaving the inactive entries out of a sum is exact, since the masked
+    form adds ``+0.0`` for them, so the two are bit-identical per
+    scenario, which the steady-state solvers rely on.
+    """
+    alloc = [0.0] * len(pressure)
+    active = list(range(len(pressure)))
     remaining = float(capacity)
-    for _ in range(n):
-        if remaining <= 0.0 or not active.any():
+    for _ in range(len(pressure)):
+        if remaining <= 0.0 or not active:
             break
-        total = float(ordered_sum(np.where(active, pressure, 0.0)))
+        total = 0.0
+        for i in active:
+            total += pressure[i]
         if total <= 0.0:
             # No pressure left: split the remainder evenly among actives.
-            share = np.where(active, remaining / int(active.sum()), 0.0)
+            even = remaining / len(active)
+            proposed = [alloc[i] + even for i in active]
         else:
-            share = np.where(active, remaining * pressure / total, 0.0)
-        proposed = alloc + share
-        over = active & (proposed >= demand)
-        if not over.any():
-            alloc = np.where(active, proposed, alloc)
-            remaining = 0.0
+            proposed = [alloc[i] + remaining * pressure[i] / total for i in active]
+        over = [p >= demand[i] for i, p in zip(active, proposed)]
+        if not any(over):
+            for i, p in zip(active, proposed):
+                alloc[i] = p
             break
         # Satisfy the clipped apps fully, retire them, re-split the slack.
-        remaining -= float(ordered_sum(np.where(over, demand - alloc, 0.0)))
-        alloc = np.where(over, demand, alloc)
-        active &= ~over
+        slack = 0.0
+        for i, clipped in zip(active, over):
+            if clipped:
+                slack += demand[i] - alloc[i]
+        remaining -= slack
+        for i, clipped in zip(active, over):
+            if clipped:
+                alloc[i] = demand[i]
         # The un-clipped apps are reconsidered next round from scratch so
         # that proportionality is preserved among survivors.
+        active = [i for i, clipped in zip(active, over) if not clipped]
     return alloc
 
 

@@ -41,11 +41,20 @@ class DRAMModel:
     config: DRAMConfig
 
     def utilization(self, demand_bytes_per_s: np.ndarray | float) -> np.ndarray | float:
-        """Fraction of peak bandwidth consumed, clamped to the ceiling."""
+        """Fraction of peak bandwidth consumed, clamped to the ceiling.
+
+        A scalar demand is computed on Python floats and returns a float,
+        bit-identical to the same entry of an array demand.
+        """
+        peak = self.config.peak_bandwidth_gbs * 1e9
+        if isinstance(demand_bytes_per_s, (int, float)):
+            d = float(demand_bytes_per_s)
+            if d < 0.0:
+                raise ValueError("bandwidth demand must be non-negative")
+            return min(d / peak, MAX_UTILIZATION)
         d = np.asarray(demand_bytes_per_s, dtype=float)
         if np.any(d < 0.0):
             raise ValueError("bandwidth demand must be non-negative")
-        peak = self.config.peak_bandwidth_gbs * 1e9
         out = np.minimum(d / peak, MAX_UTILIZATION)
         return out if out.ndim else float(out)
 
@@ -55,13 +64,11 @@ class DRAMModel:
         """Loaded miss latency given aggregate bandwidth demand.
 
         Monotonically non-decreasing and convex in demand; equals the idle
-        latency at zero load.
+        latency at zero load.  Like :meth:`utilization`, a scalar demand
+        stays on Python floats (the serial steady-state solver calls this
+        once per iteration) and an array is evaluated elementwise.
         """
-        rho = np.asarray(self.utilization(demand_bytes_per_s), dtype=float)
-        lat = self.config.idle_latency_ns * (
-            1.0 + self.config.queue_shape * rho / (1.0 - rho)
-        )
-        return lat if lat.ndim else float(lat)
+        return self._queueing_latency(self.utilization(demand_bytes_per_s))
 
     def latency_at_utilization(self, rho: float) -> float:
         """Loaded latency at an explicit utilization (for reporting)."""
@@ -69,6 +76,10 @@ class DRAMModel:
             raise ValueError(
                 f"utilization must be in [0, {MAX_UTILIZATION}], got {rho}"
             )
+        return self._queueing_latency(float(rho))
+
+    def _queueing_latency(self, rho: np.ndarray | float) -> np.ndarray | float:
+        """The open-queueing latency formula, on a float or an array."""
         return self.config.idle_latency_ns * (
             1.0 + self.config.queue_shape * rho / (1.0 - rho)
         )

@@ -6,8 +6,14 @@ than predicting one.  The :class:`MicroBatcher` exploits that by queueing
 concurrent requests for the same model and flushing them as a single
 ``(n, k)`` matrix through one predict call, whichever comes first of
 
-* the batch reaching ``max_batch`` rows, or
+* the batch reaching ``max_batch`` rows,
+* a multi-row request having queued all its rows: its tail (the rows
+  past the last full batch) flushes on the next event-loop turn rather
+  than waiting for company it does not need, or
 * the oldest queued row waiting ``max_wait_ms`` milliseconds.
+
+Single-row requests keep the deadline: that wait is how concurrent
+clients' rows coalesce into one batch.
 
 Correctness contract: because the serving predictors reduce each row with
 shape-stable kernels (``predict_stable``), a row's prediction is
@@ -62,6 +68,7 @@ class BatcherStats:
     batches: int = 0
     size_flushes: int = 0      # flushed because the batch filled up
     deadline_flushes: int = 0  # flushed because max_wait_ms elapsed
+    request_flushes: int = 0   # a multi-row request's tail, flushed at once
     drain_flushes: int = 0     # flushed by shutdown drain
     #: Rows rejected by admission control (``max_backlog``); exported as
     #: ``repro_serve_shed_total``.
@@ -81,6 +88,8 @@ class BatcherStats:
             self.size_flushes += 1
         elif reason == "deadline":
             self.deadline_flushes += 1
+        elif reason == "request":
+            self.request_flushes += 1
         elif reason == "drain":
             self.drain_flushes += 1
         self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
@@ -106,7 +115,8 @@ class MicroBatcher:
         throughput bench compares against.
     max_wait_ms:
         Deadline for the *oldest* queued row; bounds the latency cost a
-        lone request pays waiting for company.
+        lone single-row request pays waiting for company.  A multi-row
+        request does not wait it out (see :meth:`submit_many`).
     max_backlog:
         Admission bound, per request: rows that would take the queue past
         this many are shed with :class:`BacklogFullError` (counted in
@@ -147,7 +157,9 @@ class MicroBatcher:
         self.stats = BatcherStats()
         # (row, future, submit perf_counter time, submitting request span).
         self._pending: list[tuple[np.ndarray, asyncio.Future, float, object]] = []
-        self._timer: asyncio.TimerHandle | None = None
+        # The scheduled flush of the queued rows: the deadline timer, or a
+        # multi-row request's next-turn flush.
+        self._timer: asyncio.Handle | None = None
 
     @property
     def pending(self) -> int:
@@ -172,7 +184,12 @@ class MicroBatcher:
         Admission is all or none: when ``max_backlog`` is set and the
         rows do not all fit, none is queued, every row counts as shed, and
         :class:`BacklogFullError` is raised at once.  Admitted rows batch
-        exactly as if submitted one by one, in order.
+        exactly as if submitted one by one, in order, except that a
+        request of several rows does not wait out the deadline: once its
+        rows are queued, whatever is pending flushes on the next
+        event-loop turn (reason ``"request"``).  The flush is scheduled
+        rather than run inline so that work already ready on the loop
+        (another request's submit, a drain) still runs first.
         """
         rows = [np.asarray(row, dtype=float) for row in rows]
         for row in rows:
@@ -190,10 +207,17 @@ class MicroBatcher:
             futures.append(future)
             if len(self._pending) >= self.max_batch:
                 self._flush("size")
-        if self._pending and self._timer is None:
-            self._timer = loop.call_later(
-                self.max_wait_ms / 1000.0, self._flush, "deadline"
-            )
+        if self._pending:
+            if len(rows) > 1:
+                # The caller is waiting for all of its rows, so its tail
+                # has no company worth waiting for.
+                if self._timer is not None:
+                    self._timer.cancel()
+                self._timer = loop.call_soon(self._flush, "request")
+            elif self._timer is None:
+                self._timer = loop.call_later(
+                    self.max_wait_ms / 1000.0, self._flush, "deadline"
+                )
         if len(futures) == 1:
             return [await futures[0]]
         return list(await asyncio.gather(*futures))

@@ -15,11 +15,13 @@ The model couples three mutually-dependent quantities in one fixed point:
 * the loaded **DRAM latency** — depends on the aggregate miss bandwidth,
   which depends on throughput and miss ratios.
 
-Each iteration evaluates all miss ratios through a vectorized
+Each iteration evaluates all miss ratios through a
 :class:`~repro.cache.reuse.ProfileTable` and solves the occupancy split
 with the same rate-proportional waterfilling as the reference model in
 :mod:`repro.cache.sharing` (agreement between the two is tested).  Damped
-iteration converges in a few dozen steps.
+iteration converges in a few dozen steps.  One scenario is solved on
+Python floats; a sweep is solved as one stacked fixed point over numpy
+arrays, bit-identical to solving its scenarios one by one.
 
 Co-runners are modeled as *continuously running*: the paper's test harness
 restarts co-located applications so that pressure on the target stays
@@ -32,6 +34,7 @@ across repetitions).
 from __future__ import annotations
 
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -39,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from ..cache.reuse import ProfileStack, ProfileTable, distinct_index, ordered_sum
-from ..cache.sharing import waterfill, waterfill_batched
+from ..cache.sharing import waterfill_batched, waterfill_floats
 from ..machine.pstates import PState
 from ..machine.processor import MulticoreProcessor
 from ..memsys.dram import DRAMModel
@@ -425,19 +428,9 @@ class SimulationEngine:
             )
         if pstate is None:
             pstate = self.processor.pstates.fastest
-        capacity = float(self.processor.llc.size_bytes)
         alloc = None
         if fixed_occupancies is not None:
-            alloc = np.asarray(fixed_occupancies, dtype=float)
-            if alloc.shape != (len(apps),):
-                raise ValueError(
-                    f"need one occupancy per application, got shape {alloc.shape}"
-                )
-            if np.any(alloc < 0.0) or alloc.sum() > capacity * (1 + 1e-9):
-                raise ValueError(
-                    "fixed occupancies must be non-negative and sum to at "
-                    "most the LLC capacity"
-                )
+            alloc = self._pinned_occupancies(fixed_occupancies, len(apps))
 
         key = None
         if self.cache is not None:
@@ -469,82 +462,115 @@ class SimulationEngine:
         pstate: PState,
         alloc: np.ndarray | None,
     ) -> "SteadyState":
+        """One scenario's fixed point, on Python floats.
+
+        A scenario holds at most a dozen applications, so numpy's
+        per-call overhead would cost far more than the arithmetic.  Every
+        per-app quantity is a list of floats, and every step is an IEEE
+        basic operation in the order the stacked solver evaluates it
+        elementwise, which keeps the two bit-identical.  The one numpy
+        call per iteration is the reuse mixture's power inside
+        :meth:`~repro.cache.reuse.ProfileTable.miss_ratio_floats`.  The
+        convergence test asks every delta to be below the tolerance, so a
+        NaN anywhere never reads as converged.
+        """
         f_hz = pstate.frequency_hz
         capacity = float(self.processor.llc.size_bytes)
         line = float(self.processor.llc.line_bytes)
         hit_ns = self.processor.llc.hit_latency_ns * HIT_EXPOSURE
+        tol = self.rel_tolerance
+        latency_ns = self.dram.effective_latency_ns
 
-        cpi = np.array([a.base_cpi for a in apps])
-        api = np.array([a.accesses_per_instruction for a in apps])
-        mlp = np.array([a.mlp for a in apps])
+        api = [float(a.accesses_per_instruction) for a in apps]
+        mlp = [float(a.mlp) for a in apps]
+        base = [float(a.base_cpi) / f_hz for a in apps]  # compute-only tpi
+        for app, b in zip(apps, base):
+            # Python raises on a zero divisor where numpy returned inf; a
+            # normal (not underflowed) base keeps every tpi positive.
+            if b < sys.float_info.min:
+                raise ValueError(
+                    f"base_cpi {app.base_cpi!r} of {app.name!r} is too small "
+                    f"to simulate at {pstate.frequency_ghz:g} GHz"
+                )
         table = ProfileTable([a.reuse for a in apps])
-        demand = np.minimum(table.footprints, capacity)
+        demand = [min(fp, capacity) for fp in table.footprints.tolist()]
+        # Initial iterate: footprint-proportional occupancy, stall-free speed.
         pinned = alloc is not None
         if pinned:
             # An application cannot make use of more cache than it touches.
-            fixed = np.minimum(alloc, demand)
+            occ = [min(x, d) for x, d in zip(alloc.tolist(), demand)]
             fits = True  # no competition: occupancies never move
         else:
-            fixed = None
-            fits = float(ordered_sum(demand)) <= capacity
-
-        # Initial iterate: footprint-proportional occupancy, stall-free speed.
-        if pinned:
-            occ = fixed.copy()
-        else:
-            occ = demand.copy() if fits else waterfill(demand.copy(), demand, capacity)
-        tpi = cpi / f_hz  # seconds per instruction
+            total = 0.0
+            for d in demand:
+                total += d
+            fits = total <= capacity
+            occ = demand if fits else waterfill_floats(demand, demand, capacity)
+        tpi = base  # seconds per instruction
         damp = self.damping
         iterations = 0
         converged = False
-        for iterations in range(1, self.max_iterations + 1):
-            # The waterfill's demand clipping makes the occupancy map
-            # piecewise: near a clipping boundary the undamped iteration
-            # can limit-cycle.  Decaying the damping breaks such cycles
-            # while leaving well-behaved cases (which converge long before
-            # this) untouched.
-            if iterations % 100 == 0:
-                damp *= 0.5
-            rate = api / tpi  # LLC accesses per second per app
-            miss = table.miss_ratio(occ)
-            if pinned:
-                occ_new = occ
-            elif fits:
-                occ_new = demand
-            else:
-                pressure = rate * np.maximum(miss, PRESSURE_FLOOR)
-                occ_new = (1.0 - damp) * occ + damp * waterfill(
-                    pressure, demand, capacity
+        with np.errstate(over="ignore"):
+            for iterations in range(1, self.max_iterations + 1):
+                # The waterfill's demand clipping makes the occupancy map
+                # piecewise: near a clipping boundary the undamped
+                # iteration can limit-cycle.  Decaying the damping breaks
+                # such cycles while leaving well-behaved cases (which
+                # converge long before this) untouched.
+                if iterations % 100 == 0:
+                    damp *= 0.5
+                keep = 1.0 - damp
+                # LLC accesses per second per app.
+                rate = [a / t for a, t in zip(api, tpi)]
+                miss = table.miss_ratio_floats(occ)
+                if pinned:
+                    occ_new = occ
+                elif fits:
+                    occ_new = demand
+                else:
+                    pressure = [
+                        r * max(m, PRESSURE_FLOOR) for r, m in zip(rate, miss)
+                    ]
+                    target = waterfill_floats(pressure, demand, capacity)
+                    occ_new = [keep * o + damp * t for o, t in zip(occ, target)]
+                bandwidth = 0.0
+                for r, m in zip(rate, miss):
+                    bandwidth += r * m
+                lat_ns = latency_ns(bandwidth * line)
+                # Compute time plus, per access, the exposed hit or the
+                # miss latency spread over the overlapping misses (ns).
+                tpi_new = [
+                    keep * t
+                    + damp * (b + a * ((1.0 - m) * hit_ns + m * (lat_ns / ml)) * 1e-9)
+                    for t, b, a, m, ml in zip(tpi, base, api, miss, mlp)
+                ]
+                done = all(
+                    abs(new - old) / capacity < tol for new, old in zip(occ_new, occ)
+                ) and all(abs(new - old) / old < tol for new, old in zip(tpi_new, tpi))
+                occ, tpi = occ_new, tpi_new
+                if done:
+                    converged = True
+                    break
+            if not converged:
+                raise ConvergenceError(
+                    f"steady state did not converge in {self.max_iterations} "
+                    f"iterations for {[a.name for a in apps]} on "
+                    f"{self.processor.name}"
                 )
-            bandwidth = float(ordered_sum(rate * miss)) * line
-            lat_ns = float(self.dram.effective_latency_ns(bandwidth))
-            stall_ns = (1.0 - miss) * hit_ns + miss * (lat_ns / mlp)
-            tpi_new = (1.0 - damp) * tpi + damp * (cpi / f_hz + api * stall_ns * 1e-9)
-            occ_delta = float(np.max(np.abs(occ_new - occ))) / capacity
-            tpi_delta = float(np.max(np.abs(tpi_new - tpi) / tpi))
-            occ, tpi = occ_new, tpi_new
-            if occ_delta < self.rel_tolerance and tpi_delta < self.rel_tolerance:
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError(
-                f"steady state did not converge in {self.max_iterations} "
-                f"iterations for {[a.name for a in apps]} on {self.processor.name}"
-            )
-
-        miss = table.miss_ratio(occ)
-        bandwidth = float(ordered_sum(api / tpi * miss)) * line
-        rho = float(self.dram.utilization(bandwidth))
-        lat_ns = float(self.dram.effective_latency_ns(bandwidth))
+            miss = table.miss_ratio_floats(occ)
+        bandwidth = 0.0
+        for a, t, m in zip(api, tpi, miss):
+            bandwidth += a / t * m
+        bandwidth *= line
         return SteadyState(
             apps=apps,
             pstate=pstate,
-            seconds_per_instruction=tpi,
-            miss_ratios=miss,
-            occupancies_bytes=occ,
+            seconds_per_instruction=np.array(tpi),
+            miss_ratios=np.array(miss),
+            occupancies_bytes=np.array(occ),
             miss_bandwidth_bytes_per_s=bandwidth,
-            dram_utilization=rho,
-            dram_latency_ns=lat_ns,
+            dram_utilization=self.dram.utilization(bandwidth),
+            dram_latency_ns=latency_ns(bandwidth),
             iterations=iterations,
         )
 
@@ -715,19 +741,44 @@ class SimulationEngine:
             pstate = self.processor.pstates.fastest
         alloc = None
         if fixed is not None:
-            alloc = np.asarray(fixed, dtype=float)
-            capacity = float(self.processor.llc.size_bytes)
-            if alloc.shape != (len(apps),):
-                raise ValueError(
-                    f"batch scenario {index}: need one occupancy per "
-                    f"application, got shape {alloc.shape}"
-                )
-            if np.any(alloc < 0.0) or alloc.sum() > capacity * (1 + 1e-9):
-                raise ValueError(
-                    f"batch scenario {index}: fixed occupancies must be "
-                    f"non-negative and sum to at most the LLC capacity"
-                )
+            alloc = self._pinned_occupancies(
+                fixed, len(apps), f"batch scenario {index}: "
+            )
         return apps, pstate, alloc
+
+    def _pinned_occupancies(
+        self,
+        fixed_occupancies: np.ndarray | Sequence[float],
+        num_apps: int,
+        context: str = "",
+    ) -> np.ndarray:
+        """``fixed_occupancies`` as floats, or a ``ValueError`` naming it.
+
+        One byte count per application, each finite and non-negative,
+        summing to at most the LLC capacity.  A NaN would pass the sign
+        and sum tests (every comparison with NaN is false) and then stall
+        the solve until its iteration cap, so non-finite values are
+        rejected first.  ``context`` prefixes the message (the batched
+        solver names the scenario).
+        """
+        alloc = np.asarray(fixed_occupancies, dtype=float)
+        if alloc.shape != (num_apps,):
+            raise ValueError(
+                f"{context}fixed_occupancies: need one occupancy per "
+                f"application, got shape {alloc.shape}"
+            )
+        if not np.all(np.isfinite(alloc)):
+            raise ValueError(
+                f"{context}fixed_occupancies must be finite, got "
+                f"{alloc.tolist()}"
+            )
+        capacity = float(self.processor.llc.size_bytes)
+        if np.any(alloc < 0.0) or alloc.sum() > capacity * (1 + 1e-9):
+            raise ValueError(
+                f"{context}fixed_occupancies must be non-negative and sum "
+                f"to at most the LLC capacity"
+            )
+        return alloc
 
     def _solve_steady_state_batched(self, requests) -> list["SteadyState"]:
         entries = [

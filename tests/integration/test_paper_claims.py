@@ -14,6 +14,9 @@ from repro.core.features import Feature, feature_matrix
 from repro.core.methodology import ModelKind
 from repro.core.pca import rank_features
 from repro.harness.experiments import ExperimentContext, figure_series, table6_rows
+from repro.machine import XEON_E5_2697V2
+from repro.sim import SimulationEngine
+from repro.workloads import get_application
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +112,24 @@ class TestSectionVB_Table6:
         rows = table6_rows(ctx)
         max_norm = max(r[2] for r in rows)
         assert 1.25 < max_norm < 2.0
+
+    def test_degradation_curve_is_monotone_and_saturating(self):
+        """Table VI's shape: every added cg slows canneal further, from
+        the third one on by no more than the one before, and the last adds
+        under a third of the largest step, so the curve flattens towards
+        its ceiling.  Noise-free runs: no fit and no repetitions."""
+        engine = SimulationEngine(XEON_E5_2697V2)
+        canneal, cg = get_application("canneal"), get_application("cg")
+        solo = engine.baseline(canneal).target.execution_time_s
+        norms = [1.0] + [
+            engine.run(canneal, [cg] * n).target.execution_time_s / solo
+            for n in range(1, XEON_E5_2697V2.max_co_located + 1)
+        ]
+        # increments[k - 1]: the slowdown the k-th co-located cg adds.
+        increments = np.diff(norms)
+        assert np.all(increments > 0.0)
+        assert np.all(np.diff(increments[2:]) <= 0.0)
+        assert increments[-1] < increments.max() / 3.0
 
     def test_tight_confidence_intervals(self, ctx):
         """'The error for each partition ... did not vary much', i.e. the

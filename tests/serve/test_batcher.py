@@ -78,6 +78,20 @@ class TestCoalescing:
         assert stats.deadline_flushes == 1
         assert stats.flush_reasons == {"deadline": 1}
 
+    def test_multi_row_request_does_not_wait_out_the_deadline(self):
+        async def run():
+            batcher = MicroBatcher(_echo_sum, max_batch=32, max_wait_ms=60_000.0)
+            rows = [np.array([float(i)]) for i in range(33)]
+            # One full batch plus a one-row tail; a minute-long deadline
+            # would time this out if the tail waited for it.
+            results = await asyncio.wait_for(batcher.submit_many(rows), 5)
+            return results, batcher.stats
+
+        results, stats = asyncio.run(run())
+        assert results == [float(i) for i in range(33)]
+        assert stats.flush_reasons == {"size": 1, "request": 1}
+        assert stats.request_flushes == 1 and stats.deadline_flushes == 0
+
     def test_max_batch_one_disables_coalescing(self):
         sizes = []
 

@@ -16,6 +16,7 @@ from repro.cache.sharing import waterfill, waterfill_batched
 from repro.machine import XEON_E5649, XEON_E5_2697V2
 from repro.sim import (
     BatchConvergenceError,
+    ConvergenceError,
     SimulationEngine,
     SolveCache,
     SolveRequest,
@@ -110,6 +111,52 @@ def test_batched_pinned_occupancies_match_serial():
         assert_states_identical(a, b)
 
 
+@pytest.mark.parametrize(
+    "processor", [XEON_E5649, XEON_E5_2697V2], ids=["e5649", "e5-2697v2"]
+)
+def test_serial_matches_stacked_on_random_mixed_co_runner_sets(processor):
+    """The scheduler's shape: any mix of catalog apps, not N copies of one.
+
+    Mixes of 1..num_cores apps are drawn with replacement from the
+    catalog at random P-states, one in five with pinned occupancies; the
+    serial solve must equal a one-request stacked solve on every field.
+    """
+    rng = np.random.default_rng(16)
+    catalog = all_applications()
+    capacity = float(processor.llc.size_bytes)
+    serial_engine = SimulationEngine(processor)
+    stacked_engine = SimulationEngine(processor)
+    for _ in range(40):
+        n = int(rng.integers(1, processor.num_cores + 1))
+        apps = tuple(catalog[i] for i in rng.integers(len(catalog), size=n))
+        pstate = processor.pstates[int(rng.integers(len(processor.pstates)))]
+        fixed = None
+        if rng.integers(5) == 0:
+            share = rng.dirichlet(np.ones(n)) * rng.uniform(0.2, 1.0)
+            fixed = tuple((share * capacity).tolist())
+        serial = serial_engine.solve_steady_state(
+            apps, pstate, fixed_occupancies=fixed
+        )
+        (stacked,) = stacked_engine.solve_steady_state_batched(
+            [SolveRequest(apps=apps, pstate=pstate, fixed_occupancies=fixed)]
+        )
+        assert_states_identical(serial, stacked)
+
+
+@pytest.mark.parametrize("slot", [1, 3])
+def test_nan_base_cpi_in_a_co_runner_slot_never_converges(slot):
+    """A NaN in any slot, not just the first, must fail the convergence test."""
+    from dataclasses import replace as dc_replace
+
+    cg, ep = get_application("cg"), get_application("ep")
+    apps = [cg, ep, cg, ep]
+    apps[slot] = dc_replace(apps[slot], base_cpi=float("nan"))
+    engine = SimulationEngine(XEON_E5649)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        engine.solve_steady_state(tuple(apps))
+    assert engine.stats.convergence_failures == 1
+
+
 def test_batched_relabels_apps_and_pstate_per_member():
     """Dedupe members get their own apps/pstate back, not the solved twin's."""
     proc = XEON_E5649
@@ -178,6 +225,21 @@ def test_batch_validation_names_offending_scenario():
         engine.solve_steady_state_batched(
             [SolveRequest(apps=(cg,), fixed_occupancies=(1.0, 2.0))]
         )
+
+
+def test_batch_rejects_non_finite_pinned_occupancies():
+    cg = get_application("cg")
+    engine = SimulationEngine(XEON_E5649)
+    with pytest.raises(
+        ValueError, match="batch scenario 1: fixed_occupancies must be finite"
+    ):
+        engine.solve_steady_state_batched(
+            [
+                SolveRequest(apps=(cg,)),
+                SolveRequest(apps=(cg, cg), fixed_occupancies=(1e6, float("nan"))),
+            ]
+        )
+    assert engine.stats.convergence_failures == 0
 
 
 # -------------------------------------------------------- failure handling

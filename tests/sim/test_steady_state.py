@@ -81,6 +81,26 @@ class TestSolveSteadyState:
                 apps, fixed_occupancies=np.array([-1.0])
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pinned_rejects_non_finite(self, engine_6core, bad):
+        """NaN slips past the sign and sum checks (every comparison with
+        it is false) and would stall the solve until its iteration cap;
+        it must fail up front, naming the input."""
+        apps = (get_application("canneal"), get_application("cg"))
+        with pytest.raises(ValueError, match="fixed_occupancies must be finite"):
+            engine_6core.solve_steady_state(
+                apps, fixed_occupancies=np.array([1e6, bad])
+            )
+
+    def test_underflowing_base_cpi_rejected(self, engine_6core):
+        """A base CPI so small that ``base_cpi / f`` underflows to zero
+        would divide by zero in the solve; it must fail up front."""
+        from dataclasses import replace
+
+        tiny = replace(get_application("cg"), base_cpi=1e-320)
+        with pytest.raises(ValueError, match="base_cpi 1e-320 of 'cg'"):
+            engine_6core.solve_steady_state((get_application("ep"), tiny))
+
     def test_full_machine_allowed(self, engine_6core):
         """Unlike run() (target + max_co_located), the raw solver accepts
         up to num_cores applications — the time-sliced simulator uses it
