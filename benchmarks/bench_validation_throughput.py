@@ -1,6 +1,6 @@
 """Microbenchmark — the model-fitting pipeline's fast paths.
 
-Not a paper artifact; guards the three properties the fast-fit engine
+Not a paper artifact; guards the four properties the fast-fit engine
 exists for:
 
 * ``workers=N`` repeated random sub-sampling returns **bit-identical**
@@ -13,7 +13,10 @@ exists for:
 * the :mod:`repro.obs` instrumentation is effectively free while tracing
   is disabled: the null-tracer per-call cost, scaled by the number of
   spans a traced sweep actually records, must stay under 2% of the
-  disabled sweep's wall time.
+  disabled sweep's wall time;
+* the loss's hidden-bias gradient is an einsum column sum that keeps
+  ``D.sum(axis=0)``'s bits at every grid width and is at least 1.5x
+  faster than it on a grid-cell training split.
 
 Each run appends a point to ``results/BENCH_validation.json`` so the
 numbers form a trajectory across sessions; the overhead guard also
@@ -32,7 +35,7 @@ from repro.core.feature_sets import FeatureSet
 from repro.core.features import feature_matrix
 from repro.core.fitstats import FitStats
 from repro.core.methodology import ModelKind, make_model
-from repro.core.neural import NeuralNetworkModel
+from repro.core.neural import NeuralNetworkModel, default_hidden_units
 from repro.core.validation import repeated_random_subsampling
 
 _SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
@@ -41,6 +44,9 @@ REPETITIONS = 10 if _SMOKE else 30
 WORKERS = min(os.cpu_count() or 1, 8)
 MIN_SPEEDUP = 1.5 if _SMOKE else 3.0
 MULTI_CORE = WORKERS >= 4
+#: Training rows of one 70/30 split of an E5649 Table V dataset.
+TRAIN_ROWS = 924
+MIN_COLSUM_SPEEDUP = 1.5
 
 
 def _feature_data(ctx):
@@ -211,4 +217,100 @@ def test_loss_workspace_allocation(ctx, record):
     assert warm_peak < 0.5 * cold_peak, (
         f"workspace reuse ineffective: warm call allocated {warm_peak} of "
         f"a cold call's {cold_peak} bytes"
+    )
+
+
+def _reference_loss_and_grad(model, params, Z, t, work):
+    """``_loss_and_grad`` with its former ``D.sum(axis=0)`` bias gradient."""
+    n = Z.shape[0]
+    d, h = model._shapes
+    W1, b1, W2, b2 = model._unpack(params)
+    H, D, out = work["H"], work["D"], work["out"]
+    np.matmul(Z, W1, out=H)
+    H += b1
+    np.tanh(H, out=H)
+    np.matmul(H, W2[:, None], out=out[:, None])
+    out += b2
+    err = out
+    err -= t
+    loss = 0.5 * float(np.einsum("n,n->", err, err)) / n + 0.5 * model.l2 * (
+        float(np.einsum("dh,dh->", W1, W1)) + float(np.einsum("h,h->", W2, W2))
+    )
+    err /= n
+    grad = np.empty(params.size)
+    gW1 = grad[: d * h].reshape(d, h)
+    gb1 = grad[d * h : d * h + h]
+    gW2 = grad[d * h + h : d * h + 2 * h]
+    np.matmul(H.T, err[:, None], out=gW2[:, None])
+    gW2 += model.l2 * W2
+    grad[-1] = err.sum()
+    np.multiply(H, H, out=D)
+    np.subtract(1.0, D, out=D)
+    D *= W2
+    D *= err[:, None]
+    np.matmul(Z.T, D, out=gW1)
+    gW1 += model.l2 * W1
+    D.sum(axis=0, out=gb1)
+    return loss, grad
+
+
+def _best_us(fn, calls: int, repeats: int = 5) -> float:
+    """Fastest mean per-call time over ``repeats`` loops of ``calls`` calls."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, (time.perf_counter() - start) / calls)
+    return best * 1e6
+
+
+def test_loss_and_grad_cost(ctx, record):
+    """Per grid width: warm loss+grad cost, old bits, column-sum speedup."""
+    observations = list(ctx.dataset("e5649"))
+    train = np.random.default_rng(2015).permutation(len(observations))[:TRAIN_ROWS]
+    calls = 50 if _SMOKE else 200
+    new_us, ref_us, colsum_speedup = {}, {}, {}
+    for fs in FeatureSet:
+        X, y = feature_matrix(observations, fs.features)
+        X, y = X[train], y[train]
+        d = X.shape[1]
+        h = default_hidden_units(d)
+        model = NeuralNetworkModel(hidden_units=h)
+        model._shapes = (d, h)
+        Z = (X - X.mean(axis=0)) / X.std(axis=0)
+        t = (y - y.mean()) / y.std()
+        params = np.random.default_rng(h).normal(size=d * h + 2 * h + 1)
+        work: dict = {}
+        loss, grad = model._loss_and_grad(params, Z, t, work)
+        ref_loss, ref_grad = _reference_loss_and_grad(model, params, Z, t, work)
+        assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes(), (
+            f"h={h}: einsum bias gradient changed the loss/gradient bits"
+        )
+        new_us[h] = _best_us(lambda: model._loss_and_grad(params, Z, t, work), calls)
+        ref_us[h] = _best_us(
+            lambda: _reference_loss_and_grad(model, params, Z, t, work), calls
+        )
+        D, gb1 = work["D"], np.empty(h)
+        colsum_speedup[h] = _best_us(
+            lambda: D.sum(axis=0, out=gb1), 10 * calls
+        ) / _best_us(lambda: np.einsum("nh->h", D, out=gb1), 10 * calls)
+    print(
+        "\n".join(
+            f"h={h:2d}  loss+grad {new_us[h]:6.1f} us (reference "
+            f"{ref_us[h]:6.1f} us)  column sum {colsum_speedup[h]:.2f}x faster"
+            for h in new_us
+        )
+    )
+    record(
+        "BENCH_validation.json",
+        loss_grad_rows=TRAIN_ROWS,
+        loss_grad_us=new_us,
+        loss_grad_reference_us=ref_us,
+        colsum_speedup=colsum_speedup,
+    )
+    slow = {h: r for h, r in colsum_speedup.items() if r < MIN_COLSUM_SPEEDUP}
+    assert not slow, (
+        f"einsum column sum below {MIN_COLSUM_SPEEDUP}x D.sum(axis=0) at "
+        f"widths {slow}"
     )

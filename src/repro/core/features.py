@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from ..counters.hpcrun import FlatProfile
 __all__ = [
     "Feature",
     "FEATURE_DESCRIPTIONS",
+    "FEATURE_NAMES",
     "CoLocationObservation",
     "feature_matrix",
     "feature_row",
@@ -54,6 +56,18 @@ FEATURE_DESCRIPTIONS: dict[Feature, str] = {
     Feature.TARGET_CM_CA: "target application last-level cache misses/cache accesses",
     Feature.TARGET_CA_INS: "target application last-level cache accesses/instructions",
 }
+
+#: Table I names in :class:`Feature` order: the keys of a feature dict.
+FEATURE_NAMES: tuple[str, ...] = tuple(f.value for f in Feature)
+
+# The one Table I column order: each feature's observation field, in
+# Feature order.  An observation's table row is these fields, then the label.
+_FEATURE_FIELDS = (
+    "base_ex_time_s", "num_co_app", "co_app_mem", "target_mem",
+    "co_app_cm_ca", "co_app_ca_ins", "target_cm_ca", "target_ca_ins",
+)
+_table_row = attrgetter(*_FEATURE_FIELDS, "actual_time_s")
+_COLUMN = {f: i for i, f in enumerate(Feature)}
 
 
 @dataclass(frozen=True)
@@ -90,28 +104,32 @@ class CoLocationObservation:
             raise ValueError("actual execution time must be positive")
         if self.num_co_app < 0:
             raise ValueError("number of co-apps must be non-negative")
-        for name in ("co_app_mem", "target_mem", "co_app_cm_ca",
-                     "co_app_ca_ins", "target_cm_ca", "target_ca_ins"):
+        for name in _FEATURE_FIELDS[2:]:  # the six intensities and ratios
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
 
     def feature_value(self, feature: Feature) -> float:
         """Value of one Table I feature for this observation."""
-        return {
-            Feature.BASE_EX_TIME: self.base_ex_time_s,
-            Feature.NUM_CO_APP: float(self.num_co_app),
-            Feature.CO_APP_MEM: self.co_app_mem,
-            Feature.TARGET_MEM: self.target_mem,
-            Feature.CO_APP_CM_CA: self.co_app_cm_ca,
-            Feature.CO_APP_CA_INS: self.co_app_ca_ins,
-            Feature.TARGET_CM_CA: self.target_cm_ca,
-            Feature.TARGET_CA_INS: self.target_ca_ins,
-        }[feature]
+        return float(_table_row(self)[_COLUMN[feature]])
 
     @property
     def slowdown(self) -> float:
         """Measured normalized execution time (actual over baseline)."""
         return self.actual_time_s / self.base_ex_time_s
+
+
+def _baseline_values(target: FlatProfile, co_apps: list[FlatProfile]) -> tuple:
+    """Table I values in Feature order from baseline profiles (numCoApp an int)."""
+    return (
+        target.wall_time_s,
+        len(co_apps),
+        float(sum(p.memory_intensity for p in co_apps)),
+        target.memory_intensity,
+        float(sum(p.cm_per_ca for p in co_apps)),
+        float(sum(p.ca_per_ins for p in co_apps)),
+        target.cm_per_ca,
+        target.ca_per_ins,
+    )
 
 
 def observation_from_profiles(
@@ -129,25 +147,16 @@ def observation_from_profiles(
     matter.
     """
     if co_app_baselines and co_app_name is None:
-        names = {p.app_name for p in co_app_baselines}
-        if len(names) == 1:
-            co_app_name = next(iter(names))
-        else:
-            co_app_name = "+".join(sorted(names))
+        co_app_name = "+".join(sorted({p.app_name for p in co_app_baselines}))
+    # Positional: the dataclass declares its Table I fields in Feature
+    # order, between the metadata and the label (a keyword dict costs more).
     return CoLocationObservation(
-        processor_name=target_baseline.processor_name,
-        frequency_ghz=target_baseline.frequency_ghz,
-        target_name=target_baseline.app_name,
-        co_app_name=co_app_name if co_app_baselines else None,
-        base_ex_time_s=target_baseline.wall_time_s,
-        num_co_app=len(co_app_baselines),
-        co_app_mem=float(sum(p.memory_intensity for p in co_app_baselines)),
-        target_mem=target_baseline.memory_intensity,
-        co_app_cm_ca=float(sum(p.cm_per_ca for p in co_app_baselines)),
-        co_app_ca_ins=float(sum(p.ca_per_ins for p in co_app_baselines)),
-        target_cm_ca=target_baseline.cm_per_ca,
-        target_ca_ins=target_baseline.ca_per_ins,
-        actual_time_s=actual_time_s,
+        target_baseline.processor_name,
+        target_baseline.frequency_ghz,
+        target_baseline.app_name,
+        co_app_name if co_app_baselines else None,
+        *_baseline_values(target_baseline, co_app_baselines),
+        actual_time_s,
     )
 
 
@@ -162,17 +171,8 @@ def feature_row(
     placement has baselines but, by definition, no measured co-located
     time yet.
     """
-    values = {
-        Feature.BASE_EX_TIME: target_baseline.wall_time_s,
-        Feature.NUM_CO_APP: float(len(co_app_baselines)),
-        Feature.CO_APP_MEM: float(sum(p.memory_intensity for p in co_app_baselines)),
-        Feature.TARGET_MEM: target_baseline.memory_intensity,
-        Feature.CO_APP_CM_CA: float(sum(p.cm_per_ca for p in co_app_baselines)),
-        Feature.CO_APP_CA_INS: float(sum(p.ca_per_ins for p in co_app_baselines)),
-        Feature.TARGET_CM_CA: target_baseline.cm_per_ca,
-        Feature.TARGET_CA_INS: target_baseline.ca_per_ins,
-    }
-    return np.array([values[f] for f in features])
+    values = _baseline_values(target_baseline, co_app_baselines)
+    return np.array([values[_COLUMN[f]] for f in features], dtype=float)
 
 
 def feature_matrix(
@@ -188,8 +188,8 @@ def feature_matrix(
         raise ValueError("need at least one observation")
     if not features:
         raise ValueError("need at least one feature")
-    X = np.array(
-        [[obs.feature_value(f) for f in features] for obs in observations]
-    )
-    y = np.array([obs.actual_time_s for obs in observations])
-    return X, y
+    # X must stay C-contiguous: a model's column means and deviations sum
+    # in memory order, so an F-ordered ``table[:, cols]`` changes fits.
+    table = np.array([_table_row(obs) for obs in observations], dtype=float)
+    X = table.take([_COLUMN[f] for f in features], axis=1)
+    return X, table[:, -1].copy()

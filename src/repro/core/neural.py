@@ -162,7 +162,11 @@ class NeuralNetworkModel:
         D *= err[:, None]                      # dH, (n, h)
         np.matmul(Z.T, D, out=gW1)
         gW1 += self.l2 * W1
-        D.sum(axis=0, out=gb1)
+        # D.sum(axis=0)'s row order at a third of the cost, except at h = 1.
+        if h > 1:
+            np.einsum("nh->h", D, out=gb1)
+        else:
+            D.sum(axis=0, out=gb1)
         return loss, grad
 
     def _draw_initializations(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,21 +19,8 @@ from ..core.features import CoLocationObservation
 
 __all__ = ["ObservationDataset"]
 
-_CSV_COLUMNS = [
-    "processor_name",
-    "frequency_ghz",
-    "target_name",
-    "co_app_name",
-    "base_ex_time_s",
-    "num_co_app",
-    "co_app_mem",
-    "target_mem",
-    "co_app_cm_ca",
-    "co_app_ca_ins",
-    "target_cm_ca",
-    "target_ca_ins",
-    "actual_time_s",
-]
+#: One CSV column per observation field, in field order.
+_CSV_COLUMNS = [f.name for f in fields(CoLocationObservation)]
 
 
 @dataclass

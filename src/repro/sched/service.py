@@ -38,7 +38,7 @@ from collections import deque
 
 import numpy as np
 
-from ..core.features import Feature, feature_row
+from ..core.features import FEATURE_NAMES, Feature, feature_row
 from ..core.feature_sets import features_for
 from ..energy.power import PowerModel
 from ..harness.baselines import BaselineTable
@@ -70,8 +70,6 @@ POLICIES = ("model", "first-fit", "least-loaded")
 
 #: Degradation histograms cover slowdowns (>= 1.0 in the common case).
 DEGRADATION_BUCKETS = (1.0, 1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0)
-
-_ALL_FEATURES = tuple(Feature)
 
 
 def _render_histogram(name: str, help_text: str, hist: LatencyHistogram) -> list[str]:
@@ -219,10 +217,8 @@ class RemoteScorer:
 
     def predict_time(self, target_baseline, co_baselines) -> float:
         """Governor adapter: predicted co-located time for one placement."""
-        values = feature_row(target_baseline, list(co_baselines), _ALL_FEATURES)
-        features = {
-            f.value: float(v) for f, v in zip(_ALL_FEATURES, values)
-        }
+        row = feature_row(target_baseline, list(co_baselines), tuple(Feature))
+        features = dict(zip(FEATURE_NAMES, row.tolist()))
         payload = self.client.predict(features, model=self.model)
         return float(payload["prediction"])
 
@@ -239,11 +235,11 @@ class LocalScorer:
 
     def __init__(self, predictor) -> None:
         self.predictor = predictor
-        self.features = features_for(predictor.feature_set)
+        self.names = tuple(f.value for f in features_for(predictor.feature_set))
 
     def predict_rows(self, rows: list[dict]) -> list[float]:
         X = np.array(
-            [[float(row[f.value]) for f in self.features] for row in rows]
+            [[float(row[name]) for name in self.names] for row in rows]
         )
         return [float(v) for v in self.predictor.predict_rows(X)]
 
@@ -414,16 +410,17 @@ class SchedulerService(HttpServerBase):
         fleet = self.fleet
         fmax = fleet.processor(node).pstates.fastest.frequency_ghz
         target = self._table(node).get(app.name, fmax)
-        return {
-            Feature.BASE_EX_TIME.value: self._base_time(node, app),
-            Feature.NUM_CO_APP.value: float(fleet.used[node]),
-            Feature.CO_APP_MEM.value: float(fleet.co_mem[node]),
-            Feature.TARGET_MEM.value: target.memory_intensity,
-            Feature.CO_APP_CM_CA.value: float(fleet.co_cm_ca[node]),
-            Feature.CO_APP_CA_INS.value: float(fleet.co_ca_ins[node]),
-            Feature.TARGET_CM_CA.value: target.cm_per_ca,
-            Feature.TARGET_CA_INS.value: target.ca_per_ins,
-        }
+        values = (
+            self._base_time(node, app),
+            float(fleet.used[node]),
+            float(fleet.co_mem[node]),
+            target.memory_intensity,
+            float(fleet.co_cm_ca[node]),
+            float(fleet.co_ca_ins[node]),
+            target.cm_per_ca,
+            target.ca_per_ins,
+        )
+        return dict(zip(FEATURE_NAMES, values))
 
     # ------------------------------------------------------------ metrics
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 from collections import OrderedDict
 
@@ -576,7 +577,15 @@ class PredictionServer(HttpServerBase):
                     400, "bad_request",
                     f"feature {name!r} must be a number; got {value!r}",
                 )
-            values.append(float(value))
+            try:  # json parses NaN, Infinity and 1e999; big ints overflow
+                value = float(value)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise HTTPError(
+                    400, "bad_request", f"feature {name!r} must be finite; got {value}"
+                )
+            values.append(value)
         return np.array(values)
 
 

@@ -7,6 +7,53 @@ from repro.core.fitstats import FitStats
 from repro.core.neural import NeuralNetworkModel, default_hidden_units
 
 
+def reference_loss_and_grad(model, params, Z, t, work=None):
+    """``_loss_and_grad`` as it was before the einsum hidden-bias sum.
+
+    Kept verbatim apart from its fresh buffers, so the tests can pin the
+    current form to these bits.
+    """
+    n = Z.shape[0]
+    d, h = model._shapes
+    W1, b1, W2, b2 = model._unpack(params)
+    H = np.empty((n, h))
+    D = np.empty((n, h))
+    out = np.empty(n)
+    np.matmul(Z, W1, out=H)
+    H += b1
+    np.tanh(H, out=H)
+    np.matmul(H, W2[:, None], out=out[:, None])
+    out += b2
+    err = out
+    err -= t
+    loss = 0.5 * float(np.einsum("n,n->", err, err)) / n + 0.5 * model.l2 * (
+        float(np.einsum("dh,dh->", W1, W1)) + float(np.einsum("h,h->", W2, W2))
+    )
+    err /= n
+    grad = np.empty(params.size)
+    gW1 = grad[: d * h].reshape(d, h)
+    gb1 = grad[d * h : d * h + h]
+    gW2 = grad[d * h + h : d * h + 2 * h]
+    np.matmul(H.T, err[:, None], out=gW2[:, None])
+    gW2 += model.l2 * W2
+    grad[-1] = err.sum()
+    np.multiply(H, H, out=D)
+    np.subtract(1.0, D, out=D)
+    D *= W2
+    D *= err[:, None]
+    np.matmul(Z.T, D, out=gW1)
+    gW1 += model.l2 * W1
+    D.sum(axis=0, out=gb1)
+    return loss, grad
+
+
+class ReferenceModel(NeuralNetworkModel):
+    """A network trained through :func:`reference_loss_and_grad`."""
+
+    def _loss_and_grad(self, params, Z, t, work=None):
+        return reference_loss_and_grad(self, params, Z, t, work)
+
+
 class TestDefaultHiddenUnits:
     def test_paper_range(self):
         """Ten to twenty nodes depending on the feature set (Section III-D)."""
@@ -118,6 +165,37 @@ class TestGradient:
                 - model._loss_and_grad(down, Z, t)[0]
             ) / (2 * eps)
         np.testing.assert_allclose(grad, numeric, atol=1e-6)
+
+
+class TestReferenceFormulation:
+    """The einsum hidden-bias sum keeps the old ``D.sum(axis=0)`` bits."""
+
+    @pytest.mark.parametrize("n", [2, 7, 924])
+    @pytest.mark.parametrize("h", [1, 2, 10, 11, 12, 14, 17, 20])
+    def test_loss_and_grad_bit_equal(self, n, h):
+        rng = np.random.default_rng(1000 * h + n)
+        d = 8
+        model = NeuralNetworkModel(hidden_units=h)
+        model._shapes = (d, h)
+        params = rng.normal(size=d * h + 2 * h + 1)
+        Z = rng.normal(size=(n, d))
+        t = rng.normal(size=n)
+        work: dict = {}
+        for _ in range(2):  # cold, then warm workspace
+            loss, grad = model._loss_and_grad(params, Z, t, work)
+            ref_loss, ref_grad = reference_loss_and_grad(model, params, Z, t)
+            assert loss == ref_loss
+            assert grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fit_bit_equal(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-2, 2, size=(200, 8))
+        y = np.sin(X[:, 0]) + X[:, 1] ** 2 + 0.1 * X[:, 2:].sum(axis=1)
+        fitted = NeuralNetworkModel().fit(X, y, rng=np.random.default_rng(seed))
+        reference = ReferenceModel().fit(X, y, rng=np.random.default_rng(seed))
+        assert fitted._params.tobytes() == reference._params.tobytes()
+        assert fitted.restart_losses_.tobytes() == reference.restart_losses_.tobytes()
 
 
 class TestValidation:

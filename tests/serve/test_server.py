@@ -141,6 +141,50 @@ class TestPredictValidation:
             client.predict(bad, model="point")
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_feature_400(self, client, feature_dicts, value):
+        bad = dict(feature_dicts[0], baseExTime=value)
+        with pytest.raises(ClientError) as excinfo:
+            client.predict(bad, model="point")
+        assert excinfo.value.status == 400
+        assert "'baseExTime' must be finite" in excinfo.value.message
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_feature_in_batch_400(self, client, feature_dicts, value):
+        batch = [dict(d) for d in feature_dicts]
+        batch[-1]["coAppMem"] = value
+        with pytest.raises(ClientError) as excinfo:
+            client.predict_batch(batch, model="point")
+        assert excinfo.value.status == 400
+        assert "'coAppMem' must be finite" in excinfo.value.message
+
+    @pytest.mark.parametrize(
+        "literal", [b"1e999", b"1" + b"0" * 400], ids=["1e999", "huge-int"]
+    )
+    def test_out_of_range_literal_400(self, server, feature_dicts, literal):
+        import http.client
+        import json
+
+        body = json.dumps(
+            {"model": "point", "features": dict(feature_dicts[0], baseExTime=0)}
+        ).encode().replace(b'"baseExTime": 0', b'"baseExTime": ' + literal)
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+        conn.request(
+            "POST", "/v1/predict", body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+        conn.close()
+        assert response.status == 400
+        assert "'baseExTime' must be finite" in payload["error"]
+
     def test_missing_model_400(self, client, feature_dicts):
         with pytest.raises(ClientError) as excinfo:
             client._json(
