@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..obs.registry import Exposition
+
 __all__ = ["FitStats", "GLOBAL_FIT_STATS"]
 
 
@@ -111,6 +113,24 @@ class FitStats:
                 f"{self.iterations_per_fit:.1f} iterations/fit)"
             )
         return "\n".join(lines)
+
+    def render_prometheus(self) -> str:
+        """This record's ``repro_fit_*`` families as Prometheus text."""
+        out = Exposition()
+        for name, help_text, value in (
+            ("fits_total", "Completed model fit calls.", self.fits),
+            ("restarts_total", "SCG weight initializations optimized.",
+             self.restarts),
+            ("scg_iterations_total", "SCG iterations advanced.",
+             self.scg_iterations),
+            ("function_evals_total", "Loss evaluations.", self.function_evals),
+            ("gradient_evals_total", "Gradient evaluations.",
+             self.gradient_evals),
+            ("wall_seconds_total", "Wall seconds inside fit calls (sums "
+             "per-process time under parallel validation).", self.wall_time_s),
+        ):
+            out.counter(f"repro_fit_{name}", help_text, value)
+        return out.text()
 
 
 #: Process-wide aggregate across every model fit in this process.  Neural

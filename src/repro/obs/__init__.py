@@ -1,23 +1,22 @@
-"""Unified observability: tracing, one metrics registry, structured logs.
+"""Unified observability: tracing, one metrics writer, structured logs.
 
-Before this package, the pipeline's three stages each kept a private
-observability island — :class:`~repro.sim.solve_cache.EngineStats` in the
-simulator, :class:`~repro.core.fitstats.FitStats` in the fitting engine,
-and :class:`~repro.serve.metrics.ServingMetrics` behind the server's
-``/metrics`` — with no way to see one request's or one run's time
-end-to-end.  ``repro.obs`` is the cross-cutting layer they all thread
-through:
+The pipeline's layers each keep their own stats record —
+:class:`~repro.sim.solve_cache.EngineStats` in the simulator,
+:class:`~repro.core.fitstats.FitStats` in the fitting engine,
+:class:`~repro.serve.metrics.ServingMetrics` behind every server's
+``/metrics``, and so on.  ``repro.obs`` is the cross-cutting layer they
+all thread through:
 
 * :mod:`~repro.obs.trace` — ``Tracer``/``Span`` context managers with
   trace/span IDs, monotonic timing, attributes, a bounded in-process ring
   buffer, and a Chrome trace-event JSON exporter (open the file in
   Perfetto).  The process tracer defaults to a no-op ``NullTracer`` so
   instrumentation costs nearly nothing until enabled;
-* :mod:`~repro.obs.registry` — a central ``MetricsRegistry`` (counters,
-  gauges, histograms, with labels) rendering one Prometheus text
-  exposition, plus named sources that adapt the pre-existing stats
-  records (:mod:`~repro.obs.adapters`) so a single scrape sees
-  simulation, fitting, and serving together;
+* :mod:`~repro.obs.registry` — :class:`Exposition`, the one writer of the
+  Prometheus text format that every record renders its families
+  through, and ``MetricsRegistry``, which joins named sources (the
+  process-wide engine, fit, tracer-health and suite records plus each
+  server's own) into one scrape;
 * :mod:`~repro.obs.log` — structured JSON logging that stamps every
   record with the active trace/span ID;
 * :mod:`~repro.obs.summary` — offline rendering of a captured trace
@@ -26,16 +25,12 @@ through:
 Everything is standard library only.  See ``docs/observability.md``.
 """
 
-from .adapters import install_default_sources
 from .log import ObsLogger, configure, get_logger
 from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
+    Exposition,
     MetricsRegistry,
     escape_label_value,
-    get_registry,
-    set_registry,
+    install_default_sources,
 )
 from .summary import SpanNode, load_trace, render_summary, span_forest
 from .trace import (
@@ -68,9 +63,7 @@ def __getattr__(name: str):
 __all__ = [
     "CollectorServer",
     "CollectorThread",
-    "Counter",
-    "Gauge",
-    "Histogram",
+    "Exposition",
     "MetricsRegistry",
     "NullTracer",
     "ObsLogger",
@@ -86,14 +79,12 @@ __all__ = [
     "enable",
     "escape_label_value",
     "get_logger",
-    "get_registry",
     "get_tracer",
     "install_default_sources",
     "load_otlp",
     "load_trace",
     "records_to_otlp",
     "render_summary",
-    "set_registry",
     "set_tracer",
     "span_forest",
     "write_otlp",

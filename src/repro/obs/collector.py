@@ -24,12 +24,12 @@ synchronous callers (the CLI, tests, the serving tier).
 from __future__ import annotations
 
 import json
+import math
 import threading
 from collections import deque
 
 from ..serve.http import HTTPError, HttpServerBase, Request, ServerThreadBase
-from .adapters import install_default_sources
-from .registry import MetricsRegistry
+from .registry import Exposition, MetricsRegistry, install_default_sources
 
 __all__ = ["CollectorServer", "CollectorThread"]
 
@@ -165,13 +165,21 @@ class CollectorServer(HttpServerBase):
                 spans = payload.get("spans")
                 if not isinstance(spans, list):
                     raise HTTPError(400, "bad_request", "spans must be a list")
-                batches.append(
-                    (
-                        dict(payload.get("resource") or {}),
-                        spans,
-                        int(payload.get("dropped") or 0),
+                resource = payload.get("resource") or {}
+                if not isinstance(resource, dict):
+                    raise HTTPError(
+                        400, "bad_request", "resource must be an object"
                     )
-                )
+                dropped = payload.get("dropped") or 0
+                if (
+                    isinstance(dropped, bool)
+                    or not isinstance(dropped, (int, float))
+                    or not math.isfinite(dropped)
+                ):
+                    raise HTTPError(
+                        400, "bad_request", "dropped must be a finite number"
+                    )
+                batches.append((dict(resource), spans, int(dropped)))
             elif isinstance(payload, dict):
                 # A bare span record (JSON-lines style).
                 batches.append(({}, [payload], 0))
@@ -189,37 +197,37 @@ class CollectorServer(HttpServerBase):
             ring_dropped = self.dropped
             shed = self.client_dropped
             batches = dict(self.batches)
-        lines = [
-            "# HELP repro_obs_collector_spans_received_total Spans accepted "
-            "by the collector.",
-            "# TYPE repro_obs_collector_spans_received_total counter",
-            f"repro_obs_collector_spans_received_total {received}",
-            "# HELP repro_obs_collector_spans_stored Spans currently "
-            "retained in the collector ring.",
-            "# TYPE repro_obs_collector_spans_stored gauge",
-            f"repro_obs_collector_spans_stored {stored}",
-            "# HELP repro_obs_collector_batches_total Span batches received "
-            "per origin service.",
-            "# TYPE repro_obs_collector_batches_total counter",
-        ]
-        for service in sorted(batches):
-            lines.append(
-                f'repro_obs_collector_batches_total{{service="{service}"}} '
-                f"{batches[service]}"
-            )
+        out = Exposition()
+        out.counter(
+            "repro_obs_collector_spans_received_total",
+            "Spans accepted by the collector.",
+            received,
+        )
+        out.gauge(
+            "repro_obs_collector_spans_stored",
+            "Spans currently retained in the collector ring.",
+            stored,
+        )
+        out.family(
+            "repro_obs_collector_batches_total",
+            "counter",
+            "Span batches received per origin service.",
+            [({"service": name}, n) for name, n in sorted(batches.items())],
+        )
         # Scoped under its own family: the registry's default "obs"
         # source already renders repro_obs_spans_dropped_total for this
         # process's tracer, and one exposition must not repeat a family.
-        lines += [
-            "# HELP repro_obs_collector_spans_dropped_total Spans lost "
-            "before reaching collector storage, by where they were shed.",
-            "# TYPE repro_obs_collector_spans_dropped_total counter",
-            f'repro_obs_collector_spans_dropped_total{{reason="ring_wrap"}} '
-            f"{ring_dropped}",
-            f'repro_obs_collector_spans_dropped_total{{reason="sender_shed"}} '
-            f"{shed}",
-        ]
-        return "\n".join(lines)
+        out.family(
+            "repro_obs_collector_spans_dropped_total",
+            "counter",
+            "Spans lost before reaching collector storage, by where they "
+            "were shed.",
+            [
+                ({"reason": "ring_wrap"}, ring_dropped),
+                ({"reason": "sender_shed"}, shed),
+            ],
+        )
+        return out.text()
 
     # ------------------------------------------------------------- export
     def to_chrome_events(self) -> list[dict]:

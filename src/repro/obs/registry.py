@@ -1,53 +1,45 @@
-"""One metrics registry for the whole stack.
+"""The one Prometheus text writer, and the registry that joins sources.
 
-Before this module existed the pipeline had three disconnected metric
-islands — :class:`~repro.sim.solve_cache.EngineStats`,
-:class:`~repro.core.fitstats.FitStats`, and the serving layer's
-:class:`~repro.serve.metrics.ServingMetrics` — each with its own rendering.
-:class:`MetricsRegistry` is the single place they meet: typed metric
-families (:class:`Counter`, :class:`Gauge`, :class:`Histogram`) with
-labels, plus named *sources* (callables rendering pre-existing stats
-records at scrape time), all emitted as one Prometheus text exposition
-(version 0.0.4).
+Every stats record in the stack — :class:`~repro.sim.solve_cache.EngineStats`,
+:class:`~repro.core.fitstats.FitStats`,
+:class:`~repro.suite.stats.SuiteStats`,
+:class:`~repro.serve.metrics.ServingMetrics`,
+:class:`~repro.sched.service.SchedMetrics` and the servers' own counters —
+keeps its numbers itself and renders its ``/metrics`` families through
+:class:`Exposition`, the only code that spells the text exposition format
+(version 0.0.4): ``# HELP``/``# TYPE`` lines, label escaping in sorted
+label order, number spelling (:func:`format_value`), and histograms as
+cumulative ``le`` buckets whose ``+Inf`` bucket equals ``_count``.
 
-Label values are escaped per the exposition format (``\\``, ``\"``, and
-newline), and every family — including sources, which are trusted to do
-their own escaping via :func:`escape_label_value` — carries ``# HELP`` and
-``# TYPE`` lines; ``tests/obs/test_prometheus_conformance.py`` holds the
-whole merged scrape to that contract.
-
-The module-level :func:`get_registry` returns the process-default registry
-with the built-in simulation/fitting sources pre-installed (see
-:mod:`repro.obs.adapters`); the prediction server builds its own registry
-the same way so each server's scrape stays self-contained.
+A :class:`MetricsRegistry` is one server's scrape: named *sources*
+(callables returning a record's exposition), rendered in registration
+order.  :func:`install_default_sources` adds the process-wide engine,
+fit, tracer-health and suite sources; each server registers its own
+records after them.  ``tests/obs/test_prometheus_conformance.py`` holds
+every live scrape to the format.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import threading
-from typing import Callable
+from typing import Callable, Iterable
+
+from .trace import get_tracer
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
+    "Exposition",
     "MetricsRegistry",
     "escape_label_value",
     "format_value",
-    "get_registry",
-    "set_registry",
+    "install_default_sources",
+    "obs_stats_exposition",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-#: Default histogram bucket bounds (seconds-flavoured, wide dynamic range).
-DEFAULT_BUCKETS = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-    0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 10.0,
-)
 
 
 def escape_label_value(value: str) -> str:
@@ -61,288 +53,117 @@ def escape_label_value(value: str) -> str:
 
 
 def format_value(value: float) -> str:
-    """Exposition-friendly number formatting (NaN/Inf spelled out)."""
+    """Exposition spelling of a number.
+
+    Integers print as integers and floats via ``repr`` (so ``3.0`` stays
+    ``3.0``); ``NaN``, ``+Inf`` and ``-Inf`` are spelled out.
+    """
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
     value = float(value)
     if math.isnan(value):
         return "NaN"
     if math.isinf(value):
         return "+Inf" if value > 0 else "-Inf"
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
     return repr(value)
 
 
-def _render_labels(names: tuple[str, ...], values: tuple, extra: str = "") -> str:
-    parts = [
-        f'{name}="{escape_label_value(value)}"'
-        for name, value in zip(names, values)
-    ]
-    if extra:
-        parts.append(extra)
-    return "{" + ",".join(parts) + "}" if parts else ""
+def _render_labels(labels: dict) -> str:
+    for name in labels:
+        if not _LABEL_RE.match(name):
+            raise ValueError(f"invalid label name {name!r}")
+    body = ",".join(
+        f'{name}="{escape_label_value(labels[name])}"' for name in sorted(labels)
+    )
+    return "{" + body + "}" if body else ""
 
 
-class _Metric:
-    """Shared plumbing: name/help validation and label bookkeeping."""
+class Exposition:
+    """One Prometheus text exposition, written family by family.
 
-    type_name = "untyped"
-
-    def __init__(self, name: str, help_text: str, labelnames: tuple[str, ...]):
-        if not _NAME_RE.match(name):
-            raise ValueError(f"invalid metric name {name!r}")
-        for label in labelnames:
-            if not _LABEL_RE.match(label):
-                raise ValueError(f"invalid label name {label!r} on {name}")
-        self.name = name
-        self.help_text = " ".join(str(help_text).split()) or name
-        self.labelnames = tuple(labelnames)
-        self._lock = threading.Lock()
-
-    def _key(self, labels: dict) -> tuple:
-        if set(labels) != set(self.labelnames):
-            raise ValueError(
-                f"{self.name} expects labels {list(self.labelnames)}, "
-                f"got {sorted(labels)}"
-            )
-        return tuple(str(labels[name]) for name in self.labelnames)
-
-    def _header(self) -> list[str]:
-        return [
-            f"# HELP {self.name} {self.help_text}",
-            f"# TYPE {self.name} {self.type_name}",
-        ]
-
-
-class Counter(_Metric):
-    """Monotonically increasing counter with optional labels."""
-
-    type_name = "counter"
-
-    def __init__(self, name, help_text, labelnames=()):
-        super().__init__(name, help_text, labelnames)
-        self._values: dict[tuple, float] = {}
-
-    def inc(self, amount: float = 1.0, **labels) -> None:
-        """Add ``amount`` (must be >= 0) to the labelled series."""
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease")
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels) -> float:
-        """Current value of the labelled series (0.0 if never bumped)."""
-        return self._values.get(self._key(labels), 0.0)
-
-    def render(self) -> list[str]:
-        lines = self._header()
-        with self._lock:
-            items = sorted(self._values.items())
-        if not items and not self.labelnames:
-            items = [((), 0.0)]
-        for key, value in items:
-            labels = _render_labels(self.labelnames, key)
-            lines.append(f"{self.name}{labels} {format_value(value)}")
-        return lines
-
-
-class Gauge(_Metric):
-    """Point-in-time value; supports both pushed and pulled samples.
-
-    ``set()`` pushes a value; ``set_function()`` registers a callable
-    evaluated at scrape time (how the server exports the live batcher
-    backlog without polling).
-    """
-
-    type_name = "gauge"
-
-    def __init__(self, name, help_text, labelnames=()):
-        super().__init__(name, help_text, labelnames)
-        self._values: dict[tuple, float] = {}
-        self._functions: dict[tuple, Callable[[], float]] = {}
-
-    def set(self, value: float, **labels) -> None:
-        """Set the labelled series to ``value``."""
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels) -> None:
-        """Adjust the labelled series by ``amount`` (may be negative)."""
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def set_function(self, fn: Callable[[], float], **labels) -> None:
-        """Evaluate ``fn`` at every scrape for the labelled series."""
-        key = self._key(labels)
-        with self._lock:
-            self._functions[key] = fn
-
-    def value(self, **labels) -> float:
-        """Current value (evaluating a scrape function if registered)."""
-        key = self._key(labels)
-        fn = self._functions.get(key)
-        if fn is not None:
-            return float(fn())
-        return self._values.get(key, 0.0)
-
-    def render(self) -> list[str]:
-        lines = self._header()
-        with self._lock:
-            samples = dict(self._values)
-            functions = dict(self._functions)
-        for key, fn in functions.items():
-            try:
-                samples[key] = float(fn())
-            except Exception:  # noqa: BLE001 - a broken probe must not kill /metrics
-                samples[key] = math.nan
-        if not samples and not self.labelnames:
-            samples = {(): 0.0}
-        for key, value in sorted(samples.items()):
-            labels = _render_labels(self.labelnames, key)
-            lines.append(f"{self.name}{labels} {format_value(value)}")
-        return lines
-
-
-class Histogram(_Metric):
-    """Cumulative-bucket histogram with labels.
-
-    Buckets are rendered cumulatively with the standard ``le`` label, a
-    ``+Inf`` bucket equal to ``_count``, and ``_sum``/``_count`` series —
-    the shape Prometheus' ``histogram_quantile`` expects.
-    """
-
-    type_name = "histogram"
-
-    def __init__(self, name, help_text, labelnames=(), *, buckets=DEFAULT_BUCKETS):
-        super().__init__(name, help_text, labelnames)
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds:
-            raise ValueError(f"histogram {name} needs at least one bucket")
-        if list(bounds) != sorted(set(bounds)):
-            raise ValueError(f"histogram {name} buckets must strictly increase")
-        self.buckets = bounds
-        self._counts: dict[tuple, list[int]] = {}
-        self._sums: dict[tuple, float] = {}
-        self._totals: dict[tuple, int] = {}
-
-    def observe(self, value: float, **labels) -> None:
-        """Record one observation into the labelled series."""
-        value = float(value)
-        key = self._key(labels)
-        with self._lock:
-            counts = self._counts.get(key)
-            if counts is None:
-                counts = self._counts[key] = [0] * len(self.buckets)
-                self._sums[key] = 0.0
-                self._totals[key] = 0
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    counts[i] += 1
-                    break
-            self._sums[key] += value
-            self._totals[key] += 1
-
-    def count(self, **labels) -> int:
-        """Total observations in the labelled series."""
-        return self._totals.get(self._key(labels), 0)
-
-    def render(self) -> list[str]:
-        lines = self._header()
-        with self._lock:
-            items = sorted(self._counts.items())
-            sums = dict(self._sums)
-            totals = dict(self._totals)
-        for key, counts in items:
-            cumulative = 0
-            for bound, n in zip(self.buckets, counts):
-                cumulative += n
-                le = _render_labels(
-                    self.labelnames, key, extra=f'le="{format_value(bound)}"'
-                )
-                lines.append(f"{self.name}_bucket{le} {cumulative}")
-            inf = _render_labels(self.labelnames, key, extra='le="+Inf"')
-            lines.append(f"{self.name}_bucket{inf} {totals[key]}")
-            labels = _render_labels(self.labelnames, key)
-            lines.append(f"{self.name}_sum{labels} {format_value(sums[key])}")
-            lines.append(f"{self.name}_count{labels} {totals[key]}")
-        return lines
-
-
-class MetricsRegistry:
-    """A named collection of metric families plus render-time sources.
-
-    Families are created idempotently — asking for an existing name with
-    the same type returns the existing family, so module-level
-    instrumentation can ``registry.counter(...)`` freely; a type clash
-    raises.  Sources are named render callables (each returning exposition
-    text for metrics owned elsewhere, e.g. a ``ServingMetrics``); naming
-    them makes re-registration replace rather than duplicate.
+    Each call declares one family (``# HELP`` then ``# TYPE``) followed
+    by its samples, in the order given; :meth:`text` returns the whole
+    exposition.  A sample is ``(labels, value)`` with ``labels`` a dict.
     """
 
     def __init__(self) -> None:
-        self._metrics: dict[str, _Metric] = {}
+        self._lines: list[str] = []
+
+    def family(
+        self, name: str, kind: str, help_text: str, samples: Iterable = ()
+    ) -> "Exposition":
+        """Declare ``name`` of type ``kind`` and write its samples."""
+        if not _NAME_RE.match(name):
+            raise ValueError(f"invalid metric name {name!r}")
+        self._lines.append(f"# HELP {name} {' '.join(help_text.split()) or name}")
+        self._lines.append(f"# TYPE {name} {kind}")
+        for labels, value in samples:
+            self._sample(name, labels, value)
+        return self
+
+    def counter(self, name: str, help_text: str, value) -> "Exposition":
+        """An unlabelled counter with one sample."""
+        return self.family(name, "counter", help_text, [({}, value)])
+
+    def gauge(self, name: str, help_text: str, value) -> "Exposition":
+        """An unlabelled gauge with one sample."""
+        return self.family(name, "gauge", help_text, [({}, value)])
+
+    def histogram(
+        self, name: str, help_text: str, series: Iterable = ()
+    ) -> "Exposition":
+        """A histogram family; each series is ``(labels, bounds, counts, total)``.
+
+        ``counts`` are per-bucket (not cumulative) and hold one entry per
+        bound plus the overflow past the last one, as in
+        :class:`~repro.serve.metrics.LatencyHistogram`.  Buckets are
+        written cumulatively; the ``+Inf`` bucket and ``_count`` are both
+        the sum of ``counts``, and ``_sum`` is ``total``.
+        """
+        self.family(name, "histogram", help_text)
+        for labels, bounds, counts, total in series:
+            cumulative = 0
+            for bound, n in zip(bounds, counts):
+                cumulative += n
+                le = {**labels, "le": format_value(bound)}
+                self._sample(f"{name}_bucket", le, cumulative)
+            count = sum(counts)
+            self._sample(f"{name}_bucket", {**labels, "le": "+Inf"}, count)
+            self._sample(f"{name}_sum", labels, total)
+            self._sample(f"{name}_count", labels, count)
+        return self
+
+    def text(self) -> str:
+        """The exposition so far, newline-terminated."""
+        return "\n".join(self._lines) + "\n"
+
+    def _sample(self, name: str, labels: dict, value) -> None:
+        self._lines.append(f"{name}{_render_labels(labels)} {format_value(value)}")
+
+
+class MetricsRegistry:
+    """One scrape: named exposition sources, rendered in registration order.
+
+    A source is a callable returning exposition text for metrics owned
+    elsewhere (a stats record, a server's counters); registering an
+    existing name replaces it rather than duplicating its families.
+    """
+
+    def __init__(self) -> None:
         self._sources: dict[str, Callable[[], str]] = {}
         self._lock = threading.Lock()
 
-    # ------------------------------------------------------------ families
-    def _family(self, cls, name, help_text, labelnames, **kwargs):
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if type(existing) is not cls:
-                    raise ValueError(
-                        f"metric {name!r} already registered as "
-                        f"{existing.type_name}, not {cls.type_name}"
-                    )
-                return existing
-            metric = cls(name, help_text, tuple(labelnames), **kwargs)
-            self._metrics[name] = metric
-            return metric
-
-    def counter(self, name: str, help_text: str, labelnames=()) -> Counter:
-        """Get or create a counter family."""
-        return self._family(Counter, name, help_text, labelnames)
-
-    def gauge(self, name: str, help_text: str, labelnames=()) -> Gauge:
-        """Get or create a gauge family."""
-        return self._family(Gauge, name, help_text, labelnames)
-
-    def histogram(
-        self, name: str, help_text: str, labelnames=(), *, buckets=DEFAULT_BUCKETS
-    ) -> Histogram:
-        """Get or create a histogram family."""
-        return self._family(
-            Histogram, name, help_text, labelnames, buckets=buckets
-        )
-
-    # ------------------------------------------------------------- sources
     def register_source(self, name: str, render: Callable[[], str]) -> None:
         """Register (or replace) a named exposition source."""
         with self._lock:
             self._sources[name] = render
 
-    def unregister_source(self, name: str) -> None:
-        """Remove a named source (no-op if absent)."""
-        with self._lock:
-            self._sources.pop(name, None)
-
-    @property
-    def source_names(self) -> list[str]:
-        """Registered source names, in registration order."""
-        return list(self._sources)
-
-    # ------------------------------------------------------------ scraping
     def render(self) -> str:
-        """The full Prometheus text exposition: families then sources."""
+        """The full exposition; a source that raises is counted, not fatal."""
         with self._lock:
-            metrics = sorted(self._metrics.items())
             sources = list(self._sources.items())
         lines: list[str] = []
         failed: list[str] = []
-        for _name, metric in metrics:
-            lines.extend(metric.render())
         for name, render in sources:
             try:
                 text = render()
@@ -352,40 +173,73 @@ class MetricsRegistry:
             if text:
                 lines.append(text.rstrip("\n"))
         if failed:
-            lines.append(
-                "# HELP repro_obs_source_errors_total Sources that failed "
-                "to render this scrape."
+            errors = Exposition().family(
+                "repro_obs_source_errors_total",
+                "counter",
+                "Sources that failed to render this scrape.",
+                [({"source": name}, 1) for name in failed],
             )
-            lines.append("# TYPE repro_obs_source_errors_total counter")
-            for name in failed:
-                lines.append(
-                    "repro_obs_source_errors_total"
-                    f'{{source="{escape_label_value(name)}"}} 1'
-                )
+            lines.append(errors.text().rstrip("\n"))
         return "\n".join(lines) + "\n"
 
 
-_REGISTRY: MetricsRegistry | None = None
-_REGISTRY_LOCK = threading.Lock()
+def obs_stats_exposition() -> str:
+    """The process tracer's own health counters, read at scrape time.
+
+    The tracer ring buffer wraps and a streaming tracer's bounded queue
+    sheds, both by design (tracing must never block a hot path); this
+    source makes both losses, and a streaming tracer's shipped/error
+    counts, visible on every server's ``/metrics``.
+    """
+    tracer = get_tracer()
+    sender = getattr(tracer, "sender", None)
+    out = Exposition().family(
+        "repro_obs_spans_dropped_total",
+        "counter",
+        "Spans lost by this process, by where they were shed.",
+        [
+            ({"reason": "ring_wrap"}, int(getattr(tracer, "dropped", 0))),
+            ({"reason": "stream_shed"}, int(getattr(sender, "dropped", 0))),
+        ],
+    )
+    if sender is not None:
+        out.counter(
+            "repro_obs_spans_streamed_total",
+            "Spans shipped to the trace collector.",
+            int(sender.sent),
+        )
+        out.counter(
+            "repro_obs_span_send_errors_total",
+            "Failed span batch POSTs (each costs one batch).",
+            int(sender.send_errors),
+        )
+    return out.text()
 
 
-def get_registry() -> MetricsRegistry:
-    """The process-default registry, with built-in sources installed."""
-    global _REGISTRY
-    with _REGISTRY_LOCK:
-        if _REGISTRY is None:
-            from .adapters import install_default_sources
+def install_default_sources(registry: MetricsRegistry) -> MetricsRegistry:
+    """Register the process-wide engine, fit, tracer and suite sources.
 
-            registry = MetricsRegistry()
-            install_default_sources(registry)
-            _REGISTRY = registry
-        return _REGISTRY
+    Each source imports its record at scrape time, so a process that only
+    serves models never imports the simulator or the fitting engine.
+    """
 
+    def engine() -> str:
+        from ..sim.solve_cache import GLOBAL_ENGINE_STATS
 
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry | None:
-    """Replace the process-default registry; returns the previous one."""
-    global _REGISTRY
-    with _REGISTRY_LOCK:
-        previous = _REGISTRY
-        _REGISTRY = registry
-        return previous
+        return GLOBAL_ENGINE_STATS.render_prometheus()
+
+    def fit() -> str:
+        from ..core.fitstats import GLOBAL_FIT_STATS
+
+        return GLOBAL_FIT_STATS.render_prometheus()
+
+    def suite() -> str:
+        from ..suite.stats import GLOBAL_SUITE_STATS
+
+        return GLOBAL_SUITE_STATS.render_prometheus()
+
+    registry.register_source("engine", engine)
+    registry.register_source("fit", fit)
+    registry.register_source("obs", obs_stats_exposition)
+    registry.register_source("suite", suite)
+    return registry

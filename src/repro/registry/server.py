@@ -42,8 +42,7 @@ import hmac
 import json
 
 from ..core.persistence import PersistenceError, artifact_from_dict
-from ..obs.adapters import install_default_sources, render_registry_backend
-from ..obs.registry import MetricsRegistry
+from ..obs.registry import Exposition, MetricsRegistry, install_default_sources
 from ..serve.http import HTTPError, HttpServerBase, Request, ServerThreadBase
 from ..serve.metrics import ServingMetrics
 from .local import ModelRegistry, RegistryError, TombstoneError, parse_ref
@@ -101,19 +100,35 @@ class RegistryServer(HttpServerBase):
             if metrics is not None
             else ServingMetrics(prefix="repro_registry")
         )
-        self.obs_registry = install_default_sources(
-            MetricsRegistry(), serving=self.metrics.render_prometheus
-        )
+        self.obs_registry = install_default_sources(MetricsRegistry())
+        self.obs_registry.register_source("serving", self.metrics.render_prometheus)
         self.obs_registry.register_source(
-            "registry_backend", lambda: render_registry_backend(self.backend)
+            "registry_backend", self._render_backend_metrics
         )
 
     # ------------------------------------------------------------- hooks
-    def _record_request(self, endpoint: str, status: int, seconds: float) -> None:
-        self.metrics.record_request(endpoint, status, seconds)
-
-    def _record_error(self, reason: str) -> None:
-        self.metrics.record_error(reason)
+    def _render_backend_metrics(self) -> str:
+        """Inventory gauges for the served store, read at scrape time."""
+        manifests = self.backend.list()
+        tombstones = sum(
+            1
+            for m in manifests
+            if self.backend.tombstone_reason(m.name, m.version) is not None
+        )
+        out = Exposition()
+        out.gauge(
+            "repro_registry_models", "Distinct model names stored.",
+            len({m.name for m in manifests}),
+        )
+        out.gauge(
+            "repro_registry_versions",
+            "Stored model versions (tombstoned included).", len(manifests),
+        )
+        out.gauge(
+            "repro_registry_tombstones",
+            "Versions currently blocked by a tombstone.", tombstones,
+        )
+        return out.text()
 
     def _endpoint_label(self, path: str) -> str:
         if path.startswith("/v1/models/"):

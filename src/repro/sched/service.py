@@ -42,8 +42,7 @@ from ..core.features import FEATURE_NAMES, Feature, feature_row
 from ..core.feature_sets import features_for
 from ..energy.power import PowerModel
 from ..harness.baselines import BaselineTable
-from ..obs.adapters import install_default_sources
-from ..obs.registry import MetricsRegistry
+from ..obs.registry import Exposition, MetricsRegistry, install_default_sources
 from ..obs.trace import get_tracer
 from ..serve.client import PredictionClient
 from ..serve.http import HTTPError, HttpServerBase, Request, ServerThreadBase
@@ -70,20 +69,6 @@ POLICIES = ("model", "first-fit", "least-loaded")
 
 #: Degradation histograms cover slowdowns (>= 1.0 in the common case).
 DEGRADATION_BUCKETS = (1.0, 1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0)
-
-
-def _render_histogram(name: str, help_text: str, hist: LatencyHistogram) -> list[str]:
-    """Prometheus histogram samples (cumulative ``le`` buckets)."""
-    lines = [f"# HELP {name} {help_text}", f"# TYPE {name} histogram"]
-    cumulative = 0
-    for bound, count in zip(hist.buckets, hist.bucket_counts):
-        cumulative += count
-        lines.append(f'{name}_bucket{{le="{bound}"}} {cumulative}')
-    cumulative += hist.bucket_counts[-1]
-    lines.append(f'{name}_bucket{{le="+Inf"}} {cumulative}')
-    lines.append(f"{name}_sum {hist.total}")
-    lines.append(f"{name}_count {hist.count}")
-    return lines
 
 
 class SchedMetrics:
@@ -131,7 +116,9 @@ class SchedMetrics:
         return self.regret_sum / self.regret_count if self.regret_count else 0.0
 
     def render_prometheus(self) -> str:
-        counters = [
+        """This record's ``repro_sched_*`` families as Prometheus text."""
+        out = Exposition()
+        for name, help_text, value in (
             ("jobs_submitted_total", "Jobs accepted via POST /v1/jobs.",
              self.jobs_submitted),
             ("placements_total", "Placement decisions committed.",
@@ -148,47 +135,32 @@ class SchedMetrics:
             ("predict_rows_total",
              "Candidate rows scored by the serving tier.",
              self.predict_rows),
-        ]
-        lines: list[str] = []
-        for name, help_text, value in counters:
-            full = f"repro_sched_{name}"
-            lines.append(f"# HELP {full} {help_text}")
-            lines.append(f"# TYPE {full} counter")
-            lines.append(f"{full} {value}")
-        lines.append(
-            "# HELP repro_sched_regret Mean realized-minus-predicted "
-            "slowdown over completed jobs."
+        ):
+            out.counter(f"repro_sched_{name}", help_text, value)
+        out.gauge(
+            "repro_sched_regret",
+            "Mean realized-minus-predicted slowdown over completed jobs.",
+            self.mean_regret,
         )
-        lines.append("# TYPE repro_sched_regret gauge")
-        lines.append(f"repro_sched_regret {self.mean_regret}")
-        lines.append(
-            "# HELP repro_sched_last_regret Realized-minus-predicted "
-            "slowdown of the most recent completion."
+        out.gauge(
+            "repro_sched_last_regret",
+            "Realized-minus-predicted slowdown of the most recent completion.",
+            self.last_regret,
         )
-        lines.append("# TYPE repro_sched_last_regret gauge")
-        lines.append(f"repro_sched_last_regret {self.last_regret}")
-        lines.extend(
-            _render_histogram(
-                "repro_sched_decision_latency_seconds",
-                "Wall latency of one scheduling round.",
-                self.decision_latency,
+        for name, help_text, hist in (
+            ("decision_latency_seconds",
+             "Wall latency of one scheduling round.", self.decision_latency),
+            ("predicted_degradation",
+             "Predicted slowdown of committed placements.",
+             self.predicted_degradation),
+            ("realized_degradation", "Realized slowdown of completed jobs.",
+             self.realized_degradation),
+        ):
+            out.histogram(
+                f"repro_sched_{name}", help_text,
+                [({}, hist.buckets, hist.bucket_counts, hist.total)],
             )
-        )
-        lines.extend(
-            _render_histogram(
-                "repro_sched_predicted_degradation",
-                "Predicted slowdown of committed placements.",
-                self.predicted_degradation,
-            )
-        )
-        lines.extend(
-            _render_histogram(
-                "repro_sched_realized_degradation",
-                "Realized slowdown of completed jobs.",
-                self.realized_degradation,
-            )
-        )
-        return "\n".join(lines) + "\n"
+        return out.text()
 
 
 # ------------------------------------------------------------------ scorers
@@ -376,11 +348,9 @@ class SchedulerService(HttpServerBase):
 
         self.sched_metrics = SchedMetrics()
         self.metrics = ServingMetrics(prefix="repro_sched")
-        self.obs_registry = install_default_sources(
-            MetricsRegistry(),
-            serving=self.metrics.render_prometheus,
-            sched=self._render_sched_metrics,
-        )
+        self.obs_registry = install_default_sources(MetricsRegistry())
+        self.obs_registry.register_source("serving", self.metrics.render_prometheus)
+        self.obs_registry.register_source("sched", self._render_sched_metrics)
 
     # -------------------------------------------------------------- state
 
@@ -425,8 +395,8 @@ class SchedulerService(HttpServerBase):
     # ------------------------------------------------------------ metrics
 
     def _render_sched_metrics(self) -> str:
-        lines = [self.sched_metrics.render_prometheus().rstrip("\n")]
-        gauges = [
+        out = Exposition()
+        for name, help_text, value in (
             ("queue_depth", "Jobs waiting for placement.",
              self.queue.pending),
             ("running_jobs", "Jobs currently executing.",
@@ -436,19 +406,9 @@ class SchedulerService(HttpServerBase):
             ("fleet_busy_nodes", "Nodes with at least one resident job.",
              self.fleet.busy_nodes),
             ("virtual_time_s", "Scheduler virtual clock.", self._now),
-        ]
-        for name, help_text, value in gauges:
-            full = f"repro_sched_{name}"
-            lines.append(f"# HELP {full} {help_text}")
-            lines.append(f"# TYPE {full} gauge")
-            lines.append(f"{full} {value}")
-        return "\n".join(lines) + "\n"
-
-    def _record_request(self, endpoint: str, status: int, seconds: float) -> None:
-        self.metrics.record_request(endpoint, status, seconds)
-
-    def _record_error(self, reason: str) -> None:
-        self.metrics.record_error(reason)
+        ):
+            out.gauge(f"repro_sched_{name}", help_text, value)
+        return self.sched_metrics.render_prometheus() + out.text()
 
     def _endpoint_label(self, path: str) -> str:
         if path.startswith("/v1/jobs/"):

@@ -17,8 +17,11 @@ long-running, observable prediction service:
   ``/v1/predict``, ``/v1/models``, ``/healthz``, and ``/metrics``; it
   serves from any registry backend (local directory or remote registry
   service) and can hot-reload newly pushed versions;
-* :mod:`~repro.serve.metrics` — request/error counters and latency and
-  batch-size histograms in Prometheus text exposition format;
+* :mod:`~repro.serve.metrics` — the request/error counters and latency
+  and batch-size histograms one server records (``ServingMetrics``,
+  rendered through the stack's one exposition writer,
+  :class:`~repro.obs.registry.Exposition`), and the merge of several
+  servers' scrapes into one;
 * :mod:`~repro.serve.client` — a small blocking client for tests and
   load generators, with a label-aware Prometheus parser;
 * :mod:`~repro.serve.shard`, :mod:`~repro.serve.worker`, and
@@ -29,11 +32,13 @@ long-running, observable prediction service:
   scrape for the whole tier (``repro serve --workers N``).
 
 The server threads through :mod:`repro.obs`: each
-:class:`~repro.serve.server.PredictionServer` owns a merged metrics
-registry (serving + engine + fitting + batcher backlog behind one
-``GET /metrics``), requests carry/echo ``X-Request-Id`` and become
-``serve.request`` trace spans, and the micro-batcher records per-phase
-latencies (queue, batch_wait, predict, serialize).
+:class:`~repro.serve.server.PredictionServer` owns a metrics registry
+whose sources (engine, fitting, tracer health, serving, batcher
+backlog) make up one ``GET /metrics``; the shared HTTP base records
+every request and error into the server's ``ServingMetrics``.
+Requests carry/echo ``X-Request-Id`` and become ``serve.request``
+trace spans, and the micro-batcher records per-phase latencies (queue,
+batch_wait, predict, serialize).
 
 Everything here is standard library + existing ``repro`` modules; there
 are no third-party serving dependencies.

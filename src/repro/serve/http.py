@@ -16,10 +16,12 @@ the registry artifact server (:mod:`repro.registry.server`):
   in-flight requests finish, then connections are torn down.
 
 Subclasses implement ``_route`` (returning ``(status, content_type,
-payload)`` or ``(status, content_type, payload, extra_headers)``) and
-may override the ``_record_request``/``_record_error`` hooks to feed
-their metrics.  :class:`ServerThreadBase` runs any such server on a
-background event loop for synchronous callers (tests, benches, the CLI).
+payload)`` or ``(status, content_type, payload, extra_headers)``); a
+server that sets ``self.metrics`` to a
+:class:`~repro.serve.metrics.ServingMetrics` gets every request and
+error recorded into it.  :class:`ServerThreadBase` runs any such server
+on a background event loop for synchronous callers (tests, benches, the
+CLI).
 """
 
 from __future__ import annotations
@@ -113,6 +115,9 @@ class HttpServerBase:
     #: streams spans to it would feed the collector forever.
     trace_requests = True
 
+    #: Request/error record (a ``ServingMetrics``); ``None`` records nothing.
+    metrics = None
+
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0) -> None:
         self.host = host
         self._requested_port = port
@@ -186,12 +191,6 @@ class HttpServerBase:
 
     async def _drain(self) -> None:
         """Subclass hook: flush queued work before connections close."""
-
-    def _record_request(self, endpoint: str, status: int, seconds: float) -> None:
-        """Subclass hook: one handled request and its wall latency."""
-
-    def _record_error(self, reason: str) -> None:
-        """Subclass hook: one failed request by reason."""
 
     async def _route(self, request: Request):
         """Subclass hook: ``(status, content_type, payload[, headers])``."""
@@ -330,12 +329,14 @@ class HttpServerBase:
                 content_type = "application/json"
                 payload = json.dumps({"error": exc.message}).encode()
                 extra_headers = exc.headers
-                self._record_error(exc.reason)
+                if self.metrics is not None:
+                    self.metrics.record_error(exc.reason)
             except Exception as exc:  # noqa: BLE001 - report, don't kill the loop
                 status = 500
                 content_type = "application/json"
                 payload = json.dumps({"error": f"internal error: {exc}"}).encode()
-                self._record_error("internal")
+                if self.metrics is not None:
+                    self.metrics.record_error("internal")
             span.set(status=status)
         # The span closes *before* the response bytes go out: a client
         # that has read the response can rely on the request span (and
@@ -357,7 +358,10 @@ class HttpServerBase:
         header_lines.append(
             f"Connection: {'keep-alive' if keep_alive else 'close'}"
         )
-        self._record_request(endpoint, status, time.perf_counter() - started)
+        if self.metrics is not None:
+            self.metrics.record_request(
+                endpoint, status, time.perf_counter() - started
+            )
         head = "\r\n".join(header_lines) + "\r\n\r\n"
         writer.write(head.encode("latin-1") + payload)
         await writer.drain()

@@ -6,10 +6,11 @@ human-readable ``summary()`` — extended with the serving-specific parts:
 per-endpoint/status request counters, error counters, batch-size and
 latency histograms with p50/p95/p99, and the model-cache hit rate.
 
-:meth:`ServingMetrics.render_prometheus` renders everything in the
-Prometheus text exposition format (version 0.0.4), so ``GET /metrics``
-can be scraped by a stock Prometheus server; no client library is needed
-for the text format.
+:meth:`ServingMetrics.render_prometheus` writes everything through the
+stack's one exposition writer (:class:`~repro.obs.registry.Exposition`),
+so ``GET /metrics`` can be scraped by a stock Prometheus server.
+:func:`merge_prometheus_texts` folds several servers' scrapes into one
+for the routed tier.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from ..obs.registry import escape_label_value
+from ..obs.registry import Exposition, format_value
 
 __all__ = [
     "LatencyHistogram",
     "ServingMetrics",
     "merge_prometheus_texts",
-    "render_labels",
 ]
 
 #: Request phases recorded by the server, in pipeline order.
@@ -121,26 +121,6 @@ class LatencyHistogram:
         self._next_slot = 0
 
 
-def _fmt(value: float) -> str:
-    """Prometheus-friendly float formatting (no exponent surprises)."""
-    if value != value:  # NaN
-        return "NaN"
-    return repr(float(value))
-
-
-def _labels(**labels: str) -> str:
-    if not labels:
-        return ""
-    body = ",".join(
-        f'{k}="{escape_label_value(str(v))}"' for k, v in sorted(labels.items())
-    )
-    return "{" + body + "}"
-
-
-#: Public alias: other serving modules (the router) render label sets
-#: with the same canonical sorted-key form the core families use.
-render_labels = _labels
-
 #: Series whose bare name matches this are point-in-time percentile
 #: gauges; merging across workers takes the max (worst worker), because
 #: summing percentiles is meaningless.
@@ -151,7 +131,7 @@ def _merge_family_of(bare_name: str, known: set[str]) -> str:
     """The metric family a sample line belongs to.
 
     Histogram samples (``X_bucket``/``X_sum``/``X_count``) roll up to
-    ``X`` when ``X`` declared itself via ``# TYPE``; everything else is
+    ``X`` when ``X`` declared itself with a TYPE line; everything else is
     its own family.
     """
     for suffix in ("_bucket", "_sum", "_count"):
@@ -174,9 +154,9 @@ def merge_prometheus_texts(texts: list[str]) -> str:
     * percentile gauges (bare name matching ``_p\\d+$``) take the
       **max** — the worst worker's tail — skipping ``NaN`` from workers
       that saw no samples;
-    * ``# HELP``/``# TYPE`` metadata and family ordering follow the
-      first text that mentioned each family, and every family's samples
-      stay grouped under its metadata as the exposition format requires.
+    * HELP/TYPE metadata and family ordering follow the first text that
+      mentioned each family, and every family's samples stay grouped
+      under its metadata as the exposition format requires.
     """
     meta: dict[str, list[str]] = {}        # family -> HELP/TYPE lines
     family_order: list[str] = []
@@ -240,7 +220,7 @@ def merge_prometheus_texts(texts: list[str]) -> str:
             if int_valued[key]:
                 lines.append(f"{key} {int(value)}")
             else:
-                lines.append(f"{key} {_fmt(value)}")
+                lines.append(f"{key} {format_value(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -353,120 +333,65 @@ class ServingMetrics:
     def render_prometheus(self) -> str:
         """The Prometheus text exposition for ``GET /metrics``."""
         p = self.prefix
-        lines: list[str] = []
-
-        lines.append(f"# HELP {p}_requests_total HTTP requests handled.")
-        lines.append(f"# TYPE {p}_requests_total counter")
-        for (endpoint, status), n in sorted(self.requests_total.items()):
-            lines.append(
-                f"{p}_requests_total"
-                f"{_labels(endpoint=endpoint, status=str(status))} {n}"
+        out = Exposition()
+        out.family(
+            f"{p}_requests_total", "counter", "HTTP requests handled.",
+            [
+                ({"endpoint": endpoint, "status": status}, n)
+                for (endpoint, status), n in sorted(self.requests_total.items())
+            ],
+        )
+        out.family(
+            f"{p}_errors_total", "counter", "Failed requests by reason.",
+            [({"reason": r}, n) for r, n in sorted(self.errors_total.items())],
+        )
+        out.counter(
+            f"{p}_predictions_total", "Prediction values returned.",
+            self.predictions_total,
+        )
+        out.counter(
+            f"{p}_model_cache_hits_total", "Resident-model cache hits.",
+            self.model_cache_hits,
+        )
+        out.counter(
+            f"{p}_model_cache_misses_total", "Resident-model cache misses.",
+            self.model_cache_misses,
+        )
+        for name, help_text, hist in (
+            (f"{p}_request_latency_seconds",
+             "End-to-end request handling latency.", self.latency),
+            (f"{p}_batch_size", "Rows per flushed micro-batch.",
+             self.batch_sizes),
+        ):
+            out.histogram(
+                name, help_text,
+                [({}, hist.buckets, hist.bucket_counts, hist.total)],
             )
-
-        lines.append(f"# HELP {p}_errors_total Failed requests by reason.")
-        lines.append(f"# TYPE {p}_errors_total counter")
-        for reason, n in sorted(self.errors_total.items()):
-            lines.append(f"{p}_errors_total{_labels(reason=reason)} {n}")
-
-        lines.append(
-            f"# HELP {p}_predictions_total Prediction values returned."
-        )
-        lines.append(f"# TYPE {p}_predictions_total counter")
-        lines.append(f"{p}_predictions_total {self.predictions_total}")
-
-        lines.append(
-            f"# HELP {p}_model_cache_hits_total Resident-model cache hits."
-        )
-        lines.append(f"# TYPE {p}_model_cache_hits_total counter")
-        lines.append(f"{p}_model_cache_hits_total {self.model_cache_hits}")
-        lines.append(
-            f"# HELP {p}_model_cache_misses_total Resident-model cache misses."
-        )
-        lines.append(f"# TYPE {p}_model_cache_misses_total counter")
-        lines.append(
-            f"{p}_model_cache_misses_total {self.model_cache_misses}"
-        )
-
-        lines.extend(
-            self._render_histogram(
-                f"{p}_request_latency_seconds",
-                "End-to-end request handling latency.",
-                self.latency,
-            )
-        )
-        lines.extend(
-            self._render_histogram(
-                f"{p}_batch_size",
-                "Rows per flushed micro-batch.",
-                self.batch_sizes,
-            )
-        )
-        lines.extend(self._render_phases())
-        return "\n".join(lines) + "\n"
-
-    def _render_phases(self) -> list[str]:
-        """The per-phase latency family (one histogram per phase label)."""
-        name = f"{self.prefix}_phase_latency_seconds"
-        lines = [
-            f"# HELP {name} Time each request spent per pipeline phase "
-            "(queue, batch_wait, predict, serialize).",
-            f"# TYPE {name} histogram",
-        ]
-        phases = sorted(self.phase_latency)
-        for phase in phases:
-            lines.extend(
-                self._histogram_samples(
-                    name, self.phase_latency[phase], phase=phase
+            # Quantile gauges (summary-style convenience for dashboards).
+            for q in (50, 95, 99):
+                out.gauge(
+                    f"{name}_p{q}",
+                    f"Percentile of {name} (over the retained sample window).",
+                    hist.percentile(q),
                 )
+        name = f"{p}_phase_latency_seconds"
+        phases = sorted(self.phase_latency.items())
+        out.histogram(
+            name,
+            "Time each request spent per pipeline phase "
+            "(queue, batch_wait, predict, serialize).",
+            [
+                ({"phase": phase}, h.buckets, h.bucket_counts, h.total)
+                for phase, h in phases
+            ],
+        )
+        for q in (50, 95, 99):
+            out.family(
+                f"{name}_p{q}", "gauge",
+                "Phase latency percentile (over the retained sample window).",
+                [({"phase": phase}, h.percentile(q)) for phase, h in phases],
             )
-        for p, label in ((50, "p50"), (95, "p95"), (99, "p99")):
-            lines.append(
-                f"# HELP {name}_{label} Phase latency percentile "
-                f"(over the retained sample window)."
-            )
-            lines.append(f"# TYPE {name}_{label} gauge")
-            for phase in phases:
-                value = self.phase_latency[phase].percentile(p)
-                lines.append(f"{name}_{label}{_labels(phase=phase)} {_fmt(value)}")
-        return lines
-
-    @classmethod
-    def _render_histogram(
-        cls, name: str, help_text: str, hist: LatencyHistogram
-    ) -> list[str]:
-        lines = [
-            f"# HELP {name} {help_text}",
-            f"# TYPE {name} histogram",
-        ]
-        lines.extend(cls._histogram_samples(name, hist))
-        # Quantile gauges (summary-style convenience for dashboards/tests).
-        for p, label in ((50, "p50"), (95, "p95"), (99, "p99")):
-            lines.append(
-                f"# HELP {name}_{label} Percentile of {name} "
-                f"(over the retained sample window)."
-            )
-            lines.append(f"# TYPE {name}_{label} gauge")
-            lines.append(
-                f"{name}_{label} {_fmt(hist.percentile(p))}"
-            )
-        return lines
-
-    @staticmethod
-    def _histogram_samples(
-        name: str, hist: LatencyHistogram, **labels: str
-    ) -> list[str]:
-        """Bucket/sum/count sample lines for one (possibly labelled) series."""
-        lines = []
-        cumulative = 0
-        for bound, n in zip(hist.buckets, hist.bucket_counts):
-            cumulative += n
-            lines.append(
-                f"{name}_bucket{_labels(le=_fmt(bound), **labels)} {cumulative}"
-            )
-        lines.append(f'{name}_bucket{_labels(le="+Inf", **labels)} {hist.count}')
-        lines.append(f"{name}_sum{_labels(**labels)} {_fmt(hist.total)}")
-        lines.append(f"{name}_count{_labels(**labels)} {hist.count}")
-        return lines
+        return out.text()
 
     def summary(self) -> str:
         """Human-readable one-stop summary (EngineStats style)."""

@@ -52,17 +52,11 @@ import time
 from dataclasses import dataclass
 from urllib.parse import urlencode
 
-from ..obs.adapters import install_default_sources
-from ..obs.registry import MetricsRegistry
+from ..obs.registry import Exposition, MetricsRegistry, install_default_sources
 from ..obs.trace import current_span
 from ..registry.local import RegistryError, parse_ref
 from .http import HTTPError, HttpServerBase, Request, ServerThreadBase
-from .metrics import (
-    LatencyHistogram,
-    ServingMetrics,
-    merge_prometheus_texts,
-    render_labels,
-)
+from .metrics import LatencyHistogram, ServingMetrics, merge_prometheus_texts
 from .shard import ShardMap
 from .worker import BackendSpec, WorkerProcess, backend_spec_for, open_backend
 
@@ -325,9 +319,8 @@ class RouterServer(HttpServerBase):
         self.metrics = metrics if metrics is not None else ServingMetrics(
             prefix="repro_router"
         )
-        self.obs_registry = install_default_sources(
-            MetricsRegistry(), serving=self.metrics.render_prometheus
-        )
+        self.obs_registry = install_default_sources(MetricsRegistry())
+        self.obs_registry.register_source("serving", self.metrics.render_prometheus)
         self.obs_registry.register_source("router", self._render_router_metrics)
         from ..registry.local import ModelRegistry
 
@@ -341,64 +334,52 @@ class RouterServer(HttpServerBase):
         self._baseline_cache: dict[str, tuple[float, str]] = {}
 
     # ------------------------------------------------------------- metrics
-    def _record_request(self, endpoint: str, status: int, seconds: float) -> None:
-        self.metrics.record_request(endpoint, status, seconds)
-
-    def _record_error(self, reason: str) -> None:
-        self.metrics.record_error(reason)
-
     def _render_router_metrics(self) -> str:
         """Tier shape, canary routing, and shadow divergence families."""
-        lines = [
-            "# HELP repro_serve_workers Worker processes behind this router.",
-            "# TYPE repro_serve_workers gauge",
-            f"repro_serve_workers {len(self.channels)}",
-            "# HELP repro_serve_canary_requests_total Requests routed to a "
-            "canary version instead of the latest.",
-            "# TYPE repro_serve_canary_requests_total counter",
-        ]
-        for name, spec in sorted(self.canaries.items()):
-            lines.append(
-                "repro_serve_canary_requests_total"
-                f"{render_labels(model=name, ref=spec.ref)} "
-                f"{self._canary_sent.get(name, 0)}"
-            )
-        lines.append(
-            "# HELP repro_serve_shadow_requests_total Requests mirrored to "
-            "a shadow version."
+        canaries = sorted(self.canaries.items())
+        shadows = sorted(self.shadows.items())
+        out = Exposition().gauge(
+            "repro_serve_workers",
+            "Worker processes behind this router.",
+            len(self.channels),
         )
-        lines.append("# TYPE repro_serve_shadow_requests_total counter")
-        for name, spec in sorted(self.shadows.items()):
-            lines.append(
-                "repro_serve_shadow_requests_total"
-                f"{render_labels(model=name, ref=spec.ref)} "
-                f"{self._shadow_sent.get(name, 0)}"
-            )
-        lines.append(
-            "# HELP repro_serve_shadow_errors_total Shadow requests that "
-            "failed (primary responses were unaffected)."
+        out.family(
+            "repro_serve_canary_requests_total",
+            "counter",
+            "Requests routed to a canary version instead of the latest.",
+            [
+                ({"model": name, "ref": spec.ref}, self._canary_sent.get(name, 0))
+                for name, spec in canaries
+            ],
         )
-        lines.append("# TYPE repro_serve_shadow_errors_total counter")
-        for name in sorted(self.shadows):
-            lines.append(
-                "repro_serve_shadow_errors_total"
-                f"{render_labels(model=name)} "
-                f"{self._shadow_errors.get(name, 0)}"
-            )
-        lines.append(
-            "# HELP repro_serve_shadow_divergence Absolute difference "
-            "between primary and shadow predictions (le=\"0.0\" counts "
-            "bit-identical agreement)."
+        out.family(
+            "repro_serve_shadow_requests_total",
+            "counter",
+            "Requests mirrored to a shadow version.",
+            [
+                ({"model": name, "ref": spec.ref}, self._shadow_sent.get(name, 0))
+                for name, spec in shadows
+            ],
         )
-        lines.append("# TYPE repro_serve_shadow_divergence histogram")
-        for name in sorted(self._shadow_divergence):
-            hist = self._shadow_divergence[name]
-            lines.extend(
-                ServingMetrics._histogram_samples(
-                    "repro_serve_shadow_divergence", hist, model=name
-                )
-            )
-        return "\n".join(lines)
+        out.family(
+            "repro_serve_shadow_errors_total",
+            "counter",
+            "Shadow requests that failed (primary responses were unaffected).",
+            [
+                ({"model": name}, self._shadow_errors.get(name, 0))
+                for name, _spec in shadows
+            ],
+        )
+        out.histogram(
+            "repro_serve_shadow_divergence",
+            'Absolute difference between primary and shadow predictions '
+            '(le="0.0" counts bit-identical agreement).',
+            [
+                ({"model": name}, h.buckets, h.bucket_counts, h.total)
+                for name, h in sorted(self._shadow_divergence.items())
+            ],
+        )
+        return out.text()
 
     # ------------------------------------------------------------ lifecycle
     async def stop(self, *, drain_timeout_s: float = 5.0) -> None:
@@ -474,12 +455,11 @@ class RouterServer(HttpServerBase):
                 unreachable += 1
         merged = merge_prometheus_texts(texts)
         if unreachable:
-            merged += (
-                "# HELP repro_serve_worker_scrape_errors Workers whose "
-                "/metrics scrape failed this pass.\n"
-                "# TYPE repro_serve_worker_scrape_errors gauge\n"
-                f"repro_serve_worker_scrape_errors {unreachable}\n"
-            )
+            merged += Exposition().gauge(
+                "repro_serve_worker_scrape_errors",
+                "Workers whose /metrics scrape failed this pass.",
+                unreachable,
+            ).text()
         return 200, "text/plain; version=0.0.4", merged.encode()
 
     # ------------------------------------------------------------- predict
@@ -552,7 +532,7 @@ class RouterServer(HttpServerBase):
         if status >= 400:
             # Count the upstream refusal in the router's error ledger too
             # (the worker already recorded its own reason).
-            self._record_error(f"worker_{status}")
+            self.metrics.record_error(f"worker_{status}")
         return status, content_type, response_body, extra
 
     def _take_canary(self, name: str, fraction: float) -> bool:

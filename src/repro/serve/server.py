@@ -54,8 +54,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..obs.adapters import install_default_sources
-from ..obs.registry import MetricsRegistry, escape_label_value
+from ..obs.registry import Exposition, MetricsRegistry, install_default_sources
 from ..registry.local import ModelRegistry, RegistryError, parse_ref
 from .batcher import BacklogFullError, MicroBatcher
 from .http import HTTPError, HttpServerBase, Request, ServerThreadBase
@@ -151,9 +150,8 @@ class PredictionServer(HttpServerBase):
         # request-path metrics with the process-wide engine and fitting
         # aggregates plus the per-model batcher backlog.  Private (not the
         # obs default) so several servers in one process stay independent.
-        self.obs_registry = install_default_sources(
-            MetricsRegistry(), serving=self.metrics.render_prometheus
-        )
+        self.obs_registry = install_default_sources(MetricsRegistry())
+        self.obs_registry.register_source("serving", self.metrics.render_prometheus)
         self.obs_registry.register_source("batcher", self._render_batcher_metrics)
         self._resident: OrderedDict[str, _ResidentModel] = OrderedDict()
         # Remote backends block on sockets; resolve them off the loop.
@@ -213,58 +211,41 @@ class PredictionServer(HttpServerBase):
             await resident.batcher.drain()
 
     # ------------------------------------------------------------- metrics
-    def _record_request(self, endpoint: str, status: int, seconds: float) -> None:
-        self.metrics.record_request(endpoint, status, seconds)
-
-    def _record_error(self, reason: str) -> None:
-        self.metrics.record_error(reason)
-
     def _render_batcher_metrics(self) -> str:
         """Backlog gauge, shed counter, and hot-reload counters."""
-        lines = [
-            "# HELP repro_serve_batcher_backlog Rows queued in each "
-            "resident model's micro-batcher, sampled at scrape time.",
-            "# TYPE repro_serve_batcher_backlog gauge",
-        ]
-        shed = 0
-        for key, resident in self._resident.items():
-            lines.append(
-                "repro_serve_batcher_backlog"
-                f'{{model="{escape_label_value(key)}"}} '
-                f"{resident.batcher.pending}"
-            )
-            shed += resident.batcher.stats.shed
-        lines.append(
-            "# HELP repro_serve_shed_total Rows rejected by admission "
-            "control (--max-backlog) with 429 responses."
+        residents = list(self._resident.items())
+        out = Exposition().family(
+            "repro_serve_batcher_backlog",
+            "gauge",
+            "Rows queued in each resident model's micro-batcher, sampled at "
+            "scrape time.",
+            [({"model": key}, r.batcher.pending) for key, r in residents],
         )
-        lines.append("# TYPE repro_serve_shed_total counter")
-        lines.append(f"repro_serve_shed_total {shed}")
-        lines.append(
-            "# HELP repro_serve_hot_reload_loads_total Artifacts pre-warmed "
-            "into the resident LRU by the hot-reload poller."
+        out.counter(
+            "repro_serve_shed_total",
+            "Rows rejected by admission control (--max-backlog) with 429 "
+            "responses.",
+            sum(r.batcher.stats.shed for _key, r in residents),
         )
-        lines.append("# TYPE repro_serve_hot_reload_loads_total counter")
-        lines.append(f"repro_serve_hot_reload_loads_total {self._hot_reload_loads}")
-        lines.append(
-            "# HELP repro_serve_hot_reload_evictions_total Residents evicted "
-            "because their version was tombstoned."
+        out.counter(
+            "repro_serve_hot_reload_loads_total",
+            "Artifacts pre-warmed into the resident LRU by the hot-reload "
+            "poller.",
+            self._hot_reload_loads,
         )
-        lines.append("# TYPE repro_serve_hot_reload_evictions_total counter")
-        lines.append(
-            f"repro_serve_hot_reload_evictions_total {self._hot_reload_evictions}"
+        out.counter(
+            "repro_serve_hot_reload_evictions_total",
+            "Residents evicted because their version was tombstoned.",
+            self._hot_reload_evictions,
         )
         if self.worker_id is not None:
-            lines.append(
-                "# HELP repro_serve_worker_up Serving-tier workers that "
-                "answered this scrape."
+            out.family(
+                "repro_serve_worker_up",
+                "gauge",
+                "Serving-tier workers that answered this scrape.",
+                [({"worker": self.worker_id}, 1)],
             )
-            lines.append("# TYPE repro_serve_worker_up gauge")
-            lines.append(
-                "repro_serve_worker_up"
-                f'{{worker="{escape_label_value(str(self.worker_id))}"}} 1'
-            )
-        return "\n".join(lines)
+        return out.text()
 
     # ------------------------------------------------------------- models
     def _install_resident(self, key: str, artifact, manifest) -> _ResidentModel:

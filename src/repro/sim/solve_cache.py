@@ -25,12 +25,14 @@ caller's engine.
 from __future__ import annotations
 
 import pickle
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ..obs.registry import Exposition
 from ..workloads.app import ApplicationSpec
 
 __all__ = [
@@ -211,6 +213,10 @@ class SolveCache:
         return self.load_bytes(Path(path).read_bytes())
 
 
+#: Fixed-point iteration bucket bounds for ``repro_engine_solve_iterations``.
+ENGINE_ITERATION_BUCKETS = (25, 50, 100, 200, 400, 600)
+
+
 @dataclass
 class EngineStats:
     """Running observability counters for one engine.
@@ -369,6 +375,41 @@ class EngineStats:
             body = " | ".join(f"{span}: {n}" for span, n in histogram.items())
             lines.append(f"fixed-point iterations: {body}")
         return "\n".join(lines)
+
+    def render_prometheus(self) -> str:
+        """This record's ``repro_engine_*`` families as Prometheus text."""
+        out = Exposition()
+        for name, help_text, value in (
+            ("solves_total", "Fixed-point solves performed.", self.solves),
+            ("cache_hits_total", "Steady-state cache hits.", self.cache_hits),
+            ("cache_misses_total", "Steady-state cache misses.", self.cache_misses),
+            ("cache_evictions_total", "Bounded solve-cache LRU evictions.",
+             self.cache_evictions),
+            ("convergence_failures_total", "Solves that failed to converge.",
+             self.convergence_failures),
+            ("batches_total", "Batched steady-state solves performed.",
+             self.batches),
+            ("batched_scenarios_total",
+             "Scenarios requested across batched solves.",
+             self.batched_scenarios),
+            ("batch_dedupe_hits_total",
+             "Scenarios served by deduplicating a repeated solve key within "
+             "one batch.", self.batch_dedupe_hits),
+            ("frozen_iterations_saved_total",
+             "Stacked iterations skipped by freezing converged scenarios.",
+             self.frozen_iterations_saved),
+        ):
+            out.counter(f"repro_engine_{name}", help_text, value)
+        counts = [0] * (len(ENGINE_ITERATION_BUCKETS) + 1)
+        for iterations, n in self.iteration_counts.items():
+            counts[bisect_left(ENGINE_ITERATION_BUCKETS, iterations)] += n
+        total = sum(i * n for i, n in self.iteration_counts.items())
+        out.histogram(
+            "repro_engine_solve_iterations",
+            "Fixed-point iterations per solve.",
+            [({}, ENGINE_ITERATION_BUCKETS, counts, total)],
+        )
+        return out.text()
 
 
 #: Process-wide aggregate across every engine in this process.  Each solve

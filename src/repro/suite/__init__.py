@@ -23,7 +23,7 @@ CLI: ``repro suite run | status | explain | gc``; see ``docs/suites.md``.
 from .dag import SuiteNode, build_nodes, key_material, node_input_key
 from .runner import NodeResult, SuiteReport, SuiteRunner
 from .spec import CaseSpec, SuiteSpec, SuiteSpecError, load_suite, parse_suite
-from .stats import GLOBAL_SUITE_STATS, SuiteStats, render_suite_stats
+from .stats import GLOBAL_SUITE_STATS, SuiteStats
 from .store import ArtifactStore, GCReport, NodeManifest, StoreError
 
 __all__ = [
@@ -45,5 +45,4 @@ __all__ = [
     "load_suite",
     "node_input_key",
     "parse_suite",
-    "render_suite_stats",
 ]

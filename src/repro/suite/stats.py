@@ -11,12 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = [
-    "GLOBAL_SUITE_STATS",
-    "SuiteStats",
-    "render_suite_stats",
-    "suite_stats_exposition",
-]
+from ..obs.registry import Exposition
+
+__all__ = ["GLOBAL_SUITE_STATS", "SuiteStats"]
 
 
 @dataclass
@@ -100,45 +97,31 @@ class SuiteStats:
             )
         return "\n".join(lines)
 
+    def render_prometheus(self) -> str:
+        """This record's ``repro_suite_*`` families as Prometheus text."""
+        out = Exposition()
+        for name, help_text, value in (
+            ("runs_total", "Suite runs started.", self.runs),
+            ("nodes_run_total", "Suite nodes executed.", self.nodes_run),
+            ("nodes_skipped_total", "Suite nodes resolved from the store.",
+             self.nodes_skipped),
+            ("nodes_failed_total", "Suite nodes that raised.", self.nodes_failed),
+            ("nodes_resumed_total", "Store hits left by a prior run.",
+             self.nodes_resumed),
+            ("store_hits_total", "Artifact-store node manifest hits.",
+             self.store_hits),
+            ("store_misses_total", "Artifact-store node manifest misses.",
+             self.store_misses),
+            ("solve_cache_loaded_total",
+             "Solve-cache entries loaded from the store.",
+             self.solve_cache_entries_loaded),
+            ("solve_cache_saved_total",
+             "Solve-cache entries persisted to the store.",
+             self.solve_cache_entries_saved),
+        ):
+            out.counter(f"repro_suite_{name}", help_text, value)
+        return out.text()
+
 
 #: Process-wide aggregate across every runner in this process.
 GLOBAL_SUITE_STATS = SuiteStats()
-
-
-def render_suite_stats(stats: SuiteStats) -> str:
-    """Prometheus text exposition for one :class:`SuiteStats`."""
-    lines = [
-        "# HELP repro_suite_runs_total Suite runs started.",
-        "# TYPE repro_suite_runs_total counter",
-        f"repro_suite_runs_total {stats.runs}",
-        "# HELP repro_suite_nodes_run_total Suite nodes executed.",
-        "# TYPE repro_suite_nodes_run_total counter",
-        f"repro_suite_nodes_run_total {stats.nodes_run}",
-        "# HELP repro_suite_nodes_skipped_total Suite nodes resolved from the store.",
-        "# TYPE repro_suite_nodes_skipped_total counter",
-        f"repro_suite_nodes_skipped_total {stats.nodes_skipped}",
-        "# HELP repro_suite_nodes_failed_total Suite nodes that raised.",
-        "# TYPE repro_suite_nodes_failed_total counter",
-        f"repro_suite_nodes_failed_total {stats.nodes_failed}",
-        "# HELP repro_suite_nodes_resumed_total Store hits left by a prior run.",
-        "# TYPE repro_suite_nodes_resumed_total counter",
-        f"repro_suite_nodes_resumed_total {stats.nodes_resumed}",
-        "# HELP repro_suite_store_hits_total Artifact-store node manifest hits.",
-        "# TYPE repro_suite_store_hits_total counter",
-        f"repro_suite_store_hits_total {stats.store_hits}",
-        "# HELP repro_suite_store_misses_total Artifact-store node manifest misses.",
-        "# TYPE repro_suite_store_misses_total counter",
-        f"repro_suite_store_misses_total {stats.store_misses}",
-        "# HELP repro_suite_solve_cache_loaded_total Solve-cache entries loaded from the store.",
-        "# TYPE repro_suite_solve_cache_loaded_total counter",
-        f"repro_suite_solve_cache_loaded_total {stats.solve_cache_entries_loaded}",
-        "# HELP repro_suite_solve_cache_saved_total Solve-cache entries persisted to the store.",
-        "# TYPE repro_suite_solve_cache_saved_total counter",
-        f"repro_suite_solve_cache_saved_total {stats.solve_cache_entries_saved}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def suite_stats_exposition() -> str:
-    """Exposition for the process-wide aggregate (metrics-source hook)."""
-    return render_suite_stats(GLOBAL_SUITE_STATS)

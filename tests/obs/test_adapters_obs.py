@@ -1,10 +1,10 @@
-"""Adapter coverage: engine batch counters and tracer-health exposition.
+"""Default-source coverage: engine batch counters and tracer health.
 
 The batched-solver counters (``repro_engine_batches_total`` and
-friends) ride the engine adapter onto every server's ``/metrics``; these
+friends) ride the engine source onto every server's ``/metrics``; these
 tests pin their rendering and that the tier's merged multi-worker scrape
-sums them correctly.  The ``obs`` source is the drop accounting this PR
-adds: ring-buffer wraps and streaming-queue sheds become
+sums them correctly.  The ``obs`` source is the drop accounting:
+ring-buffer wraps and streaming-queue sheds become
 ``repro_obs_spans_dropped_total``.
 """
 
@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.adapters import (
+from repro.obs.registry import (
+    MetricsRegistry,
     install_default_sources,
     obs_stats_exposition,
-    render_engine_stats,
 )
-from repro.obs.registry import MetricsRegistry
 from repro.obs.stream import SpanSender
 from repro.obs.trace import Tracer, disable, set_tracer
 from repro.serve.client import parse_prometheus
@@ -37,14 +36,14 @@ def _stats(batches, scenarios, dedupe, frozen):
 class TestEngineBatchCounters:
     def test_rendered_with_values(self):
         stats = _stats(batches=3, scenarios=64, dedupe=5, frozen=120)
-        samples = parse_prometheus(render_engine_stats(stats))
+        samples = parse_prometheus(stats.render_prometheus())
         assert samples["repro_engine_batches_total"] == 3
         assert samples["repro_engine_batched_scenarios_total"] == 192
         assert samples["repro_engine_batch_dedupe_hits_total"] == 15
         assert samples["repro_engine_frozen_iterations_saved_total"] == 360
 
     def test_families_have_help_and_type(self):
-        text = render_engine_stats(EngineStats())
+        text = EngineStats().render_prometheus()
         for family in (
             "repro_engine_batches_total",
             "repro_engine_batched_scenarios_total",
@@ -58,8 +57,8 @@ class TestEngineBatchCounters:
         # The router merges per-worker expositions; the batch counters
         # must sum across workers like any other counter family.
         worker_texts = [
-            render_engine_stats(_stats(2, 32, 1, 50)),
-            render_engine_stats(_stats(1, 16, 0, 10)),
+            _stats(2, 32, 1, 50).render_prometheus(),
+            _stats(1, 16, 0, 10).render_prometheus(),
         ]
         merged = parse_prometheus(merge_prometheus_texts(worker_texts))
         assert merged["repro_engine_batches_total"] == 3

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 
 import pytest
 
 from repro.obs.collector import CollectorServer, CollectorThread
-from repro.serve.client import parse_prometheus
+from repro.obs.registry import escape_label_value
+from repro.serve.client import _parse_sample, parse_prometheus
 
 
 @pytest.fixture
@@ -87,6 +89,31 @@ class TestIngestProtocol:
         assert status == 400
         assert collector.records() == []
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dropped", "abc"),
+            ("dropped", [1]),
+            ("dropped", 1e999),
+            ("dropped", math.nan),
+            ("resource", "abc"),
+            ("resource", [1, 2]),
+        ],
+        ids=[
+            "dropped-string", "dropped-list", "dropped-overflow",
+            "dropped-nan", "resource-string", "resource-list",
+        ],
+    )
+    def test_bad_batch_fields_are_400_naming_the_field(
+        self, collector, field, value
+    ):
+        batch = {"resource": {"service": "w0"}, "spans": [_span("a", "s1")]}
+        batch[field] = value
+        status, body = _post(collector, json.dumps(batch).encode())
+        assert status == 400
+        assert field in body["error"]
+        assert collector.records() == []
+
     def test_get_spans_and_healthz(self, collector):
         _post(collector, json.dumps(_span("a", "s1")).encode())
         status, raw = _get(collector, "/v1/spans")
@@ -130,6 +157,36 @@ class TestCollectorMetrics:
         assert samples[
             'repro_obs_collector_spans_dropped_total{reason="ring_wrap"}'
         ] == 0
+
+    def test_hostile_service_name_cannot_inject_samples(self, collector):
+        hostile = 'evil"} 1\nrepro_fake_total 99\n#'
+        _post(collector, json.dumps({
+            "resource": {"service": hostile},
+            "spans": [_span("a", "s1")],
+        }).encode())
+        _status, raw = _get(collector, "/metrics")
+        text = raw.decode()
+        samples = parse_prometheus(text)
+        assert not any(key.startswith("repro_fake_total") for key in samples)
+        key = (
+            'repro_obs_collector_batches_total{service="'
+            + escape_label_value(hostile) + '"}'
+        )
+        assert samples[key] == 1
+        # The name round-trips as one label value of one series.
+        batches = [
+            labels
+            for name, labels, _value in filter(
+                None, map(_parse_sample, text.splitlines())
+            )
+            if name == "repro_obs_collector_batches_total"
+        ]
+        assert batches == [{"service": hostile}]
+        families = {
+            line.split()[2] for line in text.splitlines()
+            if line.startswith("# TYPE ")
+        }
+        assert "repro_fake_total" not in families
 
     def test_no_family_repeats_in_one_exposition(self, collector):
         # Prometheus forbids a metric family appearing twice in a scrape;

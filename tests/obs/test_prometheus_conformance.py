@@ -1,22 +1,40 @@
-"""Exposition-format conformance for the whole merged scrape.
+"""Exposition-format conformance for merged and live scrapes.
 
-These tests hold the merged registry output — native families plus the
-engine/fit/serving adapter sources — to the Prometheus text format 0.0.4
-contract: every sample belongs to a family with ``# HELP`` and ``# TYPE``
-lines, histogram buckets are cumulative and monotone with ``+Inf`` equal
-to ``_count``, and label escaping round-trips through the client's
-label-aware parser.
+Every scrape the stack serves is held to the Prometheus text format
+0.0.4 contract (:func:`assert_conformant`): every sample belongs to a
+family with exactly one ``# HELP`` and one ``# TYPE`` line, no family is
+declared twice, histogram buckets are cumulative and monotone with
+``+Inf`` equal to ``_count``, and label escaping round-trips through the
+client's label-aware parser.  The checks run on a merged registry built
+from the real sources (with hostile label values and labelled
+histograms) and on the live ``/metrics`` of each in-process service; the
+router's merged tier scrape is checked in ``tests/serve/test_router.py``.
 """
 
+import http.client
+import json
 import math
+import time
 
 import pytest
 
+from repro.core.feature_sets import FeatureSet
 from repro.core.fitstats import GLOBAL_FIT_STATS
-from repro.obs.adapters import install_default_sources
-from repro.obs.registry import MetricsRegistry, escape_label_value
-from repro.serve.client import _parse_sample, parse_prometheus
+from repro.core.methodology import ModelKind, PerformancePredictor
+from repro.machine import XEON_E5649
+from repro.obs.collector import CollectorServer, CollectorThread
+from repro.obs.registry import (
+    MetricsRegistry,
+    escape_label_value,
+    install_default_sources,
+)
+from repro.registry.local import ModelRegistry
+from repro.registry.server import RegistryServerThread
+from repro.sched.fleet import FleetState, MachineConfig
+from repro.sched.service import SchedulerClient, SchedulerThread
+from repro.serve.client import PredictionClient, _parse_sample, parse_prometheus
 from repro.serve.metrics import REQUEST_PHASES, ServingMetrics
+from repro.serve.server import ServerThread
 from repro.sim.solve_cache import GLOBAL_ENGINE_STATS
 
 NASTY = 'sp{ec"ial, v=1\\end\nline'
@@ -35,24 +53,19 @@ def scrape() -> str:
     serving.record_request("/v1/predict", 200, 0.004)
     serving.record_request("/v1/predict", 400, 0.001)
     serving.record_error("bad_request")
+    serving.record_error(NASTY)
     serving.record_predictions(3)
     serving.record_batch(3)
     serving.record_model_cache(True)
     for phase in REQUEST_PHASES:
         serving.record_phase(phase, 0.002)
 
-    registry = install_default_sources(
-        MetricsRegistry(), serving=serving.render_prometheus
-    )
-    registry.counter("repro_test_jobs_total", "Native counter.").inc(2)
-    gauge = registry.gauge("repro_test_info", "Nasty labels.", ("detail",))
-    gauge.set(1.5, detail=NASTY)
-    hist = registry.histogram(
-        "repro_test_seconds", "Native histogram.", ("kind",), buckets=(0.01, 0.1)
-    )
-    hist.observe(0.005, kind="a")
-    hist.observe(0.05, kind="a")
-    hist.observe(5.0, kind="a")
+    collector = CollectorServer()
+    collector.ingest([{"name": "a"}], resource={"service": NASTY})
+
+    registry = install_default_sources(MetricsRegistry())
+    registry.register_source("serving", serving.render_prometheus)
+    registry.register_source("collector", collector._render_collector_metrics)
     return registry.render()
 
 
@@ -89,17 +102,74 @@ def _samples(text: str):
         yield parsed
 
 
+def _check_help_and_type(text: str) -> None:
+    helps, types = _comment_indexes(text)
+    assert set(helps) == set(types), "HELP/TYPE lines must pair up"
+    for name, _labels, _value in _samples(text):
+        family = _family_of(name, types)
+        assert family is not None, f"sample {name} has no # TYPE"
+        assert family in helps, f"sample {name} has no # HELP"
+
+
+def _check_no_family_declared_twice(text: str) -> None:
+    for kind in ("HELP", "TYPE"):
+        names = [
+            line.split()[2]
+            for line in text.splitlines()
+            if line.startswith(f"# {kind} ")
+        ]
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        assert not repeated, f"families declared twice: {repeated}"
+
+
+def _check_histograms(text: str) -> int:
+    """Cumulative buckets with ``+Inf == _count``; returns the series count."""
+    _helps, types = _comment_indexes(text)
+    buckets: dict[tuple, list[tuple[float, float]]] = {}
+    counts: dict[tuple, float] = {}
+    for name, labels, value in _samples(text):
+        family = _family_of(name, types)
+        if types.get(family) != "histogram":
+            continue
+        series = tuple(sorted(
+            (k, v) for k, v in labels.items() if k != "le"
+        ))
+        if name.endswith("_bucket"):
+            le = labels["le"]
+            bound = math.inf if le == "+Inf" else float(le)
+            buckets.setdefault((family, series), []).append((bound, value))
+        elif name.endswith("_count"):
+            counts[(family, series)] = value
+
+    for key, series_buckets in buckets.items():
+        ordered = sorted(series_buckets)
+        bounds = [b for b, _v in ordered]
+        values = [v for _b, v in ordered]
+        assert bounds[-1] == math.inf, f"{key} lacks a +Inf bucket"
+        assert values == sorted(values), f"{key} buckets are not cumulative"
+        assert key in counts, f"{key} lacks a _count sample"
+        assert values[-1] == counts[key], f"{key} +Inf bucket != _count"
+    return len(buckets)
+
+
+def assert_conformant(text: str) -> None:
+    """Hold one exposition to the text-format contract."""
+    assert text.endswith("\n")
+    _check_help_and_type(text)
+    _check_no_family_declared_twice(text)
+    _check_histograms(text)
+
+
 def test_scrape_ends_with_newline(scrape):
     assert scrape.endswith("\n")
 
 
 def test_every_sample_has_help_and_type(scrape):
-    helps, types = _comment_indexes(scrape)
-    assert set(helps) == set(types), "HELP/TYPE lines must pair up"
-    for name, _labels, _value in _samples(scrape):
-        family = _family_of(name, types)
-        assert family is not None, f"sample {name} has no # TYPE"
-        assert family in helps, f"sample {name} has no # HELP"
+    _check_help_and_type(scrape)
+
+
+def test_no_family_declared_twice(scrape):
+    _check_no_family_declared_twice(scrape)
 
 
 def test_all_three_sources_present(scrape):
@@ -114,46 +184,26 @@ def test_all_three_sources_present(scrape):
 
 
 def test_histograms_cumulative_with_inf_equal_to_count(scrape):
-    _helps, types = _comment_indexes(scrape)
-    buckets: dict[tuple, list[tuple[float, float]]] = {}
-    counts: dict[tuple, float] = {}
-    for name, labels, value in _samples(scrape):
-        family = _family_of(name, types)
-        if types.get(family) != "histogram":
-            continue
-        series = tuple(sorted(
-            (k, v) for k, v in labels.items() if k != "le"
-        ))
-        if name.endswith("_bucket"):
-            le = labels["le"]
-            bound = math.inf if le == "+Inf" else float(le)
-            buckets.setdefault((family, series), []).append((bound, value))
-        elif name.endswith("_count"):
-            counts[(family, series)] = value
-
-    assert buckets, "scrape contains no histograms"
-    for key, series_buckets in buckets.items():
-        ordered = sorted(series_buckets)
-        bounds = [b for b, _v in ordered]
-        values = [v for _b, v in ordered]
-        assert bounds[-1] == math.inf, f"{key} lacks a +Inf bucket"
-        assert values == sorted(values), f"{key} buckets are not cumulative"
-        assert key in counts, f"{key} lacks a _count sample"
-        assert values[-1] == counts[key], f"{key} +Inf bucket != _count"
+    assert _check_histograms(scrape), "scrape contains no histograms"
 
 
 def test_label_escaping_round_trips_through_client_parser(scrape):
     escaped = escape_label_value(NASTY)
     assert "\\n" in escaped and '\\"' in escaped and "\\\\" in escaped
-    key = 'repro_test_info{detail="' + escaped + '"}'
     samples = parse_prometheus(scrape)
-    assert samples[key] == 1.5
-    # And the parser recovered the original (unescaped) value.
-    (parsed,) = [
-        labels for name, labels, _v in _samples(scrape)
-        if name == "repro_test_info"
-    ]
-    assert parsed["detail"] == NASTY
+    assert samples['repro_serve_errors_total{reason="' + escaped + '"}'] == 1
+    assert samples[
+        'repro_obs_collector_batches_total{service="' + escaped + '"}'
+    ] == 1
+    # And the parser recovered the original (unescaped) values.
+    parsed = {
+        name: labels for name, labels, _v in _samples(scrape)
+        if NASTY in labels.values()
+    }
+    assert parsed == {
+        "repro_serve_errors_total": {"reason": NASTY},
+        "repro_obs_collector_batches_total": {"service": NASTY},
+    }
 
 
 def test_serving_quantile_gauges_have_headers(scrape):
@@ -171,3 +221,91 @@ def test_phase_family_covers_every_phase(scrape):
     for phase in REQUEST_PHASES:
         key = f'repro_serve_phase_latency_seconds_count{{phase="{phase}"}}'
         assert samples[key] == 1.0
+
+
+# ---------------------------------------------------------------- live scrapes
+
+
+def _http(port: int, method: str, path: str, body: bytes | None = None):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request(method, path, body=body)
+        response = conn.getresponse()
+        return response.status, response.read().decode()
+    finally:
+        conn.close()
+
+
+def _scrape(port: int) -> str:
+    status, text = _http(port, "GET", "/metrics")
+    assert status == 200
+    return text
+
+
+@pytest.fixture(scope="module")
+def model_registry(tmp_path_factory, small_dataset):
+    registry = ModelRegistry(tmp_path_factory.mktemp("conformance") / "registry")
+    registry.push(
+        "point",
+        PerformancePredictor(ModelKind.LINEAR, FeatureSet.F, seed=3).fit(
+            list(small_dataset)
+        ),
+    )
+    return registry
+
+
+def _prediction_server_scrape(request) -> str:
+    registry = request.getfixturevalue("model_registry")
+    observation = next(iter(request.getfixturevalue("small_dataset")))
+    features = {
+        f.value: float(observation.feature_value(f)) for f in FeatureSet.F.features
+    }
+    with ServerThread(registry, max_batch=4, max_wait_ms=1.0) as handle:
+        with PredictionClient("127.0.0.1", handle.port) as client:
+            client.predict_batch([features] * 3, model="point")
+            _http(handle.port, "POST", "/v1/predict", b"not json")
+        return _scrape(handle.port)
+
+
+def _registry_server_scrape(request) -> str:
+    registry = request.getfixturevalue("model_registry")
+    with RegistryServerThread(registry) as handle:
+        _http(handle.port, "GET", "/v1/models")
+        _http(handle.port, "GET", "/v1/models/missing")
+        return _scrape(handle.port)
+
+
+def _scheduler_scrape(request) -> str:
+    baselines = request.getfixturevalue("baselines_6core")
+    fleet = FleetState([MachineConfig(XEON_E5649, count=2, name_prefix="node")])
+    with SchedulerThread(fleet, baselines, policy="first-fit") as handle:
+        with SchedulerClient("127.0.0.1", handle.port) as client:
+            client.submit(["cg", "ep"])
+            deadline = time.monotonic() + 10.0
+            while (
+                client.jobs()["counts"]["completed"] < 2
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+        return _scrape(handle.port)
+
+
+def _collector_scrape(_request) -> str:
+    with CollectorThread(max_spans=10) as handle:
+        for service in ("serve-0", NASTY):
+            batch = {"resource": {"service": service}, "spans": [{"name": "s"}]}
+            _http(handle.port, "POST", "/v1/spans", json.dumps(batch).encode())
+        return _scrape(handle.port)
+
+
+LIVE = {
+    "prediction_server": _prediction_server_scrape,
+    "registry_server": _registry_server_scrape,
+    "scheduler": _scheduler_scrape,
+    "collector": _collector_scrape,
+}
+
+
+@pytest.mark.parametrize("service", sorted(LIVE))
+def test_live_scrape_conforms(service, request):
+    assert_conformant(LIVE[service](request))

@@ -1,118 +1,68 @@
-"""Metric families and the merged registry: semantics and rendering."""
+"""The exposition writer and the source registry: semantics and rendering."""
 
 import math
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.obs import registry as writer_module
 from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
+    Exposition,
     MetricsRegistry,
     escape_label_value,
     format_value,
-    get_registry,
-    set_registry,
+    install_default_sources,
 )
 
 
 class TestCounter:
-    def test_inc_and_value(self):
-        counter = Counter("jobs_total", "Jobs.")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value() == 3.5
-
-    def test_cannot_decrease(self):
-        counter = Counter("jobs_total", "Jobs.")
-        with pytest.raises(ValueError, match="cannot decrease"):
-            counter.inc(-1)
-
     def test_labelled_series_are_independent(self):
-        counter = Counter("hits_total", "Hits.", ("kind",))
-        counter.inc(kind="a")
-        counter.inc(3, kind="b")
-        assert counter.value(kind="a") == 1
-        assert counter.value(kind="b") == 3
-
-    def test_label_mismatch_raises(self):
-        counter = Counter("hits_total", "Hits.", ("kind",))
-        with pytest.raises(ValueError, match="expects labels"):
-            counter.inc(other="x")
-        with pytest.raises(ValueError, match="expects labels"):
-            counter.inc()
+        text = Exposition().family(
+            "hits_total", "counter", "Hits.",
+            [({"kind": "a"}, 1), ({"kind": "b"}, 3)],
+        ).text()
+        assert 'hits_total{kind="a"} 1' in text
+        assert 'hits_total{kind="b"} 3' in text
 
     def test_render_has_header_and_zero_default(self):
-        lines = Counter("jobs_total", "Jobs  seen.").render()
+        lines = Exposition().counter("jobs_total", "Jobs  seen.", 0).text().splitlines()
         assert lines[0] == "# HELP jobs_total Jobs seen."  # whitespace folded
         assert lines[1] == "# TYPE jobs_total counter"
-        assert lines[2] == "jobs_total 0"  # unlabelled family always samples
+        assert lines[2] == "jobs_total 0"
 
     def test_invalid_names_rejected(self):
         with pytest.raises(ValueError, match="invalid metric name"):
-            Counter("0bad", "x")
+            Exposition().counter("0bad", "x", 1)
         with pytest.raises(ValueError, match="invalid label name"):
-            Counter("ok_total", "x", ("bad-label",))
-
-
-class TestGauge:
-    def test_set_inc_and_value(self):
-        gauge = Gauge("depth", "Depth.")
-        gauge.set(5)
-        gauge.inc(-2)
-        assert gauge.value() == 3
-
-    def test_scrape_function(self):
-        gauge = Gauge("backlog", "Backlog.", ("queue",))
-        state = {"n": 7}
-        gauge.set_function(lambda: state["n"], queue="q1")
-        assert gauge.value(queue="q1") == 7
-        state["n"] = 9
-        assert 'backlog{queue="q1"} 9' in gauge.render()
-
-    def test_broken_probe_renders_nan_not_raise(self):
-        gauge = Gauge("flaky", "Flaky probe.")
-
-        def probe():
-            raise RuntimeError("probe died")
-
-        gauge.set_function(probe)
-        (sample,) = [
-            line for line in gauge.render() if not line.startswith("#")
-        ]
-        assert sample == "flaky NaN"
+            Exposition().family("ok_total", "counter", "x", [({"bad-label": "v"}, 1)])
 
 
 class TestHistogram:
     def test_cumulative_buckets_and_inf(self):
-        hist = Histogram("lat", "Latency.", buckets=(0.1, 1.0, 10.0))
-        for value in (0.05, 0.5, 0.7, 5.0, 50.0):
-            hist.observe(value)
-        lines = hist.render()
+        # Per-bucket counts for observations 0.05, 0.5, 0.7, 5.0 and 50.0;
+        # the last entry is the overflow past the final bound.
+        lines = Exposition().histogram(
+            "lat", "Latency.", [({}, (0.1, 1.0, 10.0), [1, 2, 1, 1], 56.25)]
+        ).text().splitlines()
         assert 'lat_bucket{le="0.1"} 1' in lines
-        assert 'lat_bucket{le="1"} 3' in lines
-        assert 'lat_bucket{le="10"} 4' in lines
+        assert 'lat_bucket{le="1.0"} 3' in lines
+        assert 'lat_bucket{le="10.0"} 4' in lines
         assert 'lat_bucket{le="+Inf"} 5' in lines
+        assert "lat_sum 56.25" in lines
         assert "lat_count 5" in lines
-        assert hist.count() == 5
-
-    def test_bucket_validation(self):
-        with pytest.raises(ValueError, match="at least one bucket"):
-            Histogram("h", "x", buckets=())
-        with pytest.raises(ValueError, match="strictly increase"):
-            Histogram("h", "x", buckets=(1.0, 1.0, 2.0))
-        with pytest.raises(ValueError, match="strictly increase"):
-            Histogram("h", "x", buckets=(2.0, 1.0))
 
     def test_labelled_series(self):
-        hist = Histogram("lat", "Latency.", ("phase",), buckets=(1.0,))
-        hist.observe(0.5, phase="queue")
-        hist.observe(2.0, phase="queue")
-        assert hist.count(phase="queue") == 2
-        assert hist.count(phase="predict") == 0
-        lines = hist.render()
-        assert 'lat_bucket{phase="queue",le="1"} 1' in lines
-        assert 'lat_bucket{phase="queue",le="+Inf"} 2' in lines
+        lines = Exposition().histogram(
+            "lat", "Latency.",
+            [({"phase": "queue"}, (1.0,), [1, 1], 2.5),
+             ({"phase": "predict"}, (1.0,), [0, 0], 0.0)],
+        ).text().splitlines()
+        assert lines.count("# TYPE lat histogram") == 1
+        # Labels render in sorted order, so ``le`` precedes ``phase``.
+        assert 'lat_bucket{le="1.0",phase="queue"} 1' in lines
+        assert 'lat_bucket{le="+Inf",phase="queue"} 2' in lines
+        assert 'lat_count{phase="predict"} 0' in lines
 
 
 class TestFormatting:
@@ -121,7 +71,8 @@ class TestFormatting:
         assert escape_label_value("plain") == "plain"
 
     def test_format_value(self):
-        assert format_value(3.0) == "3"
+        assert format_value(3.0) == "3.0"
+        assert format_value(3) == "3"
         assert format_value(0.25) == "0.25"
         assert format_value(math.nan) == "NaN"
         assert format_value(math.inf) == "+Inf"
@@ -129,29 +80,17 @@ class TestFormatting:
 
 
 class TestMetricsRegistry:
-    def test_families_are_idempotent(self):
-        registry = MetricsRegistry()
-        first = registry.counter("jobs_total", "Jobs.")
-        again = registry.counter("jobs_total", "Jobs.")
-        assert first is again
-
-    def test_type_clash_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("jobs_total", "Jobs.")
-        with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("jobs_total", "Jobs.")
-
     def test_render_merges_families_and_sources(self):
         registry = MetricsRegistry()
-        registry.counter("native_total", "Native.").inc(4)
+        registry.register_source(
+            "native", lambda: Exposition().counter("native_total", "Native.", 4).text()
+        )
         registry.register_source(
             "extern", lambda: "# HELP ext_total X.\n# TYPE ext_total counter\next_total 7\n"
         )
         text = registry.render()
-        assert "native_total 4" in text
-        assert "ext_total 7" in text
+        assert text.index("native_total 4") < text.index("ext_total 7")
         assert text.endswith("\n")
-        assert registry.source_names == ["extern"]
 
     def test_failing_source_counted_not_fatal(self):
         registry = MetricsRegistry()
@@ -163,29 +102,30 @@ class TestMetricsRegistry:
         text = registry.render()
         assert 'repro_obs_source_errors_total{source="sim"} 1' in text
 
-    def test_source_replacement_and_removal(self):
+    def test_source_replacement(self):
         registry = MetricsRegistry()
         registry.register_source("s", lambda: "a 1")
         registry.register_source("s", lambda: "b 2")
         assert "b 2" in registry.render() and "a 1" not in registry.render()
-        registry.unregister_source("s")
-        registry.unregister_source("s")  # no-op twice
-        assert registry.source_names == []
 
     def test_default_registry_has_builtin_sources(self):
-        registry = get_registry()
-        assert get_registry() is registry  # cached
-        assert {"engine", "fit"} <= set(registry.source_names)
-        text = registry.render()
-        assert "repro_engine_solves_total" in text
-        assert "repro_fit_fits_total" in text
+        text = install_default_sources(MetricsRegistry()).render()
+        for family in (
+            "repro_engine_solves_total",
+            "repro_fit_fits_total",
+            "repro_obs_spans_dropped_total",
+            "repro_suite_runs_total",
+        ):
+            assert f"# TYPE {family} counter" in text
 
-    def test_set_registry_swaps_default(self):
-        original = get_registry()  # materialize before swapping
-        replacement = MetricsRegistry()
-        assert set_registry(replacement) is original
-        try:
-            assert get_registry() is replacement
-        finally:
-            set_registry(original)
-        assert get_registry() is original
+
+def test_only_the_writer_module_spells_help_and_type():
+    """Every ``/metrics`` family goes through :class:`Exposition`."""
+    package = Path(repro.__file__).parent
+    writer = Path(writer_module.__file__)
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path != writer and ("# HELP" in text or "# TYPE" in text):
+            offenders.append(str(path.relative_to(package)))
+    assert offenders == []

@@ -23,6 +23,7 @@ from repro.registry.local import ModelRegistry
 from repro.serve.client import ClientError, PredictionClient
 from repro.serve.router import ServingTier, parse_canary, parse_shadow
 from repro.serve.shard import shard_for
+from tests.obs.test_prometheus_conformance import assert_conformant
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +246,15 @@ class TestMergedMetrics:
         assert worker_ok >= 4.0
         assert router_ok >= 4.0
         assert samples["repro_serve_predictions_total"] >= 4.0
+
+    def test_merged_scrape_conforms(self, client, feature_dicts):
+        # Traffic on both names fills the workers' phase and batch
+        # histograms and the router's shadow-divergence histogram, so
+        # the merge sums labelled histogram series across processes.
+        for i in range(4):
+            client.predict(feature_dicts[i], model="point")
+            client.predict(feature_dicts[i], model="band")
+        assert_conformant(client.metrics_text())
 
     def test_all_versions_of_a_name_share_one_shard(self, client, tier):
         # The canary/shadow versions must batch on the same worker as

@@ -374,14 +374,12 @@ def test_batched_stats_counters_and_summary():
 
 
 def test_batched_counters_rendered_in_metrics_exposition():
-    from repro.obs.adapters import render_engine_stats
-
     proc = XEON_E5649
     engine = SimulationEngine(proc)
     engine.solve_steady_state_batched(
         [SolveRequest(apps=(get_application("ep"),))]
     )
-    text = render_engine_stats(engine.stats)
+    text = engine.stats.render_prometheus()
     assert "repro_engine_batches_total 1" in text
     assert "repro_engine_batched_scenarios_total 1" in text
     assert "repro_engine_batch_dedupe_hits_total 0" in text

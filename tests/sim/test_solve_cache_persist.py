@@ -113,9 +113,7 @@ class TestEvictionCounter:
         )
 
     def test_prometheus_exposition_includes_evictions(self):
-        from repro.obs.adapters import render_engine_stats
-
         stats = EngineStats()
         stats.record_eviction()
-        text = render_engine_stats(stats)
+        text = stats.render_prometheus()
         assert "repro_engine_cache_evictions_total 1" in text

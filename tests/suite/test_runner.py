@@ -239,10 +239,8 @@ class TestStats:
         assert GLOBAL_SUITE_STATS.nodes_run == before + 3
 
     def test_prometheus_rendering(self):
-        from repro.suite import render_suite_stats
-
         stats = SuiteStats(nodes_run=4, nodes_skipped=2, store_hits=2)
-        text = render_suite_stats(stats)
+        text = stats.render_prometheus()
         assert "repro_suite_nodes_run_total 4" in text
         assert "repro_suite_nodes_skipped_total 2" in text
         assert "# TYPE repro_suite_store_hits_total counter" in text
