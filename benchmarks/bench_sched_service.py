@@ -5,14 +5,18 @@ exists for.  ``test_placement_throughput``: with the *real* prediction
 tier in the loop (HTTP server, micro-batched), the service must sustain
 hundreds of placement decisions per second across a 1000-node fleet —
 the vectorized occupancy arrays, candidate pruning, and one-batched-
-predict-per-round design are what make that possible.
+predict-per-round design are what make that possible.  That fleet never
+fills, so ``test_saturated_placement`` adds the opposite regime: 256
+jobs queued on 16 six-core nodes, where each completion frees one core,
+and a round must score only the jobs it has free cores for (at most
+``max_candidates`` rows per placement, whatever the host).
 ``test_model_policy_beats_baselines``: on a pinned-seed job stream at
 partial load, the model-driven policy must realize a lower mean
 degradation than BOTH first-fit consolidation and least-loaded
 spreading — the paper's Section VI claim, measured on the service
 itself rather than the offline simulator.
 
-Both tests append their numbers to ``results/BENCH_sched.json``.
+Every test appends its numbers to ``results/BENCH_sched.json``.
 
 Set ``REPRO_SMOKE=1`` for the reduced configuration used by
 ``make bench-smoke`` (fewer throughput jobs; same fleet size and the
@@ -47,6 +51,12 @@ ROUND_SIZE = 64
 MIN_DECISIONS_PER_S = 200.0
 
 STREAM_SEED = 12
+
+# Saturated regime: the fleet and stream of perfbench's ``schedule``
+# workload, so most of the stream queues behind the first placements.
+SATURATED_NODES = 16
+SATURATED_JOBS = 256
+MAX_CANDIDATES = 8  # the service's default candidate budget
 
 # Quality comparison: a partial-load burst, where placement choice is
 # real.  At saturation every policy is forced into the same slots; at
@@ -148,6 +158,73 @@ def test_placement_throughput(ctx, record, benchmark):
         decisions_per_s=decisions_per_s,
         predict_batches=batches,
         predict_rows=rows,
+    )
+
+
+def test_saturated_placement(ctx, record, benchmark):
+    baselines = ctx.baselines("e5649")
+    predictor = _fit_predictor(ctx)
+    fleet = FleetState(
+        [MachineConfig(XEON_E5649, count=SATURATED_NODES, name_prefix="node")]
+    )
+    stream = job_stream(
+        list(all_applications()), SATURATED_JOBS, seed=STREAM_SEED
+    )
+    apps = [app.name for app, _arrival in stream]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        registry = ModelRegistry(tmp)
+        registry.push("colo", predictor)
+        with ServerThread(registry) as predict_handle:
+            scorer = RemoteScorer(
+                "127.0.0.1", predict_handle.port, model="colo"
+            )
+            with SchedulerThread(
+                fleet, baselines, scorer=scorer, policy="model"
+            ) as handle:
+                with SchedulerClient("127.0.0.1", handle.port) as client:
+
+                    def run_all():
+                        start = time.perf_counter()
+                        client.submit(apps)
+                        assert _wait_until(
+                            lambda: client.cluster()["completions"]
+                            >= SATURATED_JOBS
+                        ), "the stream did not complete in time"
+                        return time.perf_counter() - start
+
+                    elapsed = benchmark.pedantic(
+                        run_all, rounds=1, iterations=1
+                    )
+                    metrics = client.metrics()
+                    body = client.cluster()
+            scorer.close()
+
+    placements = body["placements"]
+    rows = metrics["repro_sched_predict_rows_total"]
+    decisions_per_s = SATURATED_JOBS / elapsed
+    rows_per_placement = rows / max(placements, 1)
+    print(
+        f"\nfleet    {SATURATED_NODES} nodes / {fleet.total_cores} cores, "
+        f"{SATURATED_JOBS} jobs queued\n"
+        f"placed   {placements} jobs, run to completion in {elapsed:.3f}s "
+        f"({decisions_per_s:.0f} decisions/s)\n"
+        f"scored   {rows:.0f} rows ({rows_per_placement:.2f} per placement)"
+    )
+    assert body["completions"] == SATURATED_JOBS
+    assert placements == SATURATED_JOBS
+    # Host-independent: a round takes no more jobs than there are free
+    # cores, so no placement pays for more than its candidates' rows.
+    assert rows <= MAX_CANDIDATES * placements, (
+        f"{rows:.0f} rows scored for {placements} placements: rounds are "
+        f"scoring jobs they have no free core for"
+    )
+    record(
+        "BENCH_sched.json",
+        saturated_nodes=SATURATED_NODES,
+        saturated_jobs=SATURATED_JOBS,
+        saturated_decisions_per_s=decisions_per_s,
+        saturated_rows_per_placement=rows_per_placement,
     )
 
 

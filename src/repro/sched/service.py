@@ -32,6 +32,7 @@ Endpoints::
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import time
 from collections import deque
@@ -70,6 +71,12 @@ POLICIES = ("model", "first-fit", "least-loaded")
 #: Degradation histograms cover slowdowns (>= 1.0 in the common case).
 DEGRADATION_BUCKETS = (1.0, 1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0)
 
+#: After a round in which a scorer call failed, the loop waits before the
+#: next round: this long after the first failed round, doubling with each
+#: consecutive one up to the cap.
+RETRY_BACKOFF_S = 0.01
+RETRY_BACKOFF_MAX_S = 1.0
+
 
 class SchedMetrics:
     """Scheduler-semantics counters exported as ``repro_sched_*``.
@@ -86,6 +93,8 @@ class SchedMetrics:
         self.requeued = 0
         self.predict_batches = 0
         self.predict_rows = 0
+        #: Scorer calls that raised (prediction tier down or erroring).
+        self.predict_errors = 0
         #: Wall latency of one scheduling round (includes the batched
         #: predict round-trip when the model policy is active).
         self.decision_latency = LatencyHistogram()
@@ -135,6 +144,9 @@ class SchedMetrics:
             ("predict_rows_total",
              "Candidate rows scored by the serving tier.",
              self.predict_rows),
+            ("predict_errors_total",
+             "Failed scorer calls to the serving tier.",
+             self.predict_errors),
         ):
             out.counter(f"repro_sched_{name}", help_text, value)
         out.gauge(
@@ -188,11 +200,15 @@ class RemoteScorer:
         return [float(p) for p in payload["predictions"]]
 
     def predict_time(self, target_baseline, co_baselines) -> float:
-        """Governor adapter: predicted co-located time for one placement."""
+        """Governor adapter: predicted co-located time for one placement.
+
+        The one row goes in batch form, which the serving batcher flushes
+        on its next turn instead of holding it for company.
+        """
         row = feature_row(target_baseline, list(co_baselines), tuple(Feature))
         features = dict(zip(FEATURE_NAMES, row.tolist()))
-        payload = self.client.predict(features, model=self.model)
-        return float(payload["prediction"])
+        payload = self.client.predict_batch([features], model=self.model)
+        return float(payload["predictions"][0])
 
     def close(self) -> None:
         self.client.close()
@@ -250,6 +266,7 @@ class SchedulerService(HttpServerBase):
     round_size / max_candidates:
         Jobs pulled per scheduling round × candidate nodes scored per
         job: the batched predict is at most ``round × candidates`` rows.
+        A round pulls no more jobs than the fleet has free cores.
     migrate_threshold:
         Estimated-regret threshold (realized-so-far minus predicted
         slowdown) above which the worst running job is re-scored and
@@ -304,6 +321,8 @@ class SchedulerService(HttpServerBase):
             raise ValueError("migration threshold must be positive")
         if migrate_every < 1:
             raise ValueError("migration cadence must be >= 1")
+        if governor_deadline_s is not None and governor_deadline_s <= 0.0:
+            raise ValueError("governor deadline must be positive")
         if pace_s < 0.0:
             raise ValueError("pace must be non-negative")
         self.fleet = fleet
@@ -342,7 +361,7 @@ class SchedulerService(HttpServerBase):
         self._now = 0.0
         self._rounds = 0
         self._draining = False
-        self._stop_loop = False
+        self._stop = asyncio.Event()
         self._wake = asyncio.Event()
         self._loop_task: asyncio.Task | None = None
 
@@ -418,7 +437,7 @@ class SchedulerService(HttpServerBase):
     # ---------------------------------------------------------- lifecycle
 
     async def _on_start(self) -> None:
-        self._stop_loop = False
+        self._stop.clear()
         self._loop_task = asyncio.create_task(self._scheduler_loop())
 
     async def _drain(self) -> None:
@@ -431,7 +450,7 @@ class SchedulerService(HttpServerBase):
         """
         self._draining = True
         if self._loop_task is not None:
-            self._stop_loop = True
+            self._stop.set()
             self._wake.set()
             await self._loop_task
             self._loop_task = None
@@ -446,11 +465,21 @@ class SchedulerService(HttpServerBase):
     # --------------------------------------------------------------- loop
 
     async def _scheduler_loop(self) -> None:
-        while not self._stop_loop:
+        backoff = 0.0
+        while not self._stop.is_set():
             self._wake.clear()
+            errors = self.sched_metrics.predict_errors
             progressed = await self._step()
-            if self._stop_loop:
+            if self._stop.is_set():
                 break
+            if self.sched_metrics.predict_errors > errors:
+                # A scorer call failed this round (a placement round's jobs
+                # are back in the queue): wait rather than spin on the tier.
+                backoff = min(RETRY_BACKOFF_MAX_S, 2 * backoff or RETRY_BACKOFF_S)
+                with contextlib.suppress(asyncio.TimeoutError):
+                    await asyncio.wait_for(self._stop.wait(), backoff)
+                continue
+            backoff = 0.0
             if self.pace_s > 0.0:
                 await asyncio.sleep(self.pace_s)
             elif progressed:
@@ -462,7 +491,13 @@ class SchedulerService(HttpServerBase):
         """One scheduling round; returns whether anything happened."""
         progressed = False
         placed = 0
-        jobs = self.queue.take(self.round_size)
+        # Each placement fills a free core, and the jobs a round places
+        # are a prefix of those it takes: a job is left over only when the
+        # round has no open slot for it, and then none for the jobs behind
+        # it either.  Taking more jobs than there are free cores would
+        # only score rows for jobs the round puts back.
+        free = int(self.fleet.free_cores.sum())
+        jobs = self.queue.take(min(self.round_size, free))
         with get_tracer().span(
             "sched.round", jobs=len(jobs), round=self._rounds
         ) as round_span:
@@ -502,16 +537,10 @@ class SchedulerService(HttpServerBase):
                 for job in jobs
                 for n in cand
             ]
-            # The sched.predict span stays open across the to_thread hop:
-            # contextvars travel with it, so the blocking client inside
-            # propagates this span's context to the prediction tier and
-            # the tier's request spans join the scheduler's trace.
-            with get_tracer().span("sched.predict", rows=len(rows)):
-                preds = await asyncio.to_thread(
-                    self.scorer.predict_rows, rows
-                )
-            self.sched_metrics.predict_batches += 1
-            self.sched_metrics.predict_rows += len(rows)
+            preds = await self._score(rows)
+            if preds is None:
+                self.queue.put_back(jobs)
+                return 0
             times = np.asarray(preds, dtype=float).reshape(len(jobs), cand.size)
             bases = np.array(
                 [
@@ -585,6 +614,22 @@ class SchedulerService(HttpServerBase):
             )
         return len(plan)
 
+    async def _score(self, rows: list[dict]) -> list[float] | None:
+        """One batched predict; ``None`` (and counted) when the scorer fails."""
+        try:
+            # The sched.predict span stays open across the to_thread hop:
+            # contextvars travel with it, so the blocking client inside
+            # propagates this span's context to the prediction tier and
+            # the tier's request spans join the scheduler's trace.
+            with get_tracer().span("sched.predict", rows=len(rows)):
+                preds = await asyncio.to_thread(self.scorer.predict_rows, rows)
+        except Exception:  # noqa: BLE001 - tier down: the caller backs off
+            self.sched_metrics.predict_errors += 1
+            return None
+        self.sched_metrics.predict_batches += 1
+        self.sched_metrics.predict_rows += len(rows)
+        return preds
+
     async def _commit(
         self, job: Job, node: int, predicted_slowdown: float | None
     ) -> None:
@@ -596,18 +641,23 @@ class SchedulerService(HttpServerBase):
             self._now,
             stats=self._app_stats(node, job.app),
         )
+        choice = None
         if self.governor_objective is not None:
             table = self._table(node)
-            choice, _ = await asyncio.to_thread(
-                select_pstate,
-                self.scorer,
-                self._power[int(self.fleet.block_index[node])],
-                table,
-                job.app.name,
-                co_names,
-                objective=self.governor_objective,
-                deadline_s=self.governor_deadline_s,
-            )
+            try:
+                choice, _ = await asyncio.to_thread(
+                    select_pstate,
+                    self.scorer,
+                    self._power[int(self.fleet.block_index[node])],
+                    table,
+                    job.app.name,
+                    co_names,
+                    objective=self.governor_objective,
+                    deadline_s=self.governor_deadline_s,
+                )
+            except Exception:  # noqa: BLE001 - tier down: keep the P-state
+                self.sched_metrics.predict_errors += 1
+        if choice is not None:
             self.fleet.set_pstate(node, choice.pstate.index)
             self.running.mark_dirty(node)
             base = table.get(
@@ -662,10 +712,9 @@ class SchedulerService(HttpServerBase):
             return False
         span.set(job_id=worst.job_id, regret=worst_regret)
         rows = [self._feature_dict(worst.app, int(n)) for n in cand]
-        with get_tracer().span("sched.predict", rows=len(rows)):
-            preds = await asyncio.to_thread(self.scorer.predict_rows, rows)
-        self.sched_metrics.predict_batches += 1
-        self.sched_metrics.predict_rows += len(rows)
+        preds = await self._score(rows)
+        if preds is None:
+            return False
         slowdowns = [
             float(p) / self._base_time(int(n), worst.app)
             for p, n in zip(preds, cand)

@@ -7,13 +7,15 @@ concurrent requests for the same model and flushing them as a single
 ``(n, k)`` matrix through one predict call, whichever comes first of
 
 * the batch reaching ``max_batch`` rows,
-* a multi-row request having queued all its rows: its tail (the rows
-  past the last full batch) flushes on the next event-loop turn rather
-  than waiting for company it does not need, or
+* a batch-form request (:meth:`MicroBatcher.submit_many`) having queued
+  all its rows: whatever is pending flushes on the next event-loop turn
+  rather than waiting for company the request does not need, however
+  few rows it carries, or
 * the oldest queued row waiting ``max_wait_ms`` milliseconds.
 
-Single-row requests keep the deadline: that wait is how concurrent
-clients' rows coalesce into one batch.
+The request's form, not its row count, decides: only a single-form
+request (:meth:`MicroBatcher.submit`) waits out the deadline, because
+that wait is how concurrent clients' rows coalesce into one batch.
 
 Correctness contract: because the serving predictors reduce each row with
 shape-stable kernels (``predict_stable``), a row's prediction is
@@ -68,7 +70,7 @@ class BatcherStats:
     batches: int = 0
     size_flushes: int = 0      # flushed because the batch filled up
     deadline_flushes: int = 0  # flushed because max_wait_ms elapsed
-    request_flushes: int = 0   # a multi-row request's tail, flushed at once
+    request_flushes: int = 0   # a batch-form request's rows, flushed at once
     drain_flushes: int = 0     # flushed by shutdown drain
     #: Rows rejected by admission control (``max_backlog``); exported as
     #: ``repro_serve_shed_total``.
@@ -102,6 +104,12 @@ class BatcherStats:
 class MicroBatcher:
     """Coalesce concurrent predict calls into vectorized batches.
 
+    A request enters in one of two forms, and its form decides when its
+    rows flush: :meth:`submit` (one row, the single form) waits up to
+    ``max_wait_ms`` for other requests' rows to share its batch, while
+    :meth:`submit_many` (the batch form) flushes on the next event-loop
+    turn, even when it carries a single row.
+
     Parameters
     ----------
     predict_fn:
@@ -115,8 +123,9 @@ class MicroBatcher:
         throughput bench compares against.
     max_wait_ms:
         Deadline for the *oldest* queued row; bounds the latency cost a
-        lone single-row request pays waiting for company.  A multi-row
-        request does not wait it out (see :meth:`submit_many`).
+        lone single-form request (:meth:`submit`) pays waiting for
+        company.  A batch-form request (:meth:`submit_many`) never waits
+        it out, even with one row.
     max_backlog:
         Admission bound, per request: rows that would take the queue past
         this many are shed with :class:`BacklogFullError` (counted in
@@ -158,7 +167,7 @@ class MicroBatcher:
         # (row, future, submit perf_counter time, submitting request span).
         self._pending: list[tuple[np.ndarray, asyncio.Future, float, object]] = []
         # The scheduled flush of the queued rows: the deadline timer, or a
-        # multi-row request's next-turn flush.
+        # batch-form request's next-turn flush.
         self._timer: asyncio.Handle | None = None
 
     @property
@@ -167,30 +176,52 @@ class MicroBatcher:
         return len(self._pending)
 
     async def submit(self, row: np.ndarray):
-        """Queue one feature row; resolves to its prediction.
+        """Queue a single-form request's row; resolves to its prediction.
 
-        Returns a float for point predictors, or a tuple of floats for
-        tuple-returning predict functions (e.g. ``(mean, std)``).
-        Exceptions raised by ``predict_fn`` propagate to every request in
-        the affected batch.  Raises :class:`BacklogFullError` without
-        queueing when ``max_backlog`` is set and already reached.
+        The row waits for company: it flushes with the batch it joins,
+        when that batch fills or when its oldest row has waited
+        ``max_wait_ms``.  Returns a float for point predictors, or a
+        tuple of floats for tuple-returning predict functions (e.g.
+        ``(mean, std)``).  Exceptions raised by ``predict_fn`` propagate
+        to every request in the affected batch.  Raises
+        :class:`BacklogFullError` without queueing when ``max_backlog``
+        is set and already reached.
         """
-        (result,) = await self.submit_many([row])
-        return result
+        (future,) = self._enqueue([row])
+        if self._pending and self._timer is None:
+            self._timer = asyncio.get_running_loop().call_later(
+                self.max_wait_ms / 1000.0, self._flush, "deadline"
+            )
+        return await future
 
     async def submit_many(self, rows) -> list:
-        """Queue one request's feature rows; resolves to their predictions.
+        """Queue a batch-form request's rows; resolves to their predictions.
 
         Admission is all or none: when ``max_backlog`` is set and the
         rows do not all fit, none is queued, every row counts as shed, and
         :class:`BacklogFullError` is raised at once.  Admitted rows batch
-        exactly as if submitted one by one, in order, except that a
-        request of several rows does not wait out the deadline: once its
-        rows are queued, whatever is pending flushes on the next
-        event-loop turn (reason ``"request"``).  The flush is scheduled
-        rather than run inline so that work already ready on the loop
-        (another request's submit, a drain) still runs first.
+        exactly as if submitted one by one, in order, except that the
+        request never waits out the deadline, whatever its length: once
+        its rows are queued, whatever is pending flushes on the next
+        event-loop turn (reason ``"request"``).  A batch-form caller has
+        batched its rows already; holding them for other requests' rows
+        would only add latency.  The flush is scheduled rather than run
+        inline so that work already ready on the loop (another request's
+        submit, a drain) still runs first.
         """
+        futures = self._enqueue(rows)
+        if self._pending:
+            if self._timer is not None:
+                self._timer.cancel()
+            self._timer = asyncio.get_running_loop().call_soon(
+                self._flush, "request"
+            )
+        if len(futures) == 1:
+            return [await futures[0]]
+        return list(await asyncio.gather(*futures))
+
+    def _enqueue(self, rows) -> list[asyncio.Future]:
+        """Admit and queue one request's rows, flushing full batches."""
         rows = [np.asarray(row, dtype=float) for row in rows]
         for row in rows:
             if row.ndim != 1:
@@ -207,20 +238,7 @@ class MicroBatcher:
             futures.append(future)
             if len(self._pending) >= self.max_batch:
                 self._flush("size")
-        if self._pending:
-            if len(rows) > 1:
-                # The caller is waiting for all of its rows, so its tail
-                # has no company worth waiting for.
-                if self._timer is not None:
-                    self._timer.cancel()
-                self._timer = loop.call_soon(self._flush, "request")
-            elif self._timer is None:
-                self._timer = loop.call_later(
-                    self.max_wait_ms / 1000.0, self._flush, "deadline"
-                )
-        if len(futures) == 1:
-            return [await futures[0]]
-        return list(await asyncio.gather(*futures))
+        return futures
 
     def _admit(self, n: int) -> None:
         """Shed all ``n`` rows of a request the backlog cannot take."""

@@ -491,7 +491,12 @@ class PredictionServer(HttpServerBase):
         # records "batch_wait" and "predict"; "serialize" follows below.
         self.metrics.record_phase("queue", time.perf_counter() - entered)
         try:
-            results = await resident.batcher.submit_many(rows)
+            # The body's form picks the flush: a single-form row waits
+            # for company, a batch-form request flushes on the next turn.
+            if single:
+                results = [await resident.batcher.submit(rows[0])]
+            else:
+                results = await resident.batcher.submit_many(rows)
         except BacklogFullError as exc:
             raise HTTPError(
                 429, "backlog_full", str(exc),

@@ -178,6 +178,7 @@ def _render_sched(request) -> str:
     metrics.requeued = 1
     metrics.predict_batches = 2
     metrics.predict_rows = 14
+    metrics.predict_errors = 3
     for seconds in (0.0004, 0.002, 0.03):
         metrics.decision_latency.observe(seconds)
     for predicted in (1.02, 1.3, 2.5):

@@ -6,21 +6,27 @@ migration, governor), and the drain guarantee, all against a
 path is exercised by ``tests/integration/test_sched_service.py``.
 """
 
+import asyncio
 import time
 
 import pytest
 
+from repro.core.features import FEATURE_NAMES, Feature, feature_row
 from repro.machine import XEON_E5649
+from repro.registry import ModelRegistry
 from repro.sched.fleet import FleetState, MachineConfig
 from repro.sched.governor import GovernorObjective
 from repro.sched.queue import JobStatus
 from repro.sched.service import (
     LocalScorer,
+    RemoteScorer,
     SchedulerClient,
     SchedulerService,
     SchedulerThread,
 )
-from repro.serve.client import ClientError
+from repro.serve.client import ClientError, PredictionClient
+from repro.serve.server import ServerThread
+from repro.workloads import get_application
 
 
 def _wait_until(predicate, timeout_s=10.0, interval_s=0.01):
@@ -68,6 +74,16 @@ class TestValidation:
                 baselines_6core,
                 policy="first-fit",
                 governor_objective=GovernorObjective.ENERGY,
+            )
+
+    def test_governor_deadline_must_be_positive(self, baselines_6core, scorer):
+        with pytest.raises(ValueError, match="deadline must be positive"):
+            SchedulerService(
+                _fleet(),
+                baselines_6core,
+                scorer=scorer,
+                governor_objective=GovernorObjective.TIME,
+                governor_deadline_s=0.0,
             )
 
     def test_missing_baseline_processor(self, baselines_6core):
@@ -292,3 +308,146 @@ class TestDrain:
         counts = service.queue.counts()
         assert counts["requeued"] == service.sched_metrics.requeued
         assert counts["completed"] + counts["requeued"] == len(accepted)
+
+
+class _FlakyScorer:
+    """Wraps a scorer; ``predict_rows`` raises until ``failures`` calls."""
+
+    def __init__(self, inner, failures: int) -> None:
+        self.inner = inner
+        self.failures = failures
+        self.calls = 0
+
+    def predict_rows(self, rows):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise ConnectionError("prediction tier down")
+        return self.inner.predict_rows(rows)
+
+
+class _NoGovernorScorer(_OptimistScorer):
+    def predict_time(self, target_baseline, co_baselines):
+        raise ConnectionError("prediction tier down")
+
+
+class _NoRescoreScorer(_OptimistScorer):
+    """Scores the first round, then fails every re-score."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def predict_rows(self, rows):
+        self.calls += 1
+        if self.calls > 1:
+            raise ConnectionError("prediction tier down")
+        return super().predict_rows(rows)
+
+
+class TestScorerFailure:
+    def test_failed_rounds_requeue_and_retry(self, scorer, baselines_6core):
+        flaky = _FlakyScorer(scorer, failures=3)
+        handle = SchedulerThread(_fleet(2), baselines_6core, scorer=flaky).start()
+        try:
+            with SchedulerClient("127.0.0.1", handle.port) as client:
+                ids = client.submit(["cg", "ep", "sp"] * 6)["ids"]  # 18 > 12 cores
+                assert _wait_until(
+                    lambda: client.cluster()["completions"] == len(ids)
+                )
+                body = client.cluster()
+                metrics = client.metrics()
+        finally:
+            handle.stop()  # returns: the loop survived the failures
+        assert metrics["repro_sched_predict_errors_total"] == 3.0
+        assert body["queue_depth"] == body["counts"]["queued"] == 0
+        assert body["placements"] == body["completions"] == len(ids)
+        jobs = [handle.server.queue.get(i) for i in ids]
+        assert all(job.status is JobStatus.COMPLETED for job in jobs)
+        placed = [job.placed_s for job in jobs]
+        assert placed == sorted(placed)  # FIFO placement order
+
+    def test_failed_round_requeues_in_order_and_time_advances(
+        self, scorer, baselines_6core
+    ):
+        flaky = _FlakyScorer(scorer, failures=0)
+        service = SchedulerService(_fleet(1), baselines_6core, scorer=flaky)
+
+        async def run():
+            for name in ("cg", "ep", "sp", "lu", "mg", "canneal", "cg", "ep"):
+                service.queue.submit(get_application(name), 0.0)
+            await service._step()  # fills the node's six cores
+            await service._step()  # no free core: a completion frees one
+            flaky.failures = flaky.calls + 1
+            before = service.now_s
+            await service._step()  # scoring fails
+            return before
+
+        before = asyncio.run(run())
+        assert service.sched_metrics.predict_errors == 1
+        assert [job.id for job in service.queue.pending_jobs()] == [6, 7]
+        assert service.now_s > before  # the running jobs kept going
+
+    def test_failed_governor_call_keeps_the_pstate(self, baselines_6core):
+        with SchedulerThread(
+            _fleet(2),
+            baselines_6core,
+            scorer=_NoGovernorScorer(),
+            policy="first-fit",
+            governor_objective=GovernorObjective.ENERGY,
+        ) as handle:
+            with SchedulerClient("127.0.0.1", handle.port) as client:
+                client.submit(["ep"])
+                assert _wait_until(
+                    lambda: client.jobs()["counts"]["completed"] == 1
+                )
+                detail = client.job(0)
+                metrics = client.metrics()
+        fastest = XEON_E5649.pstates.fastest.frequency_ghz
+        assert detail["pstate_ghz"] == fastest
+        assert detail["realized_slowdown"] == pytest.approx(1.0, abs=0.15)
+        assert metrics["repro_sched_predict_errors_total"] == 1.0
+
+    def test_failed_migration_rescore_skips_the_move(self, baselines_6core):
+        with SchedulerThread(
+            _fleet(2),
+            baselines_6core,
+            scorer=_NoRescoreScorer(),
+            migrate_threshold=0.05,
+            migrate_margin=0.0,
+            migrate_every=1,
+        ) as handle:
+            with SchedulerClient("127.0.0.1", handle.port) as client:
+                client.submit(["canneal", "sp", "cg", "mg"])
+                assert _wait_until(
+                    lambda: client.jobs()["counts"]["completed"] == 4
+                )
+                body = client.cluster()
+                metrics = client.metrics()
+        assert body["migrations"] == 0
+        assert metrics["repro_sched_predict_errors_total"] >= 1.0
+
+
+class TestRemoteScorer:
+    def test_governor_call_skips_the_batch_deadline(
+        self, tmp_path, sched_predictor, baselines_6core
+    ):
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.push("colo", sched_predictor)
+        freq = XEON_E5649.pstates.fastest.frequency_ghz
+        target = baselines_6core.get("cg", freq)
+        co = [baselines_6core.get(name, freq) for name in ("ep", "sp")]
+        row = feature_row(target, co, tuple(Feature))
+        with ServerThread(registry) as handle:
+            with PredictionClient("127.0.0.1", handle.port) as client:
+                expected = client.predict(
+                    dict(zip(FEATURE_NAMES, row.tolist())), model="colo"
+                )["prediction"]
+        with ServerThread(registry, max_wait_ms=60_000.0) as handle:
+            scorer = RemoteScorer(
+                "127.0.0.1", handle.port, model="colo", timeout=10.0
+            )
+            started = time.monotonic()
+            value = scorer.predict_time(target, co)
+            elapsed = time.monotonic() - started
+            scorer.close()
+        assert elapsed < 5.0
+        assert value == expected

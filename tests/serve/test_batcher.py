@@ -92,6 +92,39 @@ class TestCoalescing:
         assert stats.flush_reasons == {"size": 1, "request": 1}
         assert stats.request_flushes == 1 and stats.deadline_flushes == 0
 
+    def test_one_row_batch_form_request_does_not_wait(self):
+        async def run():
+            batcher = MicroBatcher(_echo_sum, max_batch=32, max_wait_ms=60_000.0)
+            # The request's form decides, not its row count: one row in
+            # batch form flushes on the next turn, not after a minute.
+            results = await asyncio.wait_for(
+                batcher.submit_many([np.array([2.0, 3.0])]), 5
+            )
+            return results, batcher.stats
+
+        results, stats = asyncio.run(run())
+        assert results == [5.0]
+        assert stats.flush_reasons == {"request": 1}
+
+    def test_single_form_row_waits_for_company(self):
+        async def run():
+            batcher = MicroBatcher(_echo_sum, max_batch=32, max_wait_ms=60_000.0)
+            lone = asyncio.ensure_future(batcher.submit(np.array([1.0])))
+            for _ in range(5):
+                await asyncio.sleep(0)
+            waiting = (lone.done(), batcher.pending)
+            # A batch-form request flushes everything pending with it.
+            many = await asyncio.wait_for(
+                batcher.submit_many([np.array([4.0])]), 5
+            )
+            return waiting, await lone, many, batcher.stats
+
+        waiting, lone, many, stats = asyncio.run(run())
+        assert waiting == (False, 1)
+        assert (lone, many) == (1.0, [4.0])
+        assert stats.flush_reasons == {"request": 1}
+        assert stats.rows == 2 and stats.batches == 1
+
     def test_max_batch_one_disables_coalescing(self):
         sizes = []
 

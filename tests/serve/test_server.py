@@ -7,6 +7,7 @@ manager sidecar would.
 
 import concurrent.futures
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -324,6 +325,43 @@ class TestSerialVsBatchedEquality:
         # Coalescing happened: fewer flushes than rows.
         assert samples["repro_serve_batch_size_sum"] == len(feature_dicts)
         assert samples["repro_serve_batch_size_count"] < len(feature_dicts)
+
+
+class TestFlushByForm:
+    """A batch-form body flushes at once; single-form bodies coalesce."""
+
+    def test_one_instance_batch_returns_promptly(
+        self, populated_registry, feature_dicts, client
+    ):
+        expected = client.predict(feature_dicts[0], model="point")["prediction"]
+        with ServerThread(populated_registry, max_wait_ms=60_000.0) as handle:
+            with PredictionClient("127.0.0.1", handle.port, timeout=10.0) as c:
+                started = time.monotonic()
+                body = c.predict_batch([feature_dicts[0]], model="point")
+                elapsed = time.monotonic() - started
+        assert elapsed < 5.0
+        assert body["predictions"] == [expected]
+
+    def test_concurrent_single_form_requests_coalesce(
+        self, populated_registry, feature_dicts
+    ):
+        n = len(feature_dicts)
+        # A minute-long deadline: only a full batch can flush, so the n
+        # single-form rows must all wait for one another.
+        with ServerThread(
+            populated_registry, max_batch=n, max_wait_ms=60_000.0
+        ) as handle:
+
+            def worker(i):
+                with PredictionClient("127.0.0.1", handle.port, timeout=10.0) as c:
+                    return c.predict(feature_dicts[i], model="point")["prediction"]
+
+            with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
+                list(pool.map(worker, range(n)))
+            with PredictionClient("127.0.0.1", handle.port) as c:
+                samples = c.metrics()
+        assert samples["repro_serve_batch_size_count"] == 1
+        assert samples["repro_serve_batch_size_sum"] == n
 
 
 class TestLifecycle:
