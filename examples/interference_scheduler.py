@@ -4,10 +4,12 @@ Section I: accurate co-location degradation predictions "may lead to
 system performance improvement by more fully utilizing hardware and
 thereby increasing opportunities for server consolidation".
 
-This example schedules a batch of twelve jobs onto two 6-core Xeons with
-four policies — naive packing, round-robin, an intensity heuristic, and
-the model-driven interference-aware scheduler — then measures each
-placement's *true* outcome on the simulator.
+This example schedules a batch of nine jobs onto two 6-core Xeons with
+four policies — first-fit consolidation, least-loaded spreading, and
+least-loaded and the model-driven interference-aware policy over the jobs
+sorted heaviest first — then measures each placement's *true* outcome on
+the event-driven cluster simulator.  A batch is a job stream whose jobs
+all arrive at t = 0; co-runners depart as they finish.
 
 Run with:  python examples/interference_scheduler.py
 """
@@ -18,11 +20,11 @@ from repro.core import FeatureSet, ModelKind, PerformancePredictor
 from repro.harness import collect_baselines, collect_training_data
 from repro.machine import XEON_E5649
 from repro.sched import (
-    evaluate_placement,
-    interference_aware,
-    pack_first,
-    round_robin,
-    spread_by_intensity,
+    ClusterSimulator,
+    JobRequest,
+    first_fit_policy,
+    least_loaded_policy,
+    model_driven_policy,
 )
 from repro.sim import SimulationEngine
 from repro.workloads import all_applications, get_application
@@ -54,32 +56,45 @@ def main() -> None:
     jobs = [get_application(n) for n in job_names]
     print(f"Batch: {len(jobs)} jobs: {', '.join(job_names)}\n")
 
-    machines = (machine, machine)
-    engines = {machine.name: engine}
-    tables = {machine.name: baselines}
-    predictors = {machine.name: predictor}
+    # Memory-intensive jobs are the hardest to co-locate, so the informed
+    # policies see them first.
+    llc_bytes = float(machine.llc.size_bytes)
+    heaviest_first = sorted(
+        jobs, key=lambda a: a.solo_memory_intensity(llc_bytes), reverse=True
+    )
 
-    policies = {
-        "pack-first (consolidate)": lambda: pack_first(jobs, machines),
-        "round-robin": lambda: round_robin(jobs, machines),
-        "spread-by-intensity": lambda: spread_by_intensity(jobs, machines),
-        "interference-aware (model)": lambda: interference_aware(
-            jobs, machines, predictors, tables
-        ),
+    names = ["node0", "node1"]
+    engines = {n: engine for n in names}
+    tables = {n: baselines for n in names}
+    model_driven = model_driven_policy(
+        predictors={n: predictor for n in names},
+        baselines=tables,
+        machines={n: machine for n in names},
+    )
+    rows = {
+        "first-fit (consolidate)": (first_fit_policy, jobs),
+        "least-loaded (spread)": (least_loaded_policy, jobs),
+        "least-loaded, heaviest first": (least_loaded_policy, heaviest_first),
+        "interference-aware (model)": (model_driven, heaviest_first),
     }
 
     print(f"{'policy':28s} {'mean slowdown':>14s} {'worst':>7s} {'makespan':>10s}")
     results = {}
-    for name, place in policies.items():
-        outcome = evaluate_placement(place(), engines, tables)
-        results[name] = outcome
+    for label, (policy, order) in rows.items():
+        batch = [
+            JobRequest(app=app, arrival_s=0.0, job_id=i)
+            for i, app in enumerate(order)
+        ]
+        trace = ClusterSimulator(engines, tables, policy).run(batch)
+        results[label] = trace
+        worst = max(r.slowdown for r in trace.records)
         print(
-            f"{name:28s} {outcome.mean_slowdown:13.3f}x "
-            f"{outcome.worst_slowdown:6.2f}x {outcome.makespan_s:9.1f}s"
+            f"{label:28s} {trace.mean_slowdown:13.3f}x "
+            f"{worst:6.2f}x {trace.makespan_s:9.1f}s"
         )
 
     aware = results["interference-aware (model)"]
-    packed = results["pack-first (consolidate)"]
+    packed = results["first-fit (consolidate)"]
     gain = (packed.mean_slowdown - aware.mean_slowdown) / packed.mean_slowdown
     print(
         f"\nModel-driven placement cuts mean slowdown by "

@@ -45,20 +45,6 @@ class Server:
         """Unique per-socket identifiers (``<server>/socket<i>``)."""
         return tuple(f"{self.name}/socket{i}" for i in range(len(self.sockets)))
 
-    def placement_domains(self) -> tuple[MulticoreProcessor, ...]:
-        """The sockets as independent placement targets.
-
-        Each returned processor carries a socket-qualified name so that
-        per-domain predictors, baselines, and engines can be keyed
-        unambiguously even when sockets are identical parts.
-        """
-        import dataclasses
-
-        return tuple(
-            dataclasses.replace(socket, name=qualified)
-            for socket, qualified in zip(self.sockets, self.socket_names)
-        )
-
     def homogeneous(self) -> bool:
         """Whether all sockets are the same part (same specs)."""
         first = self.sockets[0]

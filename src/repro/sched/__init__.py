@@ -12,9 +12,7 @@ from .cluster import (
 )
 from .fleet import FleetState, MachineConfig, RunningJob, RunningSet
 from .governor import GovernorObjective, PStateChoice, select_pstate
-from .policies import Placement, pack_first, round_robin, spread_by_intensity
 from .queue import Job, JobQueue, JobStatus, job_stream
-from .scheduler import PlacementOutcome, evaluate_placement, interference_aware
 from .service import (
     LocalScorer,
     RemoteScorer,
@@ -37,22 +35,15 @@ __all__ = [
     "LocalScorer",
     "MachineConfig",
     "PStateChoice",
-    "Placement",
-    "PlacementOutcome",
     "RemoteScorer",
     "RunningJob",
     "RunningSet",
     "SchedulerClient",
     "SchedulerService",
     "SchedulerThread",
-    "evaluate_placement",
     "first_fit_policy",
-    "interference_aware",
     "job_stream",
     "least_loaded_policy",
     "model_driven_policy",
-    "pack_first",
-    "round_robin",
     "select_pstate",
-    "spread_by_intensity",
 ]

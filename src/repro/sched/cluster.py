@@ -1,7 +1,6 @@
 """Online cluster simulation: jobs arriving over time.
 
-The static scheduler (:mod:`repro.sched.scheduler`) places a fixed batch;
-real clusters receive a *stream* of jobs.  This module simulates that
+Real clusters receive a *stream* of jobs.  This module simulates that
 stream event-by-event on top of the analytic engine: between events every
 machine's resident jobs progress at their current steady-state rates
 (re-solved whenever membership changes — the same physics as
@@ -13,6 +12,10 @@ Policies are online: they see one job and the current cluster state, and
 return a machine (or ``None`` to leave the job queued).  The
 model-driven policy consults trained predictors exactly as the paper
 envisions — using only baseline profiles, never the simulator.
+
+A batch is a stream whose jobs all arrive at t = 0: give every
+:class:`JobRequest` ``arrival_s=0.0`` and ``job_id`` in the order the
+policy should see the jobs (the queue is drained in ``job_id`` order).
 """
 
 from __future__ import annotations
@@ -50,8 +53,11 @@ class JobRequest:
     job_id: int = 0
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0.0:
-            raise ValueError("arrival time must be non-negative")
+        if not 0.0 <= self.arrival_s < np.inf:
+            raise ValueError(
+                f"arrival time must be finite and non-negative, "
+                f"got {self.arrival_s!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -204,9 +210,9 @@ class ClusterSimulator:
     Parameters
     ----------
     engines:
-        One engine per machine, keyed by machine name.  Machine names
-        must be unique (use :meth:`repro.machine.Server.placement_domains`
-        for identical sockets).
+        One engine per machine, keyed by a unique machine name; identical
+        machines share one engine under different keys (a server's
+        sockets use :attr:`repro.machine.Server.socket_names`).
     baselines:
         Per-machine baseline tables (for slowdown normalization).
     policy:

@@ -23,6 +23,7 @@ Endpoints::
 
     POST /v1/jobs        {"app": "cg"} | {"app": "cg", "count": 3}
                          | {"apps": ["cg", "ep"]}  -> {"ids": [...]}
+                         (at most MAX_SUBMIT_JOBS jobs per request)
     GET  /v1/jobs        queue/fleet counts (+ ?status= id listing)
     GET  /v1/jobs/<id>   one job's full lifecycle record
     GET  /v1/cluster     fleet occupancy + scheduler state
@@ -67,6 +68,11 @@ __all__ = [
 ]
 
 POLICIES = ("model", "first-fit", "least-loaded")
+
+#: Most jobs one ``POST /v1/jobs`` may submit, in either form.  Each
+#: accepted job costs a queue entry, so an unbounded ``count`` would let
+#: one request exhaust memory.
+MAX_SUBMIT_JOBS = 65_536
 
 #: Degradation histograms cover slowdowns (>= 1.0 in the common case).
 DEGRADATION_BUCKETS = (1.0, 1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0)
@@ -827,20 +833,26 @@ class SchedulerService(HttpServerBase):
         names: list[str] = []
         if "apps" in body:
             apps = body["apps"]
-            if not isinstance(apps, list) or not all(
-                isinstance(a, str) for a in apps
+            if (
+                not isinstance(apps, list)
+                or len(apps) > MAX_SUBMIT_JOBS
+                or not all(isinstance(a, str) for a in apps)
             ):
                 raise HTTPError(
-                    400, "bad_request", '"apps" must be a list of names'
+                    400,
+                    "bad_request",
+                    f'"apps" must be a list of at most {MAX_SUBMIT_JOBS} names',
                 )
             names = list(apps)
         elif "app" in body:
             if not isinstance(body["app"], str):
                 raise HTTPError(400, "bad_request", '"app" must be a string')
             count = body.get("count", 1)
-            if not isinstance(count, int) or count < 1:
+            if not isinstance(count, int) or not 1 <= count <= MAX_SUBMIT_JOBS:
                 raise HTTPError(
-                    400, "bad_request", '"count" must be a positive integer'
+                    400,
+                    "bad_request",
+                    f'"count" must be an integer from 1 to {MAX_SUBMIT_JOBS}',
                 )
             names = [body["app"]] * count
         if not names:

@@ -216,7 +216,13 @@ class HttpServerBase:
         self._writers.add(writer)
         try:
             while not self._closing:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except HTTPError as exc:
+                    # The body's extent is unknown, so nothing after this
+                    # request can be framed: answer it and close.
+                    await self._reject(writer, exc)
+                    break
                 if request is None:
                     break
                 self._active_requests += 1
@@ -265,7 +271,13 @@ class HttpServerBase:
                 continue
             key, _sep, value = line.partition(":")
             headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        length_text = headers.get("content-length", "0") or "0"
+        # int() would also take "-1", "+1" and "1_0".
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise HTTPError(
+                400, "bad_request", "Content-Length must be a run of ASCII digits"
+            )
+        length = int(length_text)
         if length > _MAX_BODY_BYTES:
             raise asyncio.LimitOverrunError("body too large", 0)
         body = await reader.readexactly(length) if length else b""
@@ -366,6 +378,22 @@ class HttpServerBase:
         writer.write(head.encode("latin-1") + payload)
         await writer.drain()
         return keep_alive
+
+    async def _reject(
+        self, writer: asyncio.StreamWriter, exc: HTTPError
+    ) -> None:
+        """Answer a request that could not be parsed, closing the connection."""
+        if self.metrics is not None:
+            self.metrics.record_error(exc.reason)
+        payload = json.dumps({"error": exc.message}).encode()
+        head = (
+            f"HTTP/1.1 {exc.status} {_STATUS_TEXT[exc.status]}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            "Connection: close\r\n\r\n"
+        )
+        writer.write(head.encode("latin-1") + payload)
+        await writer.drain()
 
     @staticmethod
     def _require(method: str, expected: str) -> None:

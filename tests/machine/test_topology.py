@@ -18,14 +18,6 @@ class TestServer:
         names = server.socket_names
         assert names == ("node01/socket0", "node01/socket1")
 
-    def test_placement_domains_carry_qualified_names(self):
-        server = dual_socket("node01", XEON_E5649)
-        domains = server.placement_domains()
-        assert [d.name for d in domains] == list(server.socket_names)
-        # Specs preserved.
-        assert all(d.num_cores == 6 for d in domains)
-        assert all(d.llc == XEON_E5649.llc for d in domains)
-
     def test_heterogeneous_server(self):
         server = Server("mixed", (XEON_E5649, XEON_E5_2697V2))
         assert server.total_cores == 18
@@ -38,20 +30,23 @@ class TestServer:
             Server("empty", ())
 
     def test_domains_schedulable(self, baselines_6core, engine_6core):
-        """Sockets plug straight into the scheduling extension."""
-        from repro.sched import evaluate_placement, round_robin
+        """Sockets plug straight into the cluster simulator."""
+        from repro.sched import ClusterSimulator, JobRequest, least_loaded_policy
         from repro.workloads import get_application
 
         server = dual_socket("node01", XEON_E5649)
-        domains = server.placement_domains()
-        jobs = [get_application(n) for n in ("cg", "canneal", "ep", "sp")]
-        placement = round_robin(jobs, domains)
         # Identical sockets share one engine and one baseline table,
-        # keyed by each domain's qualified name.
-        outcome = evaluate_placement(
-            placement,
-            {d.name: engine_6core for d in domains},
-            {d.name: baselines_6core for d in domains},
+        # keyed by each socket's qualified name.
+        sim = ClusterSimulator(
+            {name: engine_6core for name in server.socket_names},
+            {name: baselines_6core for name in server.socket_names},
+            least_loaded_policy,
         )
-        assert outcome.mean_slowdown >= 1.0
-        assert len(outcome.slowdowns) == 2
+        batch = [
+            JobRequest(app=get_application(n), arrival_s=0.0, job_id=i)
+            for i, n in enumerate(("cg", "canneal", "ep", "sp"))
+        ]
+        trace = sim.run(batch)
+        assert len(trace.records) == 4
+        assert trace.mean_slowdown >= 1.0
+        assert trace.by_machine() == {name: 2 for name in server.socket_names}

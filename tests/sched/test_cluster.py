@@ -45,8 +45,9 @@ class TestJobRecord:
         assert rec.response_s == pytest.approx(203.0)
 
     def test_negative_arrival_rejected(self):
-        with pytest.raises(ValueError):
-            JobRequest(app=get_application("ep"), arrival_s=-1.0)
+        for arrival_s in (-1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                JobRequest(app=get_application("ep"), arrival_s=arrival_s)
 
 
 class TestClusterSimulator:

@@ -1,92 +1,102 @@
-"""Tests for baseline placement policies."""
+"""Tests for the baseline placement policies on a batch.
+
+A batch is a stream whose jobs all arrive at t = 0; the policy sees the
+jobs in list order.
+"""
 
 import pytest
 
-from repro.machine import XEON_E5649, XEON_E5_2697V2
-from repro.sched.policies import Placement, pack_first, round_robin, spread_by_intensity
-from repro.workloads.suite import get_application
+from repro.sched.cluster import (
+    ClusterSimulator,
+    first_fit_policy,
+    least_loaded_policy,
+)
+
+from .conftest import batch, heaviest_first
+
+JOBS = ["cg", "canneal", "sp", "ep", "fluidanimate", "blackscholes"]
 
 
-@pytest.fixture
-def jobs():
-    names = ["cg", "canneal", "sp", "ep", "fluidanimate", "blackscholes"]
-    return [get_application(n) for n in names]
+@pytest.fixture(scope="module")
+def machines(engine_6core, baselines_6core):
+    """Two E5649s: engines and baseline tables keyed by machine name."""
+    engines = {"m0": engine_6core, "m1": engine_6core}
+    baselines = {"m0": baselines_6core, "m1": baselines_6core}
+    return engines, baselines
 
 
-@pytest.fixture
-def machines():
-    return (XEON_E5649, XEON_E5649)
+def run(machines, policy, names):
+    engines, baselines = machines
+    return ClusterSimulator(engines, baselines, policy).run(batch(names))
 
 
 class TestPlacement:
-    def test_assign_and_capacity(self, machines, jobs):
-        p = Placement(machines=machines)
-        p.assign(0, jobs[0])
-        assert p.free_cores(0) == 5
-        assert p.job_count() == 1
-        assert p.total_capacity == 12
+    def test_assign_and_capacity(self, machines):
+        seen = []
 
-    def test_overfull_machine_rejected(self, machines, jobs):
-        p = Placement(machines=machines)
-        for _ in range(6):
-            p.assign(0, jobs[0])
-        with pytest.raises(ValueError, match="occupied"):
-            p.assign(0, jobs[0])
+        def recording(job, state):
+            seen.append((dict(state.free_cores), dict(state.resident)))
+            return first_fit_policy(job, state)
+
+        run(machines, recording, JOBS[:2])
+        (first_free, _), (free, resident) = seen
+        assert sum(first_free.values()) == 12
+        assert free == {"m0": 5, "m1": 6}
+        assert [len(resident["m0"]), len(resident["m1"])] == [1, 0]
+
+    def test_overfull_machine_rejected(self, machines):
+        def stubborn(job, state):
+            return "m0"
+
+        with pytest.raises(ValueError, match="full machine"):
+            run(machines, stubborn, JOBS + JOBS[:1])
 
     def test_needs_machines(self):
-        with pytest.raises(ValueError):
-            Placement(machines=())
-
-    def test_misaligned_assignments_rejected(self, machines):
-        with pytest.raises(ValueError, match="align"):
-            Placement(machines=machines, assignments=[[]])
+        with pytest.raises(ValueError, match="at least one machine"):
+            ClusterSimulator({}, {}, first_fit_policy)
 
 
 class TestRoundRobin:
-    def test_even_spread(self, machines, jobs):
-        p = round_robin(jobs, machines)
-        assert len(p.assignments[0]) == 3
-        assert len(p.assignments[1]) == 3
+    """Least-loaded deals a batch out across the machines."""
 
-    def test_skips_full_machines(self, jobs):
-        small = XEON_E5649.with_pstates([2.53])
-        machines = (small, XEON_E5_2697V2)
-        many = jobs * 3  # 18 jobs, small machine holds 6
-        p = round_robin(many, machines)
-        assert len(p.assignments[0]) == 6
-        assert len(p.assignments[1]) == 12
+    def test_even_spread(self, machines):
+        trace = run(machines, least_loaded_policy, JOBS)
+        assert trace.by_machine() == {"m0": 3, "m1": 3}
 
-    def test_capacity_exceeded_rejected(self, machines, jobs):
-        with pytest.raises(ValueError, match="exceed"):
-            round_robin(jobs * 3, machines)  # 18 > 12 cores
+    def test_skips_full_machines(
+        self, engine_6core, engine_12core, baselines_6core, baselines_12core
+    ):
+        sim = ClusterSimulator(
+            {"small": engine_6core, "big": engine_12core},
+            {"small": baselines_6core, "big": baselines_12core},
+            least_loaded_policy,
+        )
+        trace = sim.run(batch(JOBS * 3))  # 18 jobs, small machine holds 6
+        assert trace.by_machine() == {"small": 6, "big": 12}
+        assert all(r.wait_s == 0.0 for r in trace.records)
 
 
 class TestPackFirst:
-    def test_fills_first_machine(self, machines, jobs):
-        p = pack_first(jobs, machines)
-        assert len(p.assignments[0]) == 6
-        assert len(p.assignments[1]) == 0
+    """First-fit consolidates a batch onto as few machines as it can."""
 
-    def test_overflow_to_next(self, machines, jobs):
-        p = pack_first(jobs + jobs[:2], machines)
-        assert len(p.assignments[0]) == 6
-        assert len(p.assignments[1]) == 2
+    def test_fills_first_machine(self, machines):
+        assert run(machines, first_fit_policy, JOBS).by_machine() == {"m0": 6}
+
+    def test_overflow_to_next(self, machines):
+        trace = run(machines, first_fit_policy, JOBS + JOBS[:2])
+        assert trace.by_machine() == {"m0": 6, "m1": 2}
 
 
 class TestSpreadByIntensity:
-    def test_heaviest_jobs_split_across_machines(self, machines, jobs):
-        p = spread_by_intensity(jobs, machines)
-        cap = float(XEON_E5649.llc.size_bytes)
-        # The two most intense jobs (cg, canneal) land on different machines.
-        top_two = sorted(jobs, key=lambda a: a.solo_memory_intensity(cap))[-2:]
-        locations = {
-            idx
-            for idx, group in enumerate(p.assignments)
-            for app in group
-            if app in top_two
-        }
-        assert len(locations) == 2
+    """Least-loaded over the jobs sorted heaviest first."""
 
-    def test_all_jobs_placed(self, machines, jobs):
-        p = spread_by_intensity(jobs, machines)
-        assert p.job_count() == len(jobs)
+    def test_heaviest_jobs_split_across_machines(self, machines):
+        order = heaviest_first(JOBS)
+        trace = run(machines, least_loaded_policy, order)
+        machine = {r.request.app.name: r.machine_name for r in trace.records}
+        # The two most intense jobs (cg, canneal) land on different machines.
+        assert {machine[n] for n in order[:2]} == {"m0", "m1"}
+
+    def test_all_jobs_placed(self, machines):
+        trace = run(machines, least_loaded_policy, heaviest_first(JOBS))
+        assert len(trace.records) == len(JOBS)

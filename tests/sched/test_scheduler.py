@@ -1,119 +1,111 @@
-"""Tests for the interference-aware scheduler."""
+"""Tests for model-driven placement of a batch.
+
+A batch is a stream whose jobs all arrive at t = 0; the model-driven
+policy sees the jobs heaviest first, the baselines in list order.
+"""
 
 import pytest
 
-from repro.core.methodology import ModelKind, PerformancePredictor
 from repro.core.feature_sets import FeatureSet
-from repro.machine import XEON_E5649
-from repro.sched.policies import pack_first, round_robin
-from repro.sched.scheduler import (
-    evaluate_placement,
-    interference_aware,
+from repro.core.methodology import ModelKind, PerformancePredictor
+from repro.machine import XEON_E5649, XEON_E5_2697V2
+from repro.sched.cluster import (
+    ClusterSimulator,
+    first_fit_policy,
+    least_loaded_policy,
+    model_driven_policy,
 )
 from repro.workloads.suite import get_application
+
+from .conftest import batch, heaviest_first
+
+JOBS = ["cg", "canneal", "mg", "ep", "blackscholes", "bodytrack"]
 
 
 @pytest.fixture(scope="module")
 def sched_env(engine_6core, baselines_6core, small_dataset):
     predictor = PerformancePredictor(ModelKind.NEURAL, FeatureSet.F, seed=0)
     predictor.fit(list(small_dataset))
-    machines = (XEON_E5649, XEON_E5649)
-    engines = {XEON_E5649.name: engine_6core}
-    baselines = {XEON_E5649.name: baselines_6core}
-    predictors = {XEON_E5649.name: predictor}
-    return machines, engines, baselines, predictors
+    engines = {"m0": engine_6core, "m1": engine_6core}
+    baselines = {"m0": baselines_6core, "m1": baselines_6core}
+    model_driven = model_driven_policy(
+        predictors={"m0": predictor, "m1": predictor},
+        baselines=baselines,
+        machines={"m0": XEON_E5649, "m1": XEON_E5649},
+    )
+    return engines, baselines, model_driven
 
 
-@pytest.fixture
-def jobs():
-    names = ["cg", "canneal", "mg", "ep", "blackscholes", "bodytrack"]
-    return [get_application(n) for n in names]
+def run(sched_env, policy, names):
+    engines, baselines, _model = sched_env
+    return ClusterSimulator(engines, baselines, policy).run(batch(names))
 
 
 class TestEvaluatePlacement:
-    def test_outcome_structure(self, sched_env, jobs):
-        machines, engines, baselines, _pred = sched_env
-        placement = round_robin(jobs, machines)
-        outcome = evaluate_placement(placement, engines, baselines)
-        assert len(outcome.slowdowns) == 2
-        assert outcome.mean_slowdown >= 1.0
-        assert outcome.worst_slowdown >= outcome.mean_slowdown
-        assert outcome.makespan_s > 0.0
+    """The trace a batch run reports."""
 
-    def test_empty_machine_allowed(self, sched_env, jobs):
-        machines, engines, baselines, _pred = sched_env
-        placement = pack_first(jobs[:2], machines)
-        outcome = evaluate_placement(placement, engines, baselines)
-        assert outcome.slowdowns[1] == ()
+    def test_outcome_structure(self, sched_env):
+        trace = run(sched_env, least_loaded_policy, JOBS)
+        assert len(trace.records) == len(JOBS)
+        assert set(trace.by_machine()) == {"m0", "m1"}
+        assert trace.mean_slowdown >= 1.0
+        assert max(r.slowdown for r in trace.records) >= trace.mean_slowdown
+        assert trace.makespan_s > 0.0
+
+    def test_empty_machine_allowed(self, sched_env):
+        trace = run(sched_env, first_fit_policy, JOBS[:2])
+        assert len(trace.records) == 2
+        assert trace.by_machine() == {"m0": 2}
 
     def test_solo_jobs_have_unit_slowdown(self, sched_env):
-        machines, engines, baselines, _pred = sched_env
-        placement = round_robin([get_application("canneal")], machines)
-        outcome = evaluate_placement(placement, engines, baselines)
-        flat = [s for g in outcome.slowdowns for s in g]
-        assert flat[0] == pytest.approx(1.0, rel=1e-6)
+        trace = run(sched_env, least_loaded_policy, ["canneal"])
+        assert trace.records[0].slowdown == pytest.approx(1.0, rel=1e-6)
 
 
 class TestInterferenceAware:
-    def test_places_all_jobs(self, sched_env, jobs):
-        machines, _eng, baselines, predictors = sched_env
-        placement = interference_aware(jobs, machines, predictors, baselines)
-        assert placement.job_count() == len(jobs)
+    """The model-driven policy over the jobs sorted heaviest first."""
 
-    def test_respects_capacity(self, sched_env, jobs):
-        machines, _eng, baselines, predictors = sched_env
-        placement = interference_aware(jobs * 2, machines, predictors, baselines)
-        for idx, machine in enumerate(machines):
-            assert len(placement.assignments[idx]) <= machine.num_cores
+    def test_places_all_jobs(self, sched_env):
+        model = sched_env[2]
+        trace = run(sched_env, model, heaviest_first(JOBS))
+        assert len(trace.records) == len(JOBS)
 
-    def test_capacity_exceeded_rejected(self, sched_env, jobs):
-        machines, _eng, baselines, predictors = sched_env
-        with pytest.raises(ValueError, match="exceed"):
-            interference_aware(jobs * 3, machines, predictors, baselines)
+    def test_respects_capacity(self, sched_env):
+        model = sched_env[2]
+        trace = run(sched_env, model, heaviest_first(JOBS * 2))
+        assert trace.by_machine() == {"m0": 6, "m1": 6}
+        assert all(r.wait_s == 0.0 for r in trace.records)
 
     def test_separates_memory_hogs(self, sched_env):
-        """With two machines, the model-driven scheduler splits the Class I
+        """With two machines, the model-driven policy splits the Class I
         aggressors instead of stacking them."""
-        machines, _eng, baselines, predictors = sched_env
-        hogs = [get_application("cg"), get_application("canneal")]
-        fillers = [get_application("ep"), get_application("blackscholes")]
-        placement = interference_aware(
-            hogs + fillers, machines, predictors, baselines
-        )
-        hog_machines = {
-            idx
-            for idx, group in enumerate(placement.assignments)
-            for app in group
-            if app in hogs
-        }
-        assert len(hog_machines) == 2
+        model = sched_env[2]
+        names = heaviest_first(["cg", "canneal", "ep", "blackscholes"])
+        trace = run(sched_env, model, names)
+        machine = {r.request.app.name: r.machine_name for r in trace.records}
+        assert machine["cg"] != machine["canneal"]
 
-    def test_beats_pack_first(self, sched_env, jobs):
+    def test_beats_first_fit(self, sched_env):
         """The paper's motivation: model-driven placement reduces the
         measured mean slowdown versus naive consolidation."""
-        machines, engines, baselines, predictors = sched_env
-        aware = interference_aware(jobs, machines, predictors, baselines)
-        packed = pack_first(jobs, machines)
-        aware_outcome = evaluate_placement(aware, engines, baselines)
-        packed_outcome = evaluate_placement(packed, engines, baselines)
-        assert aware_outcome.mean_slowdown < packed_outcome.mean_slowdown
+        model = sched_env[2]
+        aware = run(sched_env, model, heaviest_first(JOBS))
+        packed = run(sched_env, first_fit_policy, JOBS)
+        assert aware.mean_slowdown < packed.mean_slowdown
 
 
 class TestHeterogeneousCluster:
     def test_mixed_machine_types(
-        self, engine_6core, engine_12core, baselines_6core, small_dataset
+        self, engine_6core, engine_12core, baselines_6core, baselines_12core,
+        small_dataset,
     ):
-        """The scheduler spans machines of different types, each with its
+        """The policy spans machines of different types, each with its
         own engine, baselines, and trained predictor."""
-        from repro.harness.baselines import collect_baselines
         from repro.harness.collection import collect_training_data
-        from repro.machine import XEON_E5649, XEON_E5_2697V2
-        from repro.workloads.suite import all_applications
 
-        baselines_12 = collect_baselines(engine_12core, all_applications())
         dataset_12 = collect_training_data(
             engine_12core,
-            baselines=baselines_12,
+            baselines=baselines_12core,
             targets=[get_application(n) for n in ("canneal", "sp", "ep")],
             co_apps=[get_application("cg")],
             counts=(1, 5, 11),
@@ -123,24 +115,19 @@ class TestHeterogeneousCluster:
         pred_12 = PerformancePredictor(ModelKind.LINEAR, FeatureSet.D, seed=0)
         pred_12.fit(list(dataset_12))
 
-        machines = (XEON_E5649, XEON_E5_2697V2)
-        engines = {
-            XEON_E5649.name: engine_6core,
-            XEON_E5_2697V2.name: engine_12core,
-        }
-        baselines = {
-            XEON_E5649.name: baselines_6core,
-            XEON_E5_2697V2.name: baselines_12,
-        }
-        predictors = {XEON_E5649.name: pred_6, XEON_E5_2697V2.name: pred_12}
-
-        jobs = [
-            get_application(n)
-            for n in ("cg", "canneal", "mg", "sp", "ep", "blackscholes",
-                      "fluidanimate", "lu")
-        ]
-        placement = interference_aware(jobs, machines, predictors, baselines)
-        assert placement.job_count() == len(jobs)
-        outcome = evaluate_placement(placement, engines, baselines)
-        assert outcome.mean_slowdown >= 1.0
-        assert outcome.worst_slowdown < 2.0
+        small, big = XEON_E5649.name, XEON_E5_2697V2.name
+        baselines = {small: baselines_6core, big: baselines_12core}
+        policy = model_driven_policy(
+            predictors={small: pred_6, big: pred_12},
+            baselines=baselines,
+            machines={small: XEON_E5649, big: XEON_E5_2697V2},
+        )
+        sim = ClusterSimulator(
+            {small: engine_6core, big: engine_12core}, baselines, policy
+        )
+        names = ["cg", "canneal", "mg", "sp", "ep", "blackscholes",
+                 "fluidanimate", "lu"]
+        trace = sim.run(batch(heaviest_first(names)))
+        assert len(trace.records) == len(names)
+        assert trace.mean_slowdown >= 1.0
+        assert max(r.slowdown for r in trace.records) < 2.0

@@ -7,6 +7,8 @@ path is exercised by ``tests/integration/test_sched_service.py``.
 """
 
 import asyncio
+import json
+import socket
 import time
 
 import pytest
@@ -18,6 +20,7 @@ from repro.sched.fleet import FleetState, MachineConfig
 from repro.sched.governor import GovernorObjective
 from repro.sched.queue import JobStatus
 from repro.sched.service import (
+    MAX_SUBMIT_JOBS,
     LocalScorer,
     RemoteScorer,
     SchedulerClient,
@@ -126,6 +129,23 @@ class TestApi:
             client._json("POST", "/v1/jobs", {"count": 3})
         assert err.value.status == 400
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"app": "ep", "count": MAX_SUBMIT_JOBS + 1},
+            {"apps": ["ep"] * (MAX_SUBMIT_JOBS + 1)},
+        ],
+        ids=["count", "apps"],
+    )
+    def test_oversized_submission_is_400(self, service, body):
+        _, client = service
+        depth = client.cluster()["queue_depth"]
+        with pytest.raises(ClientError) as err:
+            client._json("POST", "/v1/jobs", body)
+        assert err.value.status == 400
+        assert str(MAX_SUBMIT_JOBS) in err.value.message
+        assert client.cluster()["queue_depth"] == depth
+
     def test_unknown_job_is_404(self, service):
         _, client = service
         with pytest.raises(ClientError) as err:
@@ -182,6 +202,33 @@ class TestApi:
         assert metrics["repro_sched_predicted_degradation_count"] == 3.0
         assert "repro_sched_regret" in metrics
         assert metrics["repro_sched_queue_depth"] == 0.0
+
+
+class TestMalformedContentLength:
+    """A request whose body length cannot be parsed gets a 400 and a close."""
+
+    @pytest.fixture(scope="class")
+    def server(self, baselines_6core):
+        with SchedulerThread(_fleet(), baselines_6core, policy="first-fit") as handle:
+            yield handle
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1_0"])
+    def test_answers_400_and_closes(self, server, value):
+        request = (
+            f"POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {value}\r\n\r\n"
+        )
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+            sock.sendall(request.encode())
+            chunks = []
+            while chunk := sock.recv(4096):  # the server closes after answering
+                chunks.append(chunk)
+        head, _sep, body = b"".join(chunks).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
+        with SchedulerClient("127.0.0.1", server.port) as client:
+            assert client.healthz()["status"] == "ok"
 
 
 class TestBaselinePolicies:
