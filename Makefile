@@ -19,10 +19,12 @@ bench-quick:
 # Throughput smoke: reduced sweeps, single rounds.  Surfaces solve/
 # cache-speedup, serving micro-batch, registry round-trip, and
 # scheduler placement regressions in routine checks without the full
-# bench cost, and checks the cluster simulator's claim that model-driven
-# placement beats first-fit on a job stream.
+# bench cost, checks the cluster simulator's claim that model-driven
+# placement beats first-fit on a job stream, and checks that the
+# event-driven running set reproduces the steady state under restarting
+# co-runners and drifts from it, monotonically, under departing ones.
 bench-smoke:
-	REPRO_SMOKE=1 PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} pytest benchmarks/bench_engine_throughput.py benchmarks/bench_serve_throughput.py benchmarks/bench_validation_throughput.py benchmarks/bench_registry_roundtrip.py benchmarks/bench_sched_service.py benchmarks/bench_trace_streaming.py benchmarks/bench_suite_incremental.py benchmarks/bench_extension_online_scheduling.py -q --benchmark-disable
+	REPRO_SMOKE=1 PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} pytest benchmarks/bench_engine_throughput.py benchmarks/bench_serve_throughput.py benchmarks/bench_validation_throughput.py benchmarks/bench_registry_roundtrip.py benchmarks/bench_sched_service.py benchmarks/bench_trace_streaming.py benchmarks/bench_suite_incremental.py benchmarks/bench_extension_online_scheduling.py benchmarks/bench_ablation_timesliced.py -q --benchmark-disable
 
 examples:
 	python examples/quickstart.py

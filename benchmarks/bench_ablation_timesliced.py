@@ -4,29 +4,26 @@ The paper's harness keeps co-located pressure constant by restarting
 co-runners, which the analytic engine models as steady state.  This bench
 quantifies when that abstraction is exact (restart protocol) and how far
 it drifts when finished co-runners instead *leave* the machine (a batch
-scheduler's reality) — the regime boundary a model user should know.
+scheduler's reality) — the regime boundary a model user should know.  Both
+columns come from the scheduler's event-driven running set, which
+re-solves rates only when a co-runner finishes.
 """
 
 from repro.reporting.tables import render_table
-from repro.sim.timesliced import TimeSlicedSimulator
+from repro.sched.cluster import run_colocated
 from repro.workloads.suite import get_application
 
 
 def test_ablation_steady_state_assumption(benchmark, ctx, emit):
     engine = ctx.engine("e5649")
-    sim = TimeSlicedSimulator(engine, slice_s=2.0)
     canneal = get_application("canneal")
 
     rows = []
     for scale in (1.0, 0.5, 0.25, 0.1):
         short_cg = get_application("cg").scaled(scale)
         steady = engine.run(canneal, [short_cg] * 3).target.execution_time_s
-        restart = sim.run(
-            canneal, [short_cg] * 3, restart_co_runners=True
-        ).execution_time_s
-        depart = sim.run(
-            canneal, [short_cg] * 3, restart_co_runners=False
-        ).execution_time_s
+        restart = run_colocated(engine, canneal, [short_cg] * 3, restart=True)
+        depart = run_colocated(engine, canneal, [short_cg] * 3, restart=False)
         rows.append(
             [
                 scale,
@@ -38,8 +35,10 @@ def test_ablation_steady_state_assumption(benchmark, ctx, emit):
         )
 
     benchmark.pedantic(
-        lambda: sim.run(canneal, [get_application("cg").scaled(0.25)] * 3,
-                        restart_co_runners=False),
+        lambda: run_colocated(
+            engine, canneal, [get_application("cg").scaled(0.25)] * 3,
+            restart=False,
+        ),
         rounds=1,
         iterations=1,
     )
@@ -49,8 +48,8 @@ def test_ablation_steady_state_assumption(benchmark, ctx, emit):
             [
                 "co-runner length (x cg)",
                 "steady-state (s)",
-                "time-sliced restart (s)",
-                "time-sliced depart (s)",
+                "restart (s)",
+                "depart (s)",
                 "steady overestimates depart by (%)",
             ],
             rows,

@@ -6,8 +6,8 @@ become the OpenTelemetry Protocol's JSON encoding of
 process, each carrying resource attributes (``service.name``,
 ``process.pid``, ``repro.worker_id``) and ``scopeSpans`` of spans with
 hex trace/span ids and unix-nano timestamps.  Any OTLP-speaking backend
-(an OpenTelemetry collector, Jaeger, Tempo, ...) ingests the file or the
-HTTP POST directly.
+(an OpenTelemetry collector, Jaeger, Tempo, ...) ingests the file
+directly.
 
 The repo's internal ids are free-form strings ("<prefix><counter>"); the
 OTLP wire format requires fixed-width hex (16-byte trace ids, 8-byte
@@ -21,16 +21,13 @@ summary trace.otlp.json`` shows the stitched tree.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 from typing import Iterable
-from urllib.parse import urlsplit
 
 __all__ = [
     "hex_id",
     "load_otlp",
     "otlp_to_events",
-    "post_otlp",
     "records_to_otlp",
     "write_otlp",
 ]
@@ -164,42 +161,6 @@ def write_otlp(
         json.dump(payload, handle, indent=None, separators=(",", ":"))
         handle.write("\n")
     return count
-
-
-def post_otlp(
-    url: str,
-    records: Iterable[dict],
-    *,
-    default_resource: dict | None = None,
-    timeout_s: float = 10.0,
-) -> int:
-    """POST records as OTLP/JSON to an HTTP endpoint (``/v1/traces``).
-
-    Returns the HTTP status; raises ``OSError`` when the endpoint is
-    unreachable.
-    """
-    payload = json.dumps(
-        records_to_otlp(records, default_resource=default_resource)
-    ).encode()
-    split = urlsplit(url if "//" in url else f"http://{url}")
-    conn_cls = (
-        http.client.HTTPSConnection
-        if split.scheme == "https"
-        else http.client.HTTPConnection
-    )
-    conn = conn_cls(split.hostname, split.port, timeout=timeout_s)
-    try:
-        conn.request(
-            "POST",
-            split.path or "/v1/traces",
-            body=payload,
-            headers={"Content-Type": "application/json"},
-        )
-        response = conn.getresponse()
-        response.read()
-        return response.status
-    finally:
-        conn.close()
 
 
 def otlp_to_events(payload: dict) -> list[dict]:

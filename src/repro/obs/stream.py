@@ -23,7 +23,6 @@ import json
 import os
 import queue
 import threading
-from typing import Iterable
 
 from .trace import Span, Tracer
 
@@ -31,7 +30,6 @@ __all__ = [
     "SpanSender",
     "StreamingTracer",
     "parse_endpoint",
-    "stream_records",
 ]
 
 #: Sentinel asking the sender thread to exit after flushing.
@@ -243,14 +241,3 @@ class StreamingTracer(Tracer):
     def close(self, timeout_s: float = 5.0) -> None:
         """Flush and stop the sender thread."""
         self.sender.close(timeout_s=timeout_s)
-
-
-def stream_records(
-    sender: SpanSender, records: Iterable[dict]
-) -> int:
-    """Queue pre-serialized span records on ``sender``; returns count queued."""
-    queued = 0
-    for record in records:
-        if sender.enqueue(record):
-            queued += 1
-    return queued

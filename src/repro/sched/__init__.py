@@ -9,6 +9,7 @@ from .cluster import (
     first_fit_policy,
     least_loaded_policy,
     model_driven_policy,
+    run_colocated,
 )
 from .fleet import FleetState, MachineConfig, RunningJob, RunningSet
 from .governor import GovernorObjective, PStateChoice, select_pstate
@@ -45,5 +46,6 @@ __all__ = [
     "job_stream",
     "least_loaded_policy",
     "model_driven_policy",
+    "run_colocated",
     "select_pstate",
 ]

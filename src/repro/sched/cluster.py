@@ -3,10 +3,14 @@
 Real clusters receive a *stream* of jobs.  This module simulates that
 stream event-by-event on top of the analytic engine: between events every
 machine's resident jobs progress at their current steady-state rates
-(re-solved whenever membership changes — the same physics as
-:mod:`repro.sim.timesliced`, lifted to many machines), jobs that finish
-free their cores, and arriving or queued jobs are placed by a pluggable
-policy.
+(re-solved whenever membership changes, by
+:class:`~repro.sched.fleet.RunningSet`), jobs that finish free their
+cores, and arriving or queued jobs are placed by a pluggable policy.
+
+:func:`run_colocated` runs the same physics on one machine for one target
+whose co-runners either restart when they finish (the paper's protocol,
+which the engine's steady state models exactly) or leave — the case a
+scheduler faces and the steady-state models cannot see.
 
 Policies are online: they see one job and the current cluster state, and
 return a machine (or ``None`` to leave the job queued).  The
@@ -21,7 +25,7 @@ policy should see the jobs (the queue is drained in ``job_id`` order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -41,7 +45,13 @@ __all__ = [
     "first_fit_policy",
     "least_loaded_policy",
     "model_driven_policy",
+    "run_colocated",
 ]
+
+#: Event budget of one :func:`run_colocated` call, as in
+#: :meth:`ClusterSimulator.run`: a restarting co-runner of near-zero
+#: length would otherwise spin forever.
+_COLOCATED_MAX_EVENTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -202,6 +212,43 @@ def model_driven_policy(
 
 
 # ---------------------------------------------------------------- simulator
+
+
+def run_colocated(
+    engine: SimulationEngine,
+    target: ApplicationSpec,
+    co_runners: Sequence[ApplicationSpec] = (),
+    *,
+    restart: bool,
+) -> float:
+    """The target's execution time beside co-runners that finish.
+
+    All applications start together on one machine at its fastest
+    P-state.  A co-runner that finishes restarts at once when ``restart``
+    is true, so pressure stays constant and the result is the engine's
+    steady state; otherwise it leaves and frees its core, and the target
+    speeds up.  Rates are re-solved only when membership changes.
+    """
+    engine.processor.validate_co_location_count(len(co_runners))
+    running = RunningSet(
+        FleetState.single_nodes([("node", engine.processor)]), [engine]
+    )
+    for job_id, app in enumerate((target, *co_runners)):
+        running.add(job_id, app, 0, 0.0)
+    now = 0.0
+    for _ in range(_COLOCATED_MAX_EVENTS):
+        next_time = running.next_completion(now)
+        running.advance_to(next_time, now)
+        now = next_time
+        for done in running.pop_finished():
+            if done.job_id == 0:
+                return now
+            if restart:
+                running.add(done.job_id, done.app, 0, now)
+    raise RuntimeError(
+        f"target {target.name!r} did not finish within "
+        f"{_COLOCATED_MAX_EVENTS} events"
+    )
 
 
 class ClusterSimulator:

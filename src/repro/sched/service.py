@@ -848,7 +848,8 @@ class SchedulerService(HttpServerBase):
             if not isinstance(body["app"], str):
                 raise HTTPError(400, "bad_request", '"app" must be a string')
             count = body.get("count", 1)
-            if not isinstance(count, int) or not 1 <= count <= MAX_SUBMIT_JOBS:
+            # JSON true and false parse to bools, which are ints too.
+            if type(count) is not int or not 1 <= count <= MAX_SUBMIT_JOBS:
                 raise HTTPError(
                     400,
                     "bad_request",
@@ -888,12 +889,14 @@ class SchedulerService(HttpServerBase):
         return 200, "application/json", json.dumps(body).encode()
 
     def _job_detail(self, raw_id: str):
-        try:
-            job_id = int(raw_id)
-        except ValueError:
+        # int() would also take "+0", "-0" and "0_0".
+        if not (raw_id.isascii() and raw_id.isdigit()):
             raise HTTPError(
-                400, "bad_request", f"job id must be an integer, got {raw_id!r}"
-            ) from None
+                400,
+                "bad_request",
+                f"job id must be a run of ASCII digits, got {raw_id!r}",
+            )
+        job_id = int(raw_id)
         job = self.queue.get(job_id)
         if job is None:
             raise HTTPError(404, "unknown_job", f"no job {job_id}")

@@ -58,7 +58,9 @@ _STATUS_TEXT = {
     404: "Not Found",
     405: "Method Not Allowed",
     410: "Gone",
+    413: "Content Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     502: "Bad Gateway",
     503: "Service Unavailable",
@@ -236,7 +238,6 @@ class HttpServerBase:
             asyncio.IncompleteReadError,
             ConnectionResetError,
             BrokenPipeError,
-            asyncio.LimitOverrunError,
         ):
             pass  # client went away mid-request; nothing to answer
         finally:
@@ -253,16 +254,25 @@ class HttpServerBase:
     async def _read_request(self, reader: asyncio.StreamReader) -> Request | None:
         try:
             head = await reader.readuntil(b"\r\n\r\n")
+            if len(head) > _MAX_HEADER_BYTES:
+                raise asyncio.LimitOverrunError("header section too large", 0)
         except asyncio.IncompleteReadError as exc:
             if not exc.partial:
                 return None  # clean EOF between requests
             raise
-        if len(head) > _MAX_HEADER_BYTES:
-            raise asyncio.LimitOverrunError("header section too large", 0)
+        except asyncio.LimitOverrunError:
+            # readuntil raises it too, past the reader's 64 KiB limit.
+            raise HTTPError(
+                431,
+                "headers_too_large",
+                f"header section exceeds {_MAX_HEADER_BYTES} bytes",
+            ) from None
         request_line, *header_lines = head.decode("latin-1").split("\r\n")
         parts = request_line.split(" ")
         if len(parts) != 3:
-            raise asyncio.IncompleteReadError(head, None)
+            raise HTTPError(
+                400, "bad_request", "request line must be METHOD TARGET VERSION"
+            )
         method, target, _version = parts
         split = urlsplit(target)
         headers: dict[str, str] = {}
@@ -279,7 +289,9 @@ class HttpServerBase:
             )
         length = int(length_text)
         if length > _MAX_BODY_BYTES:
-            raise asyncio.LimitOverrunError("body too large", 0)
+            raise HTTPError(
+                413, "body_too_large", f"body exceeds {_MAX_BODY_BYTES} bytes"
+            )
         body = await reader.readexactly(length) if length else b""
         return Request(
             method=method.upper(),

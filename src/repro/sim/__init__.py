@@ -23,7 +23,6 @@ from .solve_cache import (
     app_signature,
     solve_key,
 )
-from .timesliced import SliceRecord, TimeSlicedResult, TimeSlicedSimulator
 from .tracesim import TraceCompetitor, TraceSharingResult, simulate_trace_sharing
 
 __all__ = [
@@ -36,12 +35,9 @@ __all__ = [
     "EngineStats",
     "GLOBAL_ENGINE_STATS",
     "SimulationEngine",
-    "SliceRecord",
     "SolveCache",
     "SolveRequest",
     "SteadyState",
-    "TimeSlicedResult",
-    "TimeSlicedSimulator",
     "TraceCompetitor",
     "TraceSharingResult",
     "app_signature",

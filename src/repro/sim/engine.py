@@ -144,7 +144,7 @@ class SteadyState:
 
     All arrays are indexed like ``apps``.  This is rate information only —
     how long anything runs (and hence counter totals) is the caller's
-    concern, which is what lets the time-sliced simulator reuse it for
+    concern, which is what lets the scheduler's running set reuse it for
     workloads whose membership changes over time.
     """
 
@@ -386,8 +386,9 @@ class SimulationEngine:
         """Solve the joint throughput/occupancy/DRAM fixed point.
 
         The low-level entry point used by :meth:`run` and by the
-        time-sliced simulator (:mod:`repro.sim.timesliced`): given the set
-        of applications currently on the machine, returns every
+        scheduler's event-driven running set
+        (:class:`repro.sched.fleet.RunningSet`): given the set of
+        applications currently on the machine, returns every
         application's steady-state rate and the memory-system state, with
         no notion of run length or noise.
 

@@ -8,12 +8,7 @@ import time
 import pytest
 
 from repro.obs.collector import CollectorThread
-from repro.obs.stream import (
-    SpanSender,
-    StreamingTracer,
-    parse_endpoint,
-    stream_records,
-)
+from repro.obs.stream import SpanSender, StreamingTracer, parse_endpoint
 
 
 @pytest.fixture
@@ -94,15 +89,6 @@ class TestSpanSender:
             assert time.perf_counter() - started < 1.0
             assert _wait_for(lambda: sender.send_errors >= 1)
         assert sender.sent == 0
-
-    def test_stream_records_helper(self, collector):
-        with SpanSender(collector.endpoint) as sender:
-            queued = stream_records(
-                sender, [{"name": "a"}, {"name": "b"}]
-            )
-            sender.flush()
-        assert queued == 2
-        assert len(collector.records()) == 2
 
 
 class TestStreamingTracer:

@@ -12,6 +12,7 @@ from repro.sched.cluster import (
     first_fit_policy,
     least_loaded_policy,
     model_driven_policy,
+    run_colocated,
 )
 from repro.workloads.suite import get_application
 
@@ -143,6 +144,59 @@ class TestClusterSimulator:
         sim = ClusterSimulator(engines, baselines, rogue)
         with pytest.raises(ValueError, match="unknown machine"):
             sim.run(make_jobs(["ep"]))
+
+
+class TestRunColocated:
+    """One target beside co-runners that restart or leave when they finish."""
+
+    def test_solo_matches_engine(self, engine_6core):
+        app = get_application("canneal")
+        steady = engine_6core.baseline(app).target.execution_time_s
+        for restart in (True, False):
+            assert run_colocated(
+                engine_6core, app, restart=restart
+            ) == pytest.approx(steady, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.25, 0.1])
+    def test_restarting_co_runners_match_engine(self, engine_6core, scale):
+        """With the paper's restart protocol, pressure is constant and the
+        event-driven result equals the steady-state one."""
+        canneal = get_application("canneal")
+        co = [get_application("cg").scaled(scale)] * 3
+        steady = engine_6core.run(canneal, co).target.execution_time_s
+        restart = run_colocated(engine_6core, canneal, co, restart=True)
+        assert restart == pytest.approx(steady, rel=1e-12)
+
+    def test_short_departing_co_runners_speed_up_target(self, engine_6core):
+        """Once short co-runner jobs finish and leave, the target runs at
+        baseline speed — final time sits between baseline and steady."""
+        canneal = get_application("canneal")
+        short_cg = [get_application("cg").scaled(0.15)] * 3
+        baseline = engine_6core.baseline(canneal).target.execution_time_s
+        steady = engine_6core.run(canneal, short_cg).target.execution_time_s
+        departed = run_colocated(engine_6core, canneal, short_cg, restart=False)
+        assert baseline < departed < steady
+
+    def test_too_many_co_runners_rejected(self, engine_6core):
+        with pytest.raises(ValueError, match="at most 5"):
+            run_colocated(
+                engine_6core,
+                get_application("ep"),
+                [get_application("cg")] * 6,
+                restart=True,
+            )
+
+    def test_event_budget_guard(self, engine_6core, monkeypatch):
+        # The short co-runners finish first, so one event cannot finish
+        # the target.
+        monkeypatch.setattr("repro.sched.cluster._COLOCATED_MAX_EVENTS", 1)
+        with pytest.raises(RuntimeError, match="did not finish"):
+            run_colocated(
+                engine_6core,
+                get_application("canneal"),
+                [get_application("cg").scaled(0.1)] * 3,
+                restart=True,
+            )
 
 
 class TestModelDrivenPolicy:

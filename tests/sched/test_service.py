@@ -146,6 +146,14 @@ class TestApi:
         assert str(MAX_SUBMIT_JOBS) in err.value.message
         assert client.cluster()["queue_depth"] == depth
 
+    def test_boolean_count_is_400(self, service):
+        _, client = service
+        depth = client.cluster()["queue_depth"]
+        with pytest.raises(ClientError) as err:
+            client._json("POST", "/v1/jobs", {"app": "ep", "count": True})
+        assert err.value.status == 400
+        assert client.cluster()["queue_depth"] == depth
+
     def test_unknown_job_is_404(self, service):
         _, client = service
         with pytest.raises(ClientError) as err:
@@ -156,6 +164,13 @@ class TestApi:
         _, client = service
         with pytest.raises(ClientError) as err:
             client._json("GET", "/v1/jobs/abc")
+        assert err.value.status == 400
+
+    @pytest.mark.parametrize("raw_id", ["0_0", "+0"])
+    def test_job_id_beyond_ascii_digits_is_400(self, service, raw_id):
+        _, client = service
+        with pytest.raises(ClientError) as err:
+            client._json("GET", f"/v1/jobs/{raw_id}")
         assert err.value.status == 400
 
     def test_status_filter(self, service):
@@ -204,30 +219,73 @@ class TestApi:
         assert metrics["repro_sched_queue_depth"] == 0.0
 
 
+@pytest.fixture(scope="module")
+def raw_server(baselines_6core):
+    """One scheduler for the raw-socket tests, which must not hurt it."""
+    with SchedulerThread(_fleet(), baselines_6core, policy="first-fit") as handle:
+        yield handle
+
+
+def _raw_exchange(port: int, request: bytes) -> tuple[bytes, bytes]:
+    """Send raw request bytes; read until the server closes; (head, body)."""
+    chunks = []
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        sock.sendall(request)
+        try:
+            while chunk := sock.recv(4096):  # the server closes after answering
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass  # closing on unread request bytes resets after the answer
+    head, _sep, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return head, body
+
+
 class TestMalformedContentLength:
     """A request whose body length cannot be parsed gets a 400 and a close."""
 
-    @pytest.fixture(scope="class")
-    def server(self, baselines_6core):
-        with SchedulerThread(_fleet(), baselines_6core, policy="first-fit") as handle:
-            yield handle
-
     @pytest.mark.parametrize("value", ["abc", "-1", "1_0"])
-    def test_answers_400_and_closes(self, server, value):
-        request = (
-            f"POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
-            f"Content-Length: {value}\r\n\r\n"
+    def test_answers_400_and_closes(self, raw_server, value):
+        head, body = _raw_exchange(
+            raw_server.port,
+            (
+                f"POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
+                f"Content-Length: {value}\r\n\r\n"
+            ).encode(),
         )
-        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
-            sock.sendall(request.encode())
-            chunks = []
-            while chunk := sock.recv(4096):  # the server closes after answering
-                chunks.append(chunk)
-        head, _sep, body = b"".join(chunks).partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400 ")
         assert b"Connection: close" in head
         assert "Content-Length" in json.loads(body)["error"]
-        with SchedulerClient("127.0.0.1", server.port) as client:
+        with SchedulerClient("127.0.0.1", raw_server.port) as client:
+            assert client.healthz()["status"] == "ok"
+
+
+class TestUnframeableRequest:
+    """An oversized or malformed request is answered, not dropped."""
+
+    @pytest.mark.parametrize(
+        ("request_bytes", "status"),
+        [
+            (
+                b"POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: 9000000\r\n\r\n",
+                413,
+            ),
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Pad: "
+                + b"a" * 70_000
+                + b"\r\n\r\n",
+                431,
+            ),
+            (b"GARBAGE\r\n\r\n", 400),
+        ],
+        ids=["body", "header", "request-line"],
+    )
+    def test_answers_and_closes(self, raw_server, request_bytes, status):
+        head, body = _raw_exchange(raw_server.port, request_bytes)
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"]
+        with SchedulerClient("127.0.0.1", raw_server.port) as client:
             assert client.healthz()["status"] == "ok"
 
 

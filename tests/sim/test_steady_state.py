@@ -103,8 +103,8 @@ class TestSolveSteadyState:
 
     def test_full_machine_allowed(self, engine_6core):
         """Unlike run() (target + max_co_located), the raw solver accepts
-        up to num_cores applications — the time-sliced simulator uses it
-        with the target counted in."""
+        up to num_cores applications — the scheduler's running set uses
+        it with the target counted in."""
         apps = tuple([get_application("ep")] * 6)
         state = engine_6core.solve_steady_state(apps)
         assert state.miss_ratios.shape == (6,)
