@@ -23,6 +23,7 @@ from repro.harness.baselines import collect_baselines
 from repro.harness.collection import collect_training_data
 from repro.harness.parallel import spawn_streams
 from repro.machine import XEON_E5649
+from repro.obs import samples_text
 from repro.sim import SimulationEngine, SolveCache, SolveRequest
 from repro.workloads.suite import all_applications, get_application
 
@@ -141,7 +142,8 @@ def test_table5_collection_warm_cache_speedup(benchmark):
         f"warm {warm_s * 1e3:.1f} ms"
     )
     print(f"\ncold {cold_s * 1e3:.1f} ms, warm {warm_s * 1e3:.1f} ms "
-          f"({cold_s / warm_s:.1f}x)\n" + cached_engine.stats.summary())
+          f"({cold_s / warm_s:.1f}x)\n"
+          + samples_text(cached_engine.stats.render_prometheus()))
     benchmark(lambda: _per_scenario_times(cached_engine, **kwargs))
 
 
@@ -217,7 +219,7 @@ def test_batched_collection_speedup(benchmark, record):
         f"\nserial {serial_s * 1e3:.1f} ms ({scenarios / serial_s:.0f} "
         f"scenarios/s), batched {batched_s * 1e3:.1f} ms "
         f"({scenarios / batched_s:.0f} scenarios/s), speedup {speedup:.2f}x\n"
-        + stats.summary()
+        + samples_text(stats.render_prometheus())
     )
     record(
         "BENCH_engine.json",

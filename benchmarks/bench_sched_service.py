@@ -31,6 +31,7 @@ import time
 from repro.core.feature_sets import FeatureSet
 from repro.core.methodology import ModelKind, PerformancePredictor
 from repro.machine import XEON_E5649
+from repro.registry import ModelRegistry
 from repro.sched.fleet import FleetState, MachineConfig
 from repro.sched.queue import JobStatus, job_stream
 from repro.sched.service import (
@@ -39,7 +40,6 @@ from repro.sched.service import (
     SchedulerClient,
     SchedulerThread,
 )
-from repro.serve.registry import ModelRegistry
 from repro.serve.server import ServerThread
 from repro.workloads.suite import all_applications
 

@@ -27,8 +27,8 @@ import time
 from repro.core.ensemble import EnsemblePredictor
 from repro.core.feature_sets import FeatureSet
 from repro.core.methodology import ModelKind
+from repro.registry import ModelRegistry
 from repro.serve.client import PredictionClient
-from repro.serve.registry import ModelRegistry
 from repro.serve.router import ServingTier, parse_shadow
 from repro.serve.server import ServerThread
 

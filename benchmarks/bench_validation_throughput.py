@@ -37,6 +37,7 @@ from repro.core.fitstats import FitStats
 from repro.core.methodology import ModelKind, make_model
 from repro.core.neural import NeuralNetworkModel, default_hidden_units
 from repro.core.validation import repeated_random_subsampling
+from repro.obs import samples_text
 
 _SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 
@@ -91,7 +92,7 @@ def test_parallel_validation_speedup(benchmark, ctx, record):
     print(
         f"\nserial   {serial_s:6.2f} s   parallel ({WORKERS} workers) "
         f"{parallel_s:6.2f} s   speedup {speedup:.2f}x\n"
-        + serial_stats.summary()
+        + samples_text(serial_stats.render_prometheus())
     )
     record(
         "BENCH_validation.json",

@@ -29,15 +29,17 @@ Exposes the full workflow without writing any Python:
 * ``obs summary`` — aggregate + span tree view of captured traces,
 * ``obs collector`` — standalone span collector the fleet streams to.
 
-``collect``, ``train``, ``evaluate``, ``serve``, and ``sched serve``
-accept ``--trace PATH``: the run records :mod:`repro.obs` spans and
-writes them as Chrome trace-event JSON on exit (open in Perfetto, or
-inspect with ``repro obs summary PATH``).  ``--otlp PATH`` additionally
-exports OTLP/JSON, and ``--trace-collector URL`` streams completed spans
-to a collector service as they finish (``serve --workers N`` spawns an
-internal collector automatically so every worker's spans land in one
-stitched trace).  Without the flags the null tracer stays installed and
-instrumentation is a no-op.
+``collect``, ``train``, ``evaluate``, ``serve``, ``sched serve`` and
+``suite run`` accept ``--trace PATH``: the run records :mod:`repro.obs`
+spans and writes them as Chrome trace-event JSON on exit (open in
+Perfetto, or inspect with ``repro obs summary PATH``).  ``--otlp PATH``
+additionally exports OTLP/JSON, and ``--trace-collector URL`` streams
+completed spans to a collector service as they finish (``serve
+--workers N`` spawns an internal collector automatically so every
+worker's spans land in one stitched trace).  Without the flags the null
+tracer stays installed and instrumentation is a no-op.  ``collect``,
+``evaluate`` and ``suite run`` accept ``--stats``, which prints the
+run's counters as the samples their ``/metrics`` families show.
 
 Every command prints plain text and exits nonzero on user error, so the
 CLI composes with shell pipelines.
@@ -50,6 +52,8 @@ import os
 import sys
 
 import numpy as np
+
+from .obs.registry import samples_text
 
 __all__ = ["main", "build_parser"]
 
@@ -213,7 +217,7 @@ def _cmd_collect(args) -> int:
         f"(manifest: {manifest_path_for(args.output)})"
     )
     if args.stats:
-        print(engine.stats.summary())
+        print(samples_text(engine.stats.render_prometheus()))
     return 0
 
 
@@ -306,7 +310,7 @@ def _cmd_evaluate(args) -> int:
         )
     )
     if args.stats:
-        print(fit_stats.summary())
+        print(samples_text(fit_stats.render_prometheus()))
     return 0
 
 
@@ -360,6 +364,47 @@ def _cmd_predict(args) -> int:
 
 
 # ------------------------------------------------- serving and registry
+
+
+def _serve_until_interrupted(server, banner) -> None:
+    """Run an asyncio HTTP server until Ctrl-C, then drain and stop it.
+
+    ``banner()`` is printed once the server listens, so it can name the
+    bound port.  A server that keeps a request record prints that
+    record's ``/metrics`` samples after it stops.
+    """
+    import asyncio
+
+    async def run() -> None:
+        await server.start()
+        print(banner())
+        try:
+            await server.serve_forever()
+        finally:
+            await server.stop()
+            if server.metrics is not None:
+                print(samples_text(server.metrics.render_prometheus()))
+
+    try:
+        asyncio.run(run())
+    except KeyboardInterrupt:
+        print("shutting down")
+
+
+def _write_spans(tracer, trace_path: str | None, otlp_path: str | None) -> None:
+    """Write a tracer's spans to ``--trace`` (Chrome JSON) and ``--otlp``."""
+    if trace_path:
+        spans = tracer.export_chrome(trace_path)
+        print(f"wrote {spans} trace span(s) to {trace_path}")
+    if otlp_path:
+        from .obs.otlp import write_otlp
+
+        spans = write_otlp(
+            otlp_path,
+            [tracer.serialize(span) for span in tracer.spans()],
+            default_resource={"service": tracer.service, "pid": os.getpid()},
+        )
+        print(f"wrote {spans} OTLP span(s) to {otlp_path}")
 
 
 def _open_registry(path: str):
@@ -462,8 +507,6 @@ def _cmd_registry_show(args) -> int:
 
 
 def _cmd_registry_serve(args) -> int:
-    import asyncio
-
     from .registry.server import RegistryServer
 
     if args.mirror and args.registry:
@@ -492,27 +535,17 @@ def _cmd_registry_serve(args) -> int:
     server = RegistryServer(
         backend, host=args.host, port=args.port, token=args.token
     )
-
-    async def _run() -> None:
-        await server.start()
-        if args.mirror:
-            mode = "pull-through read replica"
-        else:
-            mode = "push enabled" if args.token else "read-only (no --token)"
-        print(
+    if args.mirror:
+        mode = "pull-through read replica"
+    else:
+        mode = "push enabled" if args.token else "read-only (no --token)"
+    _serve_until_interrupted(
+        server,
+        lambda: (
             f"registry server: {len(backend.names())} model(s) from "
             f"{source} on http://{args.host}:{server.port} ({mode})"
-        )
-        try:
-            await server.serve_forever()
-        finally:
-            await server.stop()
-            print(server.metrics.summary())
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        print("shutting down")
+        ),
+    )
     return 0
 
 
@@ -663,28 +696,15 @@ def _cmd_serve_tier(args) -> int:
                 spans = collector.export_otlp(otlp_path)
                 print(f"wrote {spans} OTLP span(s) to {otlp_path}")
             collector.stop()
-        elif tracer is not None and (trace_path or otlp_path):
+        elif tracer is not None:
             # External collector owns the fleet trace; local files get
             # the router-side spans this process retained.
-            if trace_path:
-                spans = tracer.export_chrome(trace_path)
-                print(f"wrote {spans} router span(s) to {trace_path}")
-            if otlp_path:
-                from .obs.otlp import write_otlp
-
-                spans = write_otlp(
-                    otlp_path,
-                    [tracer.serialize(s) for s in tracer.spans()],
-                    default_resource={"service": "serve-router"},
-                )
-                print(f"wrote {spans} router OTLP span(s) to {otlp_path}")
+            _write_spans(tracer, trace_path, otlp_path)
         print(f"worker exit code(s): {tier.worker_exitcodes}")
     return 0
 
 
 def _cmd_serve(args) -> int:
-    import asyncio
-
     from .serve.server import PredictionServer
 
     if args.workers > 1 or args.canary or args.shadow:
@@ -700,30 +720,22 @@ def _cmd_serve(args) -> int:
         hot_reload_s=args.hot_reload,
     )
 
-    async def _run() -> None:
-        await server.start()
+    extras = ""
+    if args.max_backlog is not None:
+        extras += f", max_backlog={args.max_backlog}"
+    if args.hot_reload is not None:
+        extras += f", hot_reload={args.hot_reload}s"
+
+    def banner() -> str:
         names = registry.names()
-        extras = ""
-        if args.max_backlog is not None:
-            extras += f", max_backlog={args.max_backlog}"
-        if args.hot_reload is not None:
-            extras += f", hot_reload={args.hot_reload}s"
-        print(
+        return (
             f"serving {len(names)} model(s) {names} from "
             f"{registry.describe()} on http://{args.host}:{server.port} "
             f"(max_batch={args.max_batch}, max_wait={args.max_wait_ms}ms"
             f"{extras})"
         )
-        try:
-            await server.serve_forever()
-        finally:
-            await server.stop()
-            print(server.metrics.summary())
 
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        print("shutting down")
+    _serve_until_interrupted(server, banner)
     return 0
 
 
@@ -747,8 +759,6 @@ def _parse_fleet_specs(specs: list[str]):
 
 
 def _cmd_sched_serve(args) -> int:
-    import asyncio
-
     from .harness.baselines import collect_baselines
     from .sched.fleet import FleetState
     from .sched.governor import GovernorObjective
@@ -809,30 +819,21 @@ def _cmd_sched_serve(args) -> int:
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
 
-    async def _run() -> None:
-        await server.start()
-        extras = ""
-        if scorer is not None:
-            extras += f", scoring via {args.predictions} model={args.model}"
-        if args.governor:
-            extras += f", governor={args.governor}"
-        if args.migrate_threshold is not None:
-            extras += f", migrate_threshold={args.migrate_threshold}"
-        print(
+    extras = ""
+    if scorer is not None:
+        extras += f", scoring via {args.predictions} model={args.model}"
+    if args.governor:
+        extras += f", governor={args.governor}"
+    if args.migrate_threshold is not None:
+        extras += f", migrate_threshold={args.migrate_threshold}"
+    _serve_until_interrupted(
+        server,
+        lambda: (
             f"scheduler: {fleet.n_nodes} node(s) / {fleet.total_cores} "
             f"core(s) on http://{args.host}:{server.port} "
             f"(policy={args.policy}{extras})"
-        )
-        try:
-            await server.serve_forever()
-        finally:
-            await server.stop()
-            print(server.metrics.summary())
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        print("shutting down")
+        ),
+    )
     return 0
 
 
@@ -910,7 +911,7 @@ def _cmd_suite_run(args) -> int:
     report = runner.run()
     print(report.summary())
     if args.stats:
-        print(runner.stats.summary())
+        print(samples_text(runner.stats.render_prometheus()))
     return 0 if report.ok else 1
 
 
@@ -971,29 +972,18 @@ def _cmd_obs_summary(args) -> int:
 
 def _cmd_obs_collector(args) -> int:
     """Standalone span collector: the fleet's ``--trace-collector`` target."""
-    import asyncio
-
     from .obs.collector import CollectorServer
 
     server = CollectorServer(
         host=args.host, port=args.port, max_spans=args.max_spans
     )
-
-    async def _run() -> None:
-        await server.start()
-        print(
+    _serve_until_interrupted(
+        server,
+        lambda: (
             f"span collector on http://{args.host}:{server.port} "
             f"(POST /v1/spans; JSON batch or JSON-lines)"
-        )
-        try:
-            await server.serve_forever()
-        finally:
-            await server.stop()
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        print("shutting down")
+        ),
+    )
     if args.output:
         spans = server.export_chrome(args.output)
         print(f"wrote {spans} trace span(s) to {args.output}")
@@ -1125,17 +1115,6 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
                                         "remote registry")
 
 
-def _add_export_trace_args(parser: argparse.ArgumentParser) -> None:
-    """The shared --otlp / --trace-collector span-export options."""
-    parser.add_argument("--otlp", metavar="PATH",
-                        help="also export the spans as OTLP/JSON to PATH")
-    parser.add_argument("--trace-collector", dest="trace_collector",
-                        metavar="URL",
-                        help="stream completed spans to a trace collector "
-                             "(see 'repro obs collector') instead of "
-                             "buffering them in-process")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree for ``python -m repro``."""
     parser = argparse.ArgumentParser(
@@ -1143,6 +1122,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Co-location aware performance modeling (Dauwe et al. 2015)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # Flags shared by several commands, declared once as parent parsers.
+    tracing = argparse.ArgumentParser(add_help=False)
+    tracing.add_argument("--trace", metavar="PATH",
+                         help="record the command's spans and write them to "
+                              "PATH as a Chrome trace on exit")
+    tracing.add_argument("--otlp", metavar="PATH",
+                         help="also export the spans as OTLP/JSON to PATH")
+    tracing.add_argument("--trace-collector", dest="trace_collector",
+                         metavar="URL",
+                         help="stream completed spans to a trace collector "
+                              "(see 'repro obs collector') instead of "
+                              "buffering them in-process")
+    stats = argparse.ArgumentParser(add_help=False)
+    stats.add_argument("--stats", action="store_true",
+                       help="print the run's counters afterwards, as the "
+                            "samples its /metrics families show")
 
     sub.add_parser("machines", help="list catalog machines").set_defaults(
         func=_cmd_machines
@@ -1157,7 +1153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--app", required=True)
     p.set_defaults(func=_cmd_baseline)
 
-    p = sub.add_parser("collect", help="collect a training dataset (CSV)")
+    p = sub.add_parser("collect", help="collect a training dataset (CSV)",
+                       parents=[tracing, stats])
     p.add_argument("--machine", default="e5649")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--seed", type=int, default=2015)
@@ -1169,14 +1166,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "count yields the identical dataset)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable steady-state solve memoization")
-    p.add_argument("--stats", action="store_true",
-                   help="print engine solve/cache statistics after collection")
-    p.add_argument("--trace", metavar="PATH",
-                   help="record a Chrome trace of the sweep to PATH")
-    _add_export_trace_args(p)
     p.set_defaults(func=_cmd_collect)
 
-    p = sub.add_parser("train", help="train a model from a dataset CSV")
+    p = sub.add_parser("train", help="train a model from a dataset CSV",
+                       parents=[tracing])
     p.add_argument("--data", required=True)
     p.add_argument("--model", choices=["linear", "neural"], default="neural")
     p.add_argument("--features", default="F", help="feature set A-F")
@@ -1193,12 +1186,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "warn on problems (default), fail on them, or skip "
                         "the check")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--trace", metavar="PATH",
-                   help="record a Chrome trace of the fit to PATH")
-    _add_export_trace_args(p)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("evaluate", help="12-model accuracy grid for a dataset")
+    p = sub.add_parser("evaluate", help="12-model accuracy grid for a dataset",
+                       parents=[tracing, stats])
     p.add_argument("--data", required=True)
     p.add_argument("--verify-manifest", dest="verify_manifest",
                    choices=["warn", "strict", "skip"], default="warn",
@@ -1210,11 +1201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="processes for the validation sweeps; "
                         "any count yields identical results")
-    p.add_argument("--stats", action="store_true",
-                   help="print fit statistics after the grid")
-    p.add_argument("--trace", metavar="PATH",
-                   help="record a Chrome trace of the grid to PATH")
-    _add_export_trace_args(p)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("predict", help="predict a placement from a saved model")
@@ -1230,7 +1216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser(
-        "serve", help="serve registry models over HTTP (asyncio, micro-batched)"
+        "serve", help="serve registry models over HTTP (asyncio, micro-batched)",
+        parents=[tracing],
     )
     _add_backend_args(p)
     p.add_argument("--host", default="127.0.0.1")
@@ -1257,12 +1244,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mirror NAME requests to NAME@VER and export "
                         "prediction divergence metrics; repeatable, "
                         "implies the router")
-    p.add_argument("--trace", metavar="PATH",
-                   help="record request/batcher spans, written to PATH "
-                        "when the server stops (with --workers the spans "
-                        "of every worker process are collected and "
-                        "stitched into one multi-process trace)")
-    _add_export_trace_args(p)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -1336,7 +1317,8 @@ def build_parser() -> argparse.ArgumentParser:
     sched_sub = p.add_subparsers(dest="sched_command", required=True)
 
     ss = sched_sub.add_parser(
-        "serve", help="run the scheduler service over a simulated fleet"
+        "serve", help="run the scheduler service over a simulated fleet",
+        parents=[tracing],
     )
     ss.add_argument("--machine", action="append", metavar="NAME[:COUNT]",
                     help="fleet block: catalog machine and node count "
@@ -1372,10 +1354,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="pick each placement's P-state by this objective")
     ss.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                     help="per-job deadline constraining the governor")
-    ss.add_argument("--trace", metavar="PATH",
-                    help="record sched.round/predict/migrate spans, "
-                         "written to PATH when the scheduler stops")
-    _add_export_trace_args(ss)
     ss.set_defaults(func=_cmd_sched_serve)
 
     sj = sched_sub.add_parser(
@@ -1411,7 +1389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sr = suite_sub.add_parser(
         "run", help="execute the suite; nodes already in the store are "
-                    "skipped, so re-runs and killed runs resume"
+                    "skipped, so re-runs and killed runs resume",
+        parents=[tracing, stats],
     )
     _add_suite_args(sr)
     sr.add_argument("--workers", type=int, default=1,
@@ -1420,11 +1399,6 @@ def build_parser() -> argparse.ArgumentParser:
     sr.add_argument("--force", action="store_true",
                     help="re-execute every node even when the store "
                          "resolves it")
-    sr.add_argument("--stats", action="store_true",
-                    help="print suite run counters afterwards")
-    sr.add_argument("--trace", metavar="PATH",
-                    help="record a Chrome trace of the run to PATH")
-    _add_export_trace_args(sr)
     sr.set_defaults(func=_cmd_suite_run)
 
     ss2 = suite_sub.add_parser(
@@ -1544,20 +1518,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     finally:
-        if trace_path:
-            spans = tracer.export_chrome(trace_path)
-            print(f"wrote {spans} trace span(s) to {trace_path}")
-        if otlp_path:
-            from .obs.otlp import write_otlp
-
-            spans = write_otlp(
-                otlp_path,
-                [tracer.serialize(span) for span in tracer.spans()],
-                default_resource={
-                    "service": tracer.service, "pid": os.getpid()
-                },
-            )
-            print(f"wrote {spans} OTLP span(s) to {otlp_path}")
+        _write_spans(tracer, trace_path, otlp_path)
         if collector_url:
             tracer.close()
         disable()

@@ -22,7 +22,7 @@ import numpy as np
 from ..counters.hpcrun import FlatProfile
 from .feature_sets import FeatureSet
 from .features import CoLocationObservation, feature_matrix, feature_row
-from .fitstats import FitStats
+from .fitstats import GLOBAL_FIT_STATS, FitStats
 from .methodology import ModelKind, make_model
 from .validation import _spawn_streams
 
@@ -162,8 +162,15 @@ class EnsemblePredictor:
             member_stats = getattr(member, "fit_stats_", None)
             if isinstance(member_stats, FitStats):
                 aggregate.merge(member_stats)
+                if self.workers > 1:
+                    # The fit fed its worker process's (discarded)
+                    # process-wide record; count it in this one instead.
+                    GLOBAL_FIT_STATS.merge(member_stats)
             else:
+                # Models without their own record (the linear model)
+                # count once here and once in the process-wide record.
                 aggregate.record_fit()
+                GLOBAL_FIT_STATS.record_fit()
         self.fit_stats_ = aggregate
         self._members = members
         self._processor_name = next(iter(machines))

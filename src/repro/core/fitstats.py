@@ -54,16 +54,6 @@ class FitStats:
     gradient_evals: int = 0
     wall_time_s: float = 0.0
 
-    @property
-    def iterations_per_fit(self) -> float:
-        """Mean SCG iterations per fit (0.0 when idle)."""
-        return self.scg_iterations / self.fits if self.fits else 0.0
-
-    @property
-    def fits_per_second(self) -> float:
-        """Fit throughput against accumulated fit wall time (0.0 when idle)."""
-        return self.fits / self.wall_time_s if self.wall_time_s > 0.0 else 0.0
-
     def record_fit(
         self,
         *,
@@ -89,30 +79,6 @@ class FitStats:
         self.function_evals += other.function_evals
         self.gradient_evals += other.gradient_evals
         self.wall_time_s += other.wall_time_s
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.fits = 0
-        self.restarts = 0
-        self.scg_iterations = 0
-        self.function_evals = 0
-        self.gradient_evals = 0
-        self.wall_time_s = 0.0
-
-    def summary(self) -> str:
-        """Human-readable one-stop summary (used by the CLI and benches)."""
-        lines = [
-            f"fit stats: {self.fits} fits, {self.restarts} restarts, "
-            f"{self.scg_iterations} SCG iterations, "
-            f"{self.gradient_evals} gradient evals"
-        ]
-        if self.wall_time_s > 0.0:
-            lines.append(
-                f"fit wall time: {self.wall_time_s:.3f} s "
-                f"({self.fits_per_second:.1f} fits/s, "
-                f"{self.iterations_per_fit:.1f} iterations/fit)"
-            )
-        return "\n".join(lines)
 
     def render_prometheus(self) -> str:
         """This record's ``repro_fit_*`` families as Prometheus text."""

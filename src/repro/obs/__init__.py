@@ -14,7 +14,8 @@ all thread through:
   instrumentation costs nearly nothing until enabled;
 * :mod:`~repro.obs.registry` — :class:`Exposition`, the one writer of the
   Prometheus text format that every record renders its families
-  through, and ``MetricsRegistry``, which joins named sources (the
+  through, :func:`samples_text`, which prints an exposition's samples
+  for ``--stats``, and ``MetricsRegistry``, which joins named sources (the
   process-wide engine, fit, tracer-health and suite records plus each
   server's own) into one scrape;
 * :mod:`~repro.obs.log` — structured JSON logging that stamps every
@@ -31,6 +32,7 @@ from .registry import (
     MetricsRegistry,
     escape_label_value,
     install_default_sources,
+    samples_text,
 )
 from .summary import SpanNode, load_trace, render_summary, span_forest
 from .trace import (
@@ -85,6 +87,7 @@ __all__ = [
     "load_trace",
     "records_to_otlp",
     "render_summary",
+    "samples_text",
     "set_tracer",
     "span_forest",
     "write_otlp",

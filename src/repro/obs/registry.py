@@ -10,6 +10,10 @@ keeps its numbers itself and renders its ``/metrics`` families through
 (version 0.0.4): ``# HELP``/``# TYPE`` lines, label escaping in sorted
 label order, number spelling (:func:`format_value`), and histograms as
 cumulative ``le`` buckets whose ``+Inf`` bucket equals ``_count``.
+:func:`samples_text` is the terminal form of the same text: the
+``--stats`` flags and the servers' shutdown lines print a record's
+exposition through it, so every number they show is a sample a scrape
+shows.
 
 A :class:`MetricsRegistry` is one server's scrape: named *sources*
 (callables returning a record's exposition), rendered in registration
@@ -36,6 +40,7 @@ __all__ = [
     "format_value",
     "install_default_sources",
     "obs_stats_exposition",
+    "samples_text",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -139,6 +144,25 @@ class Exposition:
 
     def _sample(self, name: str, labels: dict, value) -> None:
         self._lines.append(f"{name}{_render_labels(labels)} {format_value(value)}")
+
+
+def samples_text(exposition: str) -> str:
+    """An exposition's samples, one per line, for a terminal.
+
+    Drops the ``# HELP``/``# TYPE`` lines and each histogram's
+    ``_bucket`` series (its ``_sum`` and ``_count`` stay); every other
+    sample keeps its order and spelling.
+    """
+    buckets: set[str] = set()
+    lines: list[str] = []
+    for line in exposition.splitlines():
+        if line.startswith("#"):
+            parts = line.split(" ", 3)
+            if parts[1:2] == ["TYPE"] and parts[3:] == ["histogram"]:
+                buckets.add(f"{parts[2]}_bucket")
+        elif line and line.partition("{")[0].partition(" ")[0] not in buckets:
+            lines.append(line)
+    return "\n".join(lines)
 
 
 class MetricsRegistry:

@@ -3,8 +3,7 @@
 Layout:
 
 * :mod:`repro.registry.local` — the versioned on-disk store
-  (:class:`ModelRegistry` / :data:`LocalBackend`) with integrity
-  hashing, tombstones, and GC;
+  (:class:`ModelRegistry`) with integrity hashing, tombstones, and GC;
 * :mod:`repro.registry.backend` — the :class:`RegistryBackend` protocol
   every backend implements;
 * :mod:`repro.registry.server` — :class:`RegistryServer`, the HTTP
@@ -12,16 +11,12 @@ Layout:
   push);
 * :mod:`repro.registry.client` — :class:`HttpBackend`, the remote
   backend with a local content-addressed cache and outage fallback.
-
-``repro.serve.registry`` remains as a compatibility shim re-exporting
-the local store's names.
 """
 
 from .backend import RegistryBackend
 from .client import HttpBackend
 from .local import (
     GCReport,
-    LocalBackend,
     ModelManifest,
     ModelRegistry,
     RegistryError,
@@ -36,7 +31,6 @@ from .server import RegistryServer, RegistryServerThread
 __all__ = [
     "GCReport",
     "HttpBackend",
-    "LocalBackend",
     "ModelManifest",
     "ModelRegistry",
     "RegistryBackend",

@@ -6,7 +6,7 @@ training box into a fleet means the *consumers* of that registry — the
 prediction server's resident-model cache, the CLI, benches — must not
 care whether artifacts come from a local directory or a remote artifact
 service.  :class:`RegistryBackend` is the seam: the read/resolve/push
-surface both :data:`~repro.registry.local.LocalBackend` and
+surface both :class:`~repro.registry.local.ModelRegistry` and
 :class:`~repro.registry.client.HttpBackend` implement.
 
 The protocol is structural (:func:`typing.runtime_checkable`), so any

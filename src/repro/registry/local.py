@@ -39,9 +39,9 @@ names changed since the last poll — O(changes) wire traffic instead of a
 full listing per tick.
 
 :class:`ModelRegistry` is also the reference implementation of the
-:class:`~repro.registry.backend.RegistryBackend` protocol (aliased as
-:data:`LocalBackend`); :class:`~repro.registry.client.HttpBackend` speaks
-the same protocol against a remote :class:`~repro.registry.server.RegistryServer`.
+:class:`~repro.registry.backend.RegistryBackend` protocol;
+:class:`~repro.registry.client.HttpBackend` speaks the same protocol
+against a remote :class:`~repro.registry.server.RegistryServer`.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from ..core.persistence import (
 
 __all__ = [
     "GCReport",
-    "LocalBackend",
     "ModelManifest",
     "ModelRegistry",
     "RegistryError",
@@ -723,7 +722,3 @@ class ModelRegistry:
             for name in self.names()
             for version in self._versions(name)
         ]
-
-
-#: The on-disk registry under its backend-protocol name.
-LocalBackend = ModelRegistry

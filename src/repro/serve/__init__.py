@@ -4,9 +4,6 @@ The paper's models exist to be consumed by a resource manager deciding
 placements *online*; this package turns trained artifacts into a
 long-running, observable prediction service:
 
-* :mod:`~repro.serve.registry` — compatibility shim for the versioned
-  model registry, which now lives in :mod:`repro.registry` (local
-  store, HTTP artifact service, cached remote backend);
 * :mod:`~repro.serve.batcher` — a micro-batching queue that coalesces
   concurrent requests into one vectorized predict call, with optional
   admission control (shed with 429 once the backlog bound is hit);
@@ -47,7 +44,15 @@ are no third-party serving dependencies.
 from .batcher import BacklogFullError, BatcherStats, MicroBatcher
 from .client import ClientError, PredictionClient, parse_prometheus
 from .metrics import LatencyHistogram, ServingMetrics, merge_prometheus_texts
-from .registry import ModelManifest, ModelRegistry, RegistryError, TombstoneError
+# Re-exported from the registry's local store.  The submodule import works
+# even while repro.registry is mid-import (its server imports this
+# package), where ``from ..registry import ...`` would not.
+from ..registry.local import (
+    ModelManifest,
+    ModelRegistry,
+    RegistryError,
+    TombstoneError,
+)
 from .router import (
     CanarySpec,
     RouterServer,

@@ -68,32 +68,18 @@ class BatcherStats:
 
     rows: int = 0
     batches: int = 0
-    size_flushes: int = 0      # flushed because the batch filled up
-    deadline_flushes: int = 0  # flushed because max_wait_ms elapsed
-    request_flushes: int = 0   # a batch-form request's rows, flushed at once
-    drain_flushes: int = 0     # flushed by shutdown drain
     #: Rows rejected by admission control (``max_backlog``); exported as
     #: ``repro_serve_shed_total``.
     shed: int = 0
+    #: Flushes by reason: ``size`` (the batch filled up), ``deadline``
+    #: (``max_wait_ms`` elapsed), ``request`` (a batch-form request's
+    #: rows, flushed at once) and ``drain`` (shutdown).
     flush_reasons: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Average rows per flush (0.0 before the first flush)."""
-        return self.rows / self.batches if self.batches else 0.0
 
     def record_flush(self, size: int, reason: str) -> None:
         """Count one flush of ``size`` rows for ``reason``."""
         self.rows += size
         self.batches += 1
-        if reason == "size":
-            self.size_flushes += 1
-        elif reason == "deadline":
-            self.deadline_flushes += 1
-        elif reason == "request":
-            self.request_flushes += 1
-        elif reason == "drain":
-            self.drain_flushes += 1
         self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
 
     def record_shed(self, rows: int = 1) -> None:

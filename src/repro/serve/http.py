@@ -49,6 +49,8 @@ __all__ = [
 
 _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+#: How long a 413 waits for the rest of the rejected body.
+_DISCARD_SECONDS = 1.0
 
 _STATUS_TEXT = {
     200: "OK",
@@ -83,6 +85,16 @@ class HTTPError(Exception):
         self.reason = reason
         self.message = message
         self.headers = headers or {}
+
+
+class _BodyTooLarge(HTTPError):
+    """A 413: the declared body is over the limit and still unsent or unread."""
+
+    def __init__(self, length: int) -> None:
+        super().__init__(
+            413, "body_too_large", f"body exceeds {_MAX_BODY_BYTES} bytes"
+        )
+        self.length = length
 
 
 @dataclass
@@ -221,9 +233,16 @@ class HttpServerBase:
                 try:
                     request = await self._read_request(reader)
                 except HTTPError as exc:
-                    # The body's extent is unknown, so nothing after this
-                    # request can be framed: answer it and close.
+                    # Nothing after this request can be framed: answer it
+                    # and close.
                     await self._reject(writer, exc)
+                    if isinstance(exc, _BodyTooLarge):
+                        # A client such as http.client sends the whole
+                        # body before it reads the answer; closing with
+                        # the body unread resets the connection under it.
+                        # The body's extent is known, so swallow it first.
+                        # After a 400 or 431 it is not, so close at once.
+                        await _discard(reader, exc.length)
                     break
                 if request is None:
                     break
@@ -289,9 +308,7 @@ class HttpServerBase:
             )
         length = int(length_text)
         if length > _MAX_BODY_BYTES:
-            raise HTTPError(
-                413, "body_too_large", f"body exceeds {_MAX_BODY_BYTES} bytes"
-            )
+            raise _BodyTooLarge(length)
         body = await reader.readexactly(length) if length else b""
         return Request(
             method=method.upper(),
@@ -413,6 +430,23 @@ class HttpServerBase:
             raise HTTPError(
                 405, "method_not_allowed", f"use {expected} for this endpoint"
             )
+
+
+async def _discard(reader: asyncio.StreamReader, length: int) -> None:
+    """Read and drop up to ``length`` bytes, for at most ``_DISCARD_SECONDS``."""
+
+    async def drain() -> None:
+        remaining = length
+        while remaining > 0:
+            chunk = await reader.read(min(remaining, 64 * 1024))
+            if not chunk:
+                return
+            remaining -= len(chunk)
+
+    try:
+        await asyncio.wait_for(drain(), _DISCARD_SECONDS)
+    except asyncio.TimeoutError:
+        pass
 
 
 class ServerThreadBase:

@@ -1,10 +1,10 @@
 """Request-path observability for the prediction service.
 
 Mirrors the :class:`~repro.sim.solve_cache.EngineStats` pattern — a plain
-mutable record with ``record_*`` methods, ``merge``/``reset``, and a
-human-readable ``summary()`` — extended with the serving-specific parts:
-per-endpoint/status request counters, error counters, batch-size and
-latency histograms with p50/p95/p99, and the model-cache hit rate.
+mutable record with ``record_*`` methods — extended with the
+serving-specific parts: per-endpoint/status request counters, error
+counters, batch-size and latency histograms with p50/p95/p99, and the
+model-cache hit and miss counters.
 
 :meth:`ServingMetrics.render_prometheus` writes everything through the
 stack's one exposition writer (:class:`~repro.obs.registry.Exposition`),
@@ -79,11 +79,6 @@ class LatencyHistogram:
             self._samples[self._next_slot] = value
             self._next_slot = (self._next_slot + 1) % self.max_samples
 
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of the full stream (0.0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile over the retained window.
 
@@ -96,29 +91,6 @@ class LatencyHistogram:
         ordered = sorted(self._samples)
         rank = max(1, math.ceil(p / 100.0 * len(ordered)))
         return ordered[rank - 1]
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram (with identical buckets) into this one."""
-        if other.buckets != self.buckets:
-            raise ValueError("cannot merge histograms with different buckets")
-        self.count += other.count
-        self.total += other.total
-        for i, n in enumerate(other.bucket_counts):
-            self.bucket_counts[i] += n
-        for v in other._samples:
-            if len(self._samples) < self.max_samples:
-                self._samples.append(v)
-            else:
-                self._samples[self._next_slot] = v
-                self._next_slot = (self._next_slot + 1) % self.max_samples
-
-    def reset(self) -> None:
-        """Zero every counter and drop retained samples."""
-        self.count = 0
-        self.total = 0.0
-        self.bucket_counts = [0] * (len(self.buckets) + 1)
-        self._samples = []
-        self._next_slot = 0
 
 
 #: Series whose bare name matches this are point-in-time percentile
@@ -295,40 +267,6 @@ class ServingMetrics:
         """Total HTTP requests across endpoints and statuses."""
         return sum(self.requests_total.values())
 
-    @property
-    def model_cache_hit_rate(self) -> float:
-        """Fraction of model lookups served from memory (0.0 when idle)."""
-        total = self.model_cache_hits + self.model_cache_misses
-        return self.model_cache_hits / total if total else 0.0
-
-    def merge(self, other: "ServingMetrics") -> None:
-        """Fold another record (e.g. a drained worker's) into this one."""
-        for key, n in other.requests_total.items():
-            self.requests_total[key] = self.requests_total.get(key, 0) + n
-        for key, n in other.errors_total.items():
-            self.errors_total[key] = self.errors_total.get(key, 0) + n
-        self.predictions_total += other.predictions_total
-        self.model_cache_hits += other.model_cache_hits
-        self.model_cache_misses += other.model_cache_misses
-        self.latency.merge(other.latency)
-        self.batch_sizes.merge(other.batch_sizes)
-        for phase, hist in other.phase_latency.items():
-            mine = self.phase_latency.get(phase)
-            if mine is None:
-                mine = self.phase_latency[phase] = LatencyHistogram()
-            mine.merge(hist)
-
-    def reset(self) -> None:
-        """Zero every counter and histogram."""
-        self.requests_total = {}
-        self.errors_total = {}
-        self.predictions_total = 0
-        self.model_cache_hits = 0
-        self.model_cache_misses = 0
-        self.latency.reset()
-        self.batch_sizes.reset()
-        self.phase_latency = {}
-
     # ------------------------------------------------------ rendering
     def render_prometheus(self) -> str:
         """The Prometheus text exposition for ``GET /metrics``."""
@@ -392,26 +330,3 @@ class ServingMetrics:
                 [({"phase": phase}, h.percentile(q)) for phase, h in phases],
             )
         return out.text()
-
-    def summary(self) -> str:
-        """Human-readable one-stop summary (EngineStats style)."""
-        errors = sum(self.errors_total.values())
-        lines = [
-            f"serving stats: {self.request_count} requests, "
-            f"{self.predictions_total} predictions, {errors} errors, "
-            f"{100.0 * self.model_cache_hit_rate:.1f}% model cache hit rate"
-        ]
-        if self.latency.count:
-            lines.append(
-                "request latency: "
-                f"p50 {1e3 * self.latency.percentile(50):.3f} ms | "
-                f"p95 {1e3 * self.latency.percentile(95):.3f} ms | "
-                f"p99 {1e3 * self.latency.percentile(99):.3f} ms"
-            )
-        if self.batch_sizes.count:
-            lines.append(
-                f"micro-batches: {self.batch_sizes.count} flushed, "
-                f"mean size {self.batch_sizes.mean:.2f}, "
-                f"max bucket p99 {self.batch_sizes.percentile(99):.0f}"
-            )
-        return "\n".join(lines)

@@ -60,7 +60,6 @@ from .batcher import BacklogFullError, MicroBatcher
 from .http import HTTPError, HttpServerBase, Request, ServerThreadBase
 from .http import header_safe as _header_safe  # noqa: F401  (compat re-export)
 from .metrics import ServingMetrics
-from .registry import ModelManifest  # noqa: F401  (compat re-export)
 
 __all__ = ["PredictionServer", "ServerThread"]
 

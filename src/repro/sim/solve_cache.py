@@ -108,13 +108,12 @@ class SolveCache:
 
     Keys are :func:`solve_key` tuples; values are frozen
     :class:`~repro.sim.engine.SteadyState` records.  Unbounded by default;
-    pass ``max_entries`` to evict least-recently-used solves (evictions
-    are counted in :attr:`evictions` and, through the engine, in
-    :attr:`EngineStats.cache_evictions` — a long suite run with a bounded
-    cache stays bounded *observably*).  A cache may back several engines,
-    but only engines whose processors genuinely share a configuration
-    should share one (keys include the processor *name*, not its full
-    geometry).
+    pass ``max_entries`` to evict least-recently-used solves (the engine
+    counts hits, misses and evictions in its :class:`EngineStats` — a
+    long suite run with a bounded cache stays bounded *observably*).  A
+    cache may back several engines, but only engines whose processors
+    genuinely share a configuration should share one (keys include the
+    processor *name*, not its full geometry).
 
     A cache survives its process: :meth:`dump` / :meth:`load` round-trip
     the entries through pickle, which is how the suite runner
@@ -126,9 +125,6 @@ class SolveCache:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1 (or None for unbounded)")
         self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         self._entries: OrderedDict[tuple, object] = OrderedDict()
 
     def __len__(self) -> int:
@@ -137,21 +133,11 @@ class SolveCache:
     def __contains__(self, key: tuple) -> bool:
         return key in self._entries
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def get(self, key: tuple):
         """The cached steady state for ``key``, or ``None`` on a miss."""
-        try:
-            state = self._entries[key]
-        except KeyError:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
+        state = self._entries.get(key)
+        if state is not None:
+            self._entries.move_to_end(key)
         return state
 
     def put(self, key: tuple, state) -> bool:
@@ -164,20 +150,16 @@ class SolveCache:
         self._entries.move_to_end(key)
         if self.max_entries is not None and len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-            self.evictions += 1
             return True
         return False
 
     def clear(self) -> None:
-        """Drop every entry and reset the hit/miss/eviction counters."""
+        """Drop every entry."""
         self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     # -------------------------------------------------------- persistence
     def dump_bytes(self) -> bytes:
-        """Serialize the entries (not the counters) for a later process.
+        """Serialize the entries for a later process.
 
         Entries travel in recency order, so a bounded cache restored via
         :meth:`load_bytes` evicts in the same order the donor would have.
@@ -322,59 +304,6 @@ class EngineStats:
             self.iteration_counts[iterations] = (
                 self.iteration_counts.get(iterations, 0) + count
             )
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.solves = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
-        self.convergence_failures = 0
-        self.iteration_counts = {}
-        self.batches = 0
-        self.batched_scenarios = 0
-        self.batch_dedupe_hits = 0
-        self.frozen_iterations_saved = 0
-
-    def iteration_histogram(self, bin_width: int = 25) -> dict[str, int]:
-        """Solve counts binned by fixed-point iterations, e.g. ``{"1-25": 7}``."""
-        if bin_width < 1:
-            raise ValueError("bin width must be >= 1")
-        bins: dict[int, int] = {}
-        for iterations, count in self.iteration_counts.items():
-            bins[(iterations - 1) // bin_width] = (
-                bins.get((iterations - 1) // bin_width, 0) + count
-            )
-        return {
-            f"{b * bin_width + 1}-{(b + 1) * bin_width}": bins[b]
-            for b in sorted(bins)
-        }
-
-    def summary(self) -> str:
-        """Human-readable one-stop summary (used by the CLI and benches)."""
-        lines = [
-            f"engine stats: {self.requests} steady-state requests, "
-            f"{self.solves} solves, {self.cache_hits} cache hits "
-            f"({100.0 * self.cache_hit_rate:.1f}% hit rate), "
-            f"{self.convergence_failures} convergence failures"
-        ]
-        if self.cache_evictions:
-            lines.append(
-                f"bounded cache: {self.cache_evictions} LRU evictions"
-            )
-        if self.batches:
-            lines.append(
-                f"batched solves: {self.batches} batches, "
-                f"{self.batched_scenarios} scenarios "
-                f"({self.batched_scenarios / self.batches:.1f}/batch), "
-                f"{self.batch_dedupe_hits} in-batch dedupe hits, "
-                f"{self.frozen_iterations_saved} iterations saved by freezing"
-            )
-        histogram = self.iteration_histogram()
-        if histogram:
-            body = " | ".join(f"{span}: {n}" for span, n in histogram.items())
-            lines.append(f"fixed-point iterations: {body}")
-        return "\n".join(lines)
 
     def render_prometheus(self) -> str:
         """This record's ``repro_engine_*`` families as Prometheus text."""

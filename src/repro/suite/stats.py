@@ -4,7 +4,8 @@ Mirrors the pattern set by :class:`repro.sim.engine.EngineStats` /
 ``GLOBAL_ENGINE_STATS``: every :class:`~repro.suite.runner.SuiteRunner`
 carries its own :class:`SuiteStats`, and each recording call also bumps
 the process-wide :data:`GLOBAL_SUITE_STATS` aggregate, which is what the
-``/metrics`` endpoint and ``--stats`` flag read.
+``/metrics`` endpoint reads (``suite run --stats`` prints the runner's
+own record through the same exposition).
 """
 
 from __future__ import annotations
@@ -68,34 +69,6 @@ class SuiteStats:
         if self is not GLOBAL_SUITE_STATS:
             GLOBAL_SUITE_STATS.solve_cache_entries_loaded += loaded
             GLOBAL_SUITE_STATS.solve_cache_entries_saved += saved
-
-    def reset(self) -> None:
-        self.runs = 0
-        self.nodes_run = 0
-        self.nodes_skipped = 0
-        self.nodes_failed = 0
-        self.nodes_resumed = 0
-        self.store_hits = 0
-        self.store_misses = 0
-        self.solve_cache_entries_loaded = 0
-        self.solve_cache_entries_saved = 0
-
-    def summary(self) -> str:
-        lines = [
-            f"suite runs: {self.runs}",
-            f"nodes executed: {self.nodes_run}",
-            f"nodes skipped (store hits): {self.nodes_skipped}",
-        ]
-        if self.nodes_resumed:
-            lines.append(f"nodes resumed from a prior run: {self.nodes_resumed}")
-        if self.nodes_failed:
-            lines.append(f"nodes failed: {self.nodes_failed}")
-        if self.solve_cache_entries_loaded or self.solve_cache_entries_saved:
-            lines.append(
-                f"solve cache: {self.solve_cache_entries_loaded} entries "
-                f"loaded, {self.solve_cache_entries_saved} saved"
-            )
-        return "\n".join(lines)
 
     def render_prometheus(self) -> str:
         """This record's ``repro_suite_*`` families as Prometheus text."""

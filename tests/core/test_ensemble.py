@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.ensemble import EnsemblePredictor, PredictionInterval
 from repro.core.feature_sets import FeatureSet
+from repro.core.fitstats import GLOBAL_FIT_STATS
 from repro.core.methodology import ModelKind
 from repro.counters.hpcrun import hpcrun_flat
 from repro.workloads.suite import get_application
@@ -109,21 +110,34 @@ class TestParallelFit:
         self, small_dataset, baselines_6core
     ):
         """Resamples and member streams are pre-drawn from the ensemble
-        seed, so pool-trained members equal serially trained ones."""
+        seed, so pool-trained members equal serially trained ones; and
+        every member fit reaches this process's fit counters, whichever
+        process fitted it and whether or not the model keeps a record."""
+        counts = (
+            "fits", "restarts", "scg_iterations", "function_evals",
+            "gradient_evals",
+        )
 
-        def build(workers):
+        def build(kind, workers):
             ens = EnsemblePredictor(
-                ModelKind.NEURAL, FeatureSet.C, n_members=3, seed=4,
-                workers=workers,
+                kind, FeatureSet.C, n_members=3, seed=4, workers=workers,
             )
-            return ens.fit(list(small_dataset))
+            before = [getattr(GLOBAL_FIT_STATS, c) for c in counts]
+            ens.fit(list(small_dataset))
+            grown = [
+                getattr(GLOBAL_FIT_STATS, c) - b for c, b in zip(counts, before)
+            ]
+            assert grown == [getattr(ens.fit_stats_, c) for c in counts]
+            assert ens.fit_stats_.fits == 3
+            return ens
 
         target = baselines_6core.get("sp", 2.53)
         co = [baselines_6core.get("cg", 2.53)] * 2
-        serial = build(1).predict_interval(target, co)
-        parallel = build(3).predict_interval(target, co)
-        assert serial.member_predictions == parallel.member_predictions
-        assert serial.mean_s == parallel.mean_s
+        for kind in (ModelKind.NEURAL, ModelKind.LINEAR):
+            serial = build(kind, 1).predict_interval(target, co)
+            parallel = build(kind, 3).predict_interval(target, co)
+            assert serial.member_predictions == parallel.member_predictions
+            assert serial.mean_s == parallel.mean_s
 
     def test_fit_stats_aggregated_over_members(self, ensemble):
         stats = ensemble.fit_stats_

@@ -1,6 +1,7 @@
 """Tests for the fit-statistics observability counters."""
 
 from repro.core.fitstats import FitStats
+from repro.obs import samples_text
 
 
 class TestRecording:
@@ -41,35 +42,14 @@ class TestRecording:
         assert a.wall_time_s == 1.0
         assert b.fits == 1  # merge does not mutate the source
 
-    def test_reset(self):
-        stats = FitStats()
-        stats.record_fit(restarts=5, scg_iterations=500, wall_time_s=2.0)
-        stats.reset()
-        assert stats == FitStats()
-
 
 class TestDerived:
-    def test_rates_idle_are_zero(self):
-        stats = FitStats()
-        assert stats.iterations_per_fit == 0.0
-        assert stats.fits_per_second == 0.0
-
-    def test_rates(self):
-        stats = FitStats()
-        stats.record_fit(scg_iterations=300, wall_time_s=0.5)
-        stats.record_fit(scg_iterations=100, wall_time_s=0.5)
-        assert stats.iterations_per_fit == 200.0
-        assert stats.fits_per_second == 2.0
-
     def test_summary_mentions_counts(self):
         stats = FitStats()
         stats.record_fit(restarts=2, scg_iterations=120, gradient_evals=200,
                          wall_time_s=0.5)
-        text = stats.summary()
-        assert "1 fits" in text
-        assert "2 restarts" in text
-        assert "120 SCG iterations" in text
-        assert "fits/s" in text
-
-    def test_summary_idle_omits_wall_time_line(self):
-        assert "wall time" not in FitStats().summary()
+        lines = samples_text(stats.render_prometheus()).splitlines()
+        assert "repro_fit_fits_total 1" in lines
+        assert "repro_fit_restarts_total 2" in lines
+        assert "repro_fit_scg_iterations_total 120" in lines
+        assert "repro_fit_wall_seconds_total 0.5" in lines

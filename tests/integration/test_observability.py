@@ -19,8 +19,8 @@ from repro.cli import main
 from repro.core.feature_sets import FeatureSet
 from repro.core.methodology import ModelKind, PerformancePredictor
 from repro.obs.trace import NullTracer, disable, enable, get_tracer
+from repro.registry import ModelRegistry
 from repro.serve.client import PredictionClient, parse_prometheus
-from repro.serve.registry import ModelRegistry
 from repro.serve.server import ServerThread
 
 

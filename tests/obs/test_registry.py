@@ -13,6 +13,7 @@ from repro.obs.registry import (
     escape_label_value,
     format_value,
     install_default_sources,
+    samples_text,
 )
 
 
@@ -63,6 +64,25 @@ class TestHistogram:
         assert 'lat_bucket{le="1.0",phase="queue"} 1' in lines
         assert 'lat_bucket{le="+Inf",phase="queue"} 2' in lines
         assert 'lat_count{phase="predict"} 0' in lines
+
+
+class TestSamplesText:
+    def test_samples_in_order_without_metadata_or_buckets(self):
+        text = (
+            Exposition()
+            .counter("jobs_total", "Jobs.", 3)
+            .histogram(
+                "lat", "Latency.", [({"phase": "queue"}, (1.0,), [1, 1], 2.5)]
+            )
+            .gauge("lat_p50", "Median latency.", 0.5)
+            .text()
+        )
+        assert samples_text(text).splitlines() == [
+            "jobs_total 3",
+            'lat_sum{phase="queue"} 2.5',
+            'lat_count{phase="queue"} 2',
+            "lat_p50 0.5",
+        ]
 
 
 class TestFormatting:

@@ -1,8 +1,8 @@
 """Local registry backend: tombstones, GC, blobs, latest-version cache.
 
 The original push/resolve/get semantics are pinned by
-``tests/serve/test_registry.py`` (which now exercises the compat shim);
-this module covers what the registry subsystem added on top.
+``tests/serve/test_registry.py``; this module covers what the registry
+subsystem added on top.
 """
 
 import json
@@ -11,8 +11,6 @@ import os
 import pytest
 
 from repro.registry import (
-    LocalBackend,
-    ModelRegistry,
     RegistryBackend,
     RegistryError,
     TombstoneError,
@@ -22,9 +20,6 @@ from repro.registry import (
 class TestBackendProtocol:
     def test_local_registry_satisfies_protocol(self, store):
         assert isinstance(store, RegistryBackend)
-
-    def test_local_backend_alias(self):
-        assert LocalBackend is ModelRegistry
 
     def test_describe_names_the_root(self, store):
         assert str(store.root) == store.describe()

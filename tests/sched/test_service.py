@@ -7,6 +7,7 @@ path is exercised by ``tests/integration/test_sched_service.py``.
 """
 
 import asyncio
+import http.client
 import json
 import socket
 import time
@@ -285,6 +286,19 @@ class TestUnframeableRequest:
         assert head.startswith(f"HTTP/1.1 {status} ".encode())
         assert b"Connection: close" in head
         assert json.loads(body)["error"]
+        with SchedulerClient("127.0.0.1", raw_server.port) as client:
+            assert client.healthz()["status"] == "ok"
+
+    def test_client_that_sends_the_whole_body_reads_413(self, raw_server):
+        # http.client sends the whole body before it reads the answer.
+        conn = http.client.HTTPConnection("127.0.0.1", raw_server.port, timeout=10)
+        try:
+            conn.request("POST", "/v1/jobs", body=b"x" * 9_000_000)
+            response = conn.getresponse()
+            assert response.status == 413
+            assert json.loads(response.read())["error"]
+        finally:
+            conn.close()
         with SchedulerClient("127.0.0.1", raw_server.port) as client:
             assert client.healthz()["status"] == "ok"
 

@@ -12,7 +12,7 @@ import pytest
 from repro.core.ensemble import EnsemblePredictor
 from repro.core.feature_sets import FeatureSet
 from repro.core.methodology import ModelKind, PerformancePredictor
-from repro.serve.registry import ModelRegistry
+from repro.registry import ModelRegistry
 
 
 @pytest.fixture(scope="session")

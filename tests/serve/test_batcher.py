@@ -62,10 +62,8 @@ class TestCoalescing:
 
         stats = asyncio.run(run())
         # A 1-minute deadline can't have fired: both flushes were size-driven.
-        assert stats.size_flushes == 2
-        assert stats.deadline_flushes == 0
-        assert stats.rows == 8
-        assert stats.mean_batch_size == 4.0
+        assert stats.flush_reasons == {"size": 2}
+        assert stats.rows == 8 and stats.batches == 2
 
     def test_deadline_flushes_partial_batch(self):
         async def run():
@@ -75,8 +73,8 @@ class TestCoalescing:
 
         result, stats = asyncio.run(run())
         assert result == 5.0
-        assert stats.deadline_flushes == 1
         assert stats.flush_reasons == {"deadline": 1}
+        assert stats.rows == 1 and stats.batches == 1
 
     def test_multi_row_request_does_not_wait_out_the_deadline(self):
         async def run():
@@ -90,7 +88,7 @@ class TestCoalescing:
         results, stats = asyncio.run(run())
         assert results == [float(i) for i in range(33)]
         assert stats.flush_reasons == {"size": 1, "request": 1}
-        assert stats.request_flushes == 1 and stats.deadline_flushes == 0
+        assert stats.rows == 33 and stats.batches == 2
 
     def test_one_row_batch_form_request_does_not_wait(self):
         async def run():
@@ -164,7 +162,8 @@ class TestCoalescing:
 
         result, stats = asyncio.run(run())
         assert result == 3.0
-        assert stats.drain_flushes == 1
+        assert stats.flush_reasons == {"drain": 1}
+        assert stats.rows == 1 and stats.batches == 1
 
 
 class TestErrorPropagation:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.serve.registry import ModelRegistry, RegistryError
+from repro.registry import ModelRegistry, RegistryError
 
 
 class TestPushAndVersioning:

@@ -46,18 +46,10 @@ class TestDumpLoad:
         for i in range(10):
             donor.put((i,), i)
         bounded = SolveCache(max_entries=3)
-        bounded.load_bytes(donor.dump_bytes())
+        assert bounded.load_bytes(donor.dump_bytes()) == 10
+        # The donor's recency order survives: the 7 oldest were evicted.
         assert len(bounded) == 3
-        assert bounded.evictions == 7
-
-    def test_counters_do_not_travel(self):
-        cache = SolveCache()
-        cache.put(("k",), 1)
-        cache.get(("k",))
-        cache.get(("miss",))
-        fresh = SolveCache()
-        fresh.load_bytes(cache.dump_bytes())
-        assert fresh.hits == 0 and fresh.misses == 0
+        assert [(i,) in bounded for i in range(10)] == [False] * 7 + [True] * 3
 
 
 class TestEvictionCounter:
@@ -65,23 +57,13 @@ class TestEvictionCounter:
         cache = SolveCache()
         for i in range(100):
             assert cache.put((i,), i) is False
-        assert cache.evictions == 0
 
     def test_put_reports_and_counts_evictions(self):
         cache = SolveCache(max_entries=2)
         assert cache.put((1,), 1) is False
         assert cache.put((2,), 2) is False
         assert cache.put((3,), 3) is True
-        assert cache.evictions == 1
         assert (1,) not in cache and (3,) in cache
-
-    def test_clear_resets_evictions(self):
-        cache = SolveCache(max_entries=1)
-        cache.put((1,), 1)
-        cache.put((2,), 2)
-        assert cache.evictions == 1
-        cache.clear()
-        assert cache.evictions == 0
 
     def test_engine_stats_record_merge_reset(self):
         stats = EngineStats()
@@ -92,21 +74,14 @@ class TestEvictionCounter:
         other.record_eviction()
         stats.merge(other)
         assert stats.cache_evictions == 3
-        assert "3 LRU evictions" in stats.summary()
-        stats.reset()
-        assert stats.cache_evictions == 0
-
-    def test_summary_silent_without_evictions(self):
-        assert "evictions" not in EngineStats().summary()
 
     def test_engine_records_evictions_under_bounded_cache(self):
         engine = SimulationEngine(XEON_E5649, cache=SolveCache(max_entries=2))
         ep = get_application("ep")
         before = GLOBAL_ENGINE_STATS.cache_evictions
-        # Baselines sweep 6 P-states => at least 4 evictions with bound 2.
+        # Baselines sweep 6 P-states: 6 misses into a bound of 2 evict 4.
         collect_baselines(engine, apps=[ep])
-        assert engine.cache.evictions >= 4
-        assert engine.stats.cache_evictions == engine.cache.evictions
+        assert engine.stats.cache_evictions == 4
         assert (
             GLOBAL_ENGINE_STATS.cache_evictions - before
             == engine.stats.cache_evictions

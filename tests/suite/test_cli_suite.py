@@ -37,9 +37,12 @@ class TestSuiteRun:
             ["suite", "run", str(spec_file), "--store", str(store_dir),
              "--stats"]
         ) == 0
-        out = capsys.readouterr().out
-        assert "nodes executed: 3" in out
-        assert "solve cache:" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert "repro_suite_nodes_run_total 3" in lines
+        assert any(
+            line.startswith("repro_suite_solve_cache_saved_total ")
+            for line in lines
+        )
 
     def test_force(self, spec_file, store_dir, capsys):
         main(["suite", "run", str(spec_file), "--store", str(store_dir)])

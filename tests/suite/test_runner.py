@@ -4,6 +4,7 @@ import copy
 
 import pytest
 
+from repro.obs import samples_text
 from repro.suite import (
     ArtifactStore,
     SuiteRunner,
@@ -227,9 +228,9 @@ class TestStats:
         assert stats.nodes_skipped == 3
         assert stats.store_hits == 3
         assert stats.store_misses == 3
-        text = stats.summary()
-        assert "nodes executed: 3" in text
-        assert "store hits" in text
+        lines = samples_text(stats.render_prometheus()).splitlines()
+        assert "repro_suite_nodes_run_total 3" in lines
+        assert "repro_suite_store_hits_total 3" in lines
 
     def test_global_aggregate_mirrors(self, tiny_suite, store):
         from repro.suite import GLOBAL_SUITE_STATS

@@ -1,10 +1,30 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _serve_until_interrupted, build_parser, main
+from repro.core.fitstats import FitStats
+from repro.obs import samples_text
+from repro.serve.metrics import ServingMetrics
+from repro.sim.solve_cache import EngineStats
+from repro.suite.stats import SuiteStats
+
+_SHARED_FLAGS = {"--trace", "--otlp", "--trace-collector", "--stats"}
+_TRACING = {"--trace", "--otlp", "--trace-collector"}
+
+
+def _subcommand(path):
+    parser = build_parser()
+    for name in path:
+        (subparsers,) = (
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        parser = subparsers.choices[name]
+    return parser
 
 
 class TestParser:
@@ -15,6 +35,47 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    @pytest.mark.parametrize(
+        ("command", "flags"),
+        [
+            ("machines", set()),
+            ("apps", set()),
+            ("baseline", set()),
+            ("collect", _TRACING | {"--stats"}),
+            ("train", _TRACING),
+            ("evaluate", _TRACING | {"--stats"}),
+            ("predict", set()),
+            ("serve", _TRACING),
+            ("registry push", set()),
+            ("registry list", set()),
+            ("registry show", set()),
+            ("registry serve", set()),
+            ("registry gc", set()),
+            ("registry tombstone", set()),
+            ("registry pull", set()),
+            ("sched serve", _TRACING),
+            ("sched submit", set()),
+            ("sched status", set()),
+            ("suite run", _TRACING | {"--stats"}),
+            ("suite status", set()),
+            ("suite explain", set()),
+            ("suite gc", set()),
+            ("table", set()),
+            ("figure", set()),
+            ("report", set()),
+            ("obs summary", set()),
+            # The collector's own --otlp: write the collected spans on exit.
+            ("obs collector", {"--otlp"}),
+        ],
+    )
+    def test_shared_flags_per_subcommand(self, command, flags):
+        parser = _subcommand(command.split())
+        accepted = {
+            option for action in parser._actions
+            for option in action.option_strings
+        }
+        assert accepted & _SHARED_FLAGS == flags
 
 
 class TestInspectionCommands:
@@ -111,9 +172,10 @@ class TestPipelineCommands:
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "engine stats" in out
-        assert "hit rate" in out
+        lines = capsys.readouterr().out.splitlines()
+        # 108 co-location scenarios plus 4 apps' baselines at 6 P-states.
+        assert "repro_engine_solves_total 132" in lines
+        assert "repro_engine_solve_iterations_count 132" in lines
         # Any worker count must reproduce the serial dataset bit-for-bit.
         assert path.read_text() == dataset_csv.read_text()
 
@@ -193,6 +255,92 @@ class TestPipelineCommands:
             args += ["-o", str(tmp_path / "m.json")]
         with pytest.raises(SystemExit, match=message):
             main(args)
+
+
+class TestStatsOutput:
+    """``--stats`` prints its run's record as exposition samples."""
+
+    @pytest.mark.parametrize(
+        ("command", "record_type"),
+        [
+            ("collect", EngineStats),
+            ("evaluate", FitStats),
+            ("suite run", SuiteStats),
+        ],
+    )
+    def test_stats_lines_are_the_records_samples(
+        self, command, record_type, dataset_csv, tmp_path, monkeypatch, capsys
+    ):
+        if command == "collect":
+            argv = ["collect", "-o", str(tmp_path / "d.csv"),
+                    "--targets", "ep", "--co-apps", "cg", "--counts", "1,1"]
+        elif command == "evaluate":
+            data = tmp_path / "d.csv"
+            rows = dataset_csv.read_text().splitlines()[:25]
+            data.write_text("\n".join(rows) + "\n")
+            argv = ["evaluate", "--data", str(data), "--repetitions", "1",
+                    "--verify-manifest", "skip"]
+        else:
+            spec = tmp_path / "suite.json"
+            spec.write_text(json.dumps({
+                "suite": "tiny",
+                "defaults": {"machine": "e5649", "repetitions": 1,
+                             "model_kinds": ["linear"], "feature_sets": ["F"]},
+                "cases": [{"name": "base", "targets": ["cg", "sp"],
+                           "co_apps": ["ep", "lu"], "counts": [1, 2, 3],
+                           "frequencies_ghz": [2.53, 1.6]}],
+            }))
+            argv = ["suite", "run", str(spec), "--store", str(tmp_path / "s")]
+        rendered = []
+        render = record_type.render_prometheus
+
+        def spy(record):
+            rendered.append(render(record))
+            return rendered[-1]
+
+        monkeypatch.setattr(record_type, "render_prometheus", spy)
+        assert main(argv + ["--stats"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        (exposition,) = rendered
+        samples = [
+            line for line in exposition.splitlines()
+            if not line.startswith("#") and "_bucket{" not in line
+        ]
+        assert out[-len(samples):] == samples
+        assert not any(line.startswith("#") or "_bucket" in line for line in out)
+
+    def test_server_prints_its_record_at_shutdown(self, capsys):
+        class Server:
+            def __init__(self, metrics):
+                self.metrics = metrics
+                self.stopped = False
+
+            async def start(self):
+                pass
+
+            async def serve_forever(self):
+                pass  # Ctrl-C cancels the serve loop, which then returns
+
+            async def stop(self):
+                self.stopped = True
+
+        metrics = ServingMetrics()
+        metrics.record_request("/v1/predict", 200, 0.002)
+        server = Server(metrics)
+        _serve_until_interrupted(server, lambda: "listening")
+        lines = capsys.readouterr().out.splitlines()
+        assert server.stopped
+        assert lines[0] == "listening"
+        assert lines[1:] == samples_text(metrics.render_prometheus()).splitlines()
+        assert (
+            'repro_serve_requests_total{endpoint="/v1/predict",status="200"} 1'
+            in lines
+        )
+        assert not any("_bucket" in line for line in lines)
+        # A server without a request record (the span collector) prints
+        # only its banner.
+        _serve_until_interrupted(Server(None), lambda: "listening")
+        assert capsys.readouterr().out.splitlines() == ["listening"]
 
 
 class TestServingCommands:
