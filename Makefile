@@ -6,15 +6,15 @@ install:
 	pip install -e '.[test]'
 
 test:
-	pytest tests/
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} pytest tests/
 
 # Full fidelity: 100 random sub-sampling partitions (the paper's protocol).
 bench:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} pytest benchmarks/ --benchmark-only
 
 # Quick pass: same shapes, ~10x faster.
 bench-quick:
-	REPRO_REPETITIONS=10 pytest benchmarks/ --benchmark-only
+	REPRO_REPETITIONS=10 PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} pytest benchmarks/ --benchmark-only
 
 # Throughput smoke: reduced sweeps, single rounds.  Surfaces solve/
 # cache-speedup, serving micro-batch, registry round-trip, and
@@ -27,12 +27,12 @@ bench-smoke:
 	REPRO_SMOKE=1 PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} pytest benchmarks/bench_engine_throughput.py benchmarks/bench_serve_throughput.py benchmarks/bench_validation_throughput.py benchmarks/bench_registry_roundtrip.py benchmarks/bench_sched_service.py benchmarks/bench_trace_streaming.py benchmarks/bench_suite_incremental.py benchmarks/bench_extension_online_scheduling.py benchmarks/bench_ablation_timesliced.py -q --benchmark-disable
 
 examples:
-	python examples/quickstart.py
-	python examples/phase_analysis.py
-	python examples/interference_scheduler.py
-	python examples/energy_modeling.py
-	python examples/portability.py
-	python examples/uncertainty_and_governor.py
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python examples/quickstart.py
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python examples/phase_analysis.py
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python examples/interference_scheduler.py
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python examples/energy_modeling.py
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python examples/portability.py
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python examples/uncertainty_and_governor.py
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache

@@ -707,6 +707,7 @@ def _cmd_serve_tier(args) -> int:
 def _cmd_serve(args) -> int:
     from .serve.server import PredictionServer
 
+    _check_workers(args)
     if args.workers > 1 or args.canary or args.shadow:
         return _cmd_serve_tier(args)
     registry = _open_backend(args)

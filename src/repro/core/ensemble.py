@@ -14,42 +14,29 @@ scheduler needs before trusting an exotic placement.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..counters.hpcrun import FlatProfile
+from ..parallel import map_chunks, spawn_streams, split_chunks
 from .feature_sets import FeatureSet
 from .features import CoLocationObservation, feature_matrix, feature_row
 from .fitstats import GLOBAL_FIT_STATS, FitStats
 from .methodology import ModelKind, make_model
-from .validation import _spawn_streams
 
 __all__ = ["PredictionInterval", "EnsemblePredictor"]
 
 
-# Worker-process state for parallel member fitting: the model recipe and
-# the dataset ship once per worker via the pool initializer.
-_MEMBER_POOL: tuple | None = None
-
-
-def _init_member_pool(kind, feature_set, X, y) -> None:
-    global _MEMBER_POOL
-    _MEMBER_POOL = (kind, feature_set, X, y)
-
-
-def _fit_member(task):
-    pool_state = _MEMBER_POOL
-    assert pool_state is not None, "member pool used before initialization"
-    kind, feature_set, X, y = pool_state
-    idx, rng = task
-    model = make_model(kind, feature_set, rng=rng)
-    model.fit(X[idx], y[idx])
-    # make_model binds rng into fit via a per-instance closure, which
-    # cannot pickle back to the parent; the model is fitted, so drop it.
-    vars(model).pop("fit", None)
-    return model
+def _fit_members(shared, chunk) -> list:
+    """Fit one chunk of members, each on its resample with its own stream."""
+    kind, feature_set, X, y = shared
+    members = []
+    for idx, rng in chunk:
+        model = make_model(kind, feature_set, rng=rng)
+        model.fit(X[idx], y[idx])
+        members.append(model)
+    return members
 
 
 @dataclass(frozen=True)
@@ -142,27 +129,24 @@ class EnsemblePredictor:
         resamples = [
             self._rng.integers(0, n, size=n) for _ in range(self.n_members)
         ]
-        member_rngs = _spawn_streams(self._rng, self.n_members)
-        tasks = list(zip(resamples, member_rngs))
-        if self.workers == 1:
-            members = []
-            for idx, member_rng in tasks:
-                model = make_model(self.kind, self.feature_set, rng=member_rng)
-                model.fit(X[idx], y[idx])
-                members.append(model)
-        else:
-            with ProcessPoolExecutor(
-                max_workers=min(self.workers, self.n_members),
-                initializer=_init_member_pool,
-                initargs=(self.kind, self.feature_set, X, y),
-            ) as pool:
-                members = list(pool.map(_fit_member, tasks))
+        member_rngs = spawn_streams(self._rng, self.n_members)
+        chunks = split_chunks(zip(resamples, member_rngs), self.workers)
+        members = [
+            member
+            for chunk in map_chunks(
+                _fit_members,
+                (self.kind, self.feature_set, X, y),
+                chunks,
+                workers=self.workers,
+            )
+            for member in chunk
+        ]
         aggregate = FitStats()
         for member in members:
             member_stats = getattr(member, "fit_stats_", None)
             if isinstance(member_stats, FitStats):
                 aggregate.merge(member_stats)
-                if self.workers > 1:
+                if len(chunks) > 1:
                     # The fit fed its worker process's (discarded)
                     # process-wide record; count it in this one instead.
                     GLOBAL_FIT_STATS.merge(member_stats)

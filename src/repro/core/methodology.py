@@ -65,13 +65,9 @@ def make_model(
     model = NeuralNetworkModel(hidden_units=default_hidden_units(n_features))
     if rng is not None:
         # Bind the rng into fit so the validation protocol (fit(X, y))
-        # stays uniform across model kinds.
-        original_fit = model.fit
-
-        def fit_with_rng(X: np.ndarray, y: np.ndarray) -> NeuralNetworkModel:
-            return original_fit(X, y, rng=rng)
-
-        model.fit = fit_with_rng  # type: ignore[method-assign]
+        # stays uniform across model kinds.  A partial of the bound method
+        # (not a closure) keeps the model picklable.
+        model.fit = partial(model.fit, rng=rng)  # type: ignore[method-assign]
     return model
 
 

@@ -10,9 +10,10 @@ partition errors varied by "at most a quarter of a percent", i.e. tight
 confidence intervals, and the reproduction's benches check the same.
 
 Repetitions (and leave-one-group-out folds) are independent, so both
-protocols accept ``workers=N`` to fan fits across a process pool — the
-fitting counterpart of the collection layer's ``map_scenario_batches``.
-The same two rules keep ``workers=N`` bit-identical to ``workers=1``:
+protocols accept ``workers=N`` to fan fits across the package's one
+process pool, :func:`repro.parallel.map_chunks`, which collection sweeps
+and ensemble fits share.  Two rules keep ``workers=N`` bit-identical to
+``workers=1``:
 
 * **Stable split stream.**  Every split permutation is drawn up front from
   the caller's ``rng`` in repetition order, exactly as the serial loop
@@ -34,13 +35,13 @@ from __future__ import annotations
 
 import inspect
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 import numpy as np
 
 from ..obs.trace import get_tracer
+from ..parallel import map_chunks, spawn_streams, split_chunks
 from .fitstats import GLOBAL_FIT_STATS, FitStats
 from .metrics import mpe, nrmse
 
@@ -73,22 +74,6 @@ def _accepts_rng(factory: Callable) -> bool:
     except (TypeError, ValueError):
         return False
     return "rng" in params
-
-
-def _spawn_streams(
-    rng: np.random.Generator, count: int
-) -> list[np.random.Generator]:
-    """One child generator per repetition (same scheme as the harness).
-
-    Children derive from the generator's SeedSequence spawn counter, not
-    its draw position, so the i-th child is fixed no matter how many
-    values (e.g. split permutations) were drawn in between.
-    """
-    try:
-        return list(rng.spawn(count))
-    except TypeError:  # bit generator built without a seed sequence
-        root = np.random.SeedSequence(int(rng.integers(2**63)))
-        return [np.random.default_rng(child) for child in root.spawn(count)]
 
 
 def _fit_and_score(
@@ -124,26 +109,18 @@ def _fit_and_score(
     )
 
 
-# Worker-process state for the validation pool: the dataset and factory are
-# shipped once per worker via the pool initializer, not per task.
-_FIT_POOL: tuple | None = None
-
-
-def _init_fit_pool(make_model: Callable, X: np.ndarray, y: np.ndarray) -> None:
-    global _FIT_POOL
-    _FIT_POOL = (make_model, X, y)
-
-
-def _run_fit_chunk(chunk):
-    pool_state = _FIT_POOL
-    assert pool_state is not None, "fit pool used before initialization"
-    make_model, X, y = pool_state
+def _score_chunk(shared, chunk) -> tuple[list, FitStats]:
+    """Fit and score one chunk of splits, one repetition span each."""
+    make_model, X, y = shared
     stats = FitStats()
-    results = [
-        (index, _fit_and_score(make_model, X, y, train_idx, test_idx, fit_rng, stats))
-        for index, train_idx, test_idx, fit_rng in chunk
-    ]
-    return results, stats
+    tracer = get_tracer()
+    rows = []
+    for index, train_idx, test_idx, fit_rng in chunk:
+        with tracer.span("validation.repetition", repetition=index):
+            rows.append(
+                _fit_and_score(make_model, X, y, train_idx, test_idx, fit_rng, stats)
+            )
+    return rows, stats
 
 
 def _map_splits(
@@ -154,51 +131,30 @@ def _map_splits(
     fit_rngs: list,
     stats: FitStats,
     workers: int,
-    *,
-    chunks_per_worker: int = 4,
 ) -> list[tuple[float, float, float, float]]:
     """Score every ``(train_idx, test_idx)`` split, in order.
 
-    ``workers=1`` runs inline; otherwise splits are chunked across a
-    process pool, results are reassembled in split order, and each chunk's
-    :class:`FitStats` is merged back in chunk order — both of which keep
-    the parallel path's outputs and counters identical to serial.
+    Splits are chunked over :func:`~repro.parallel.map_chunks` (inline for
+    one worker); rows come back in split order and each chunk's
+    :class:`FitStats` is merged in chunk order, so the outputs and counters
+    of any ``workers`` match the serial ones.
     """
     tasks = [
         (index, train_idx, test_idx, fit_rngs[index])
         for index, (train_idx, test_idx) in enumerate(splits)
     ]
-    tracer = get_tracer()
-    if workers == 1 or len(tasks) <= 1:
-        rows = []
-        for index, train_idx, test_idx, fit_rng in tasks:
-            with tracer.span("validation.repetition", repetition=index):
-                rows.append(
-                    _fit_and_score(
-                        make_model, X, y, train_idx, test_idx, fit_rng, stats
-                    )
-                )
-        return rows
-    n_chunks = min(len(tasks), workers * chunks_per_worker)
-    chunk_size = -(-len(tasks) // n_chunks)
-    chunks = [
-        tasks[start : start + chunk_size]
-        for start in range(0, len(tasks), chunk_size)
-    ]
-    results: list = [None] * len(tasks)
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_fit_pool,
-        initargs=(make_model, X, y),
-    ) as pool:
-        for chunk_results, chunk_stats in pool.map(_run_fit_chunk, chunks):
-            stats.merge(chunk_stats)
+    chunks = split_chunks(tasks, workers)
+    rows: list = []
+    for chunk_rows, chunk_stats in map_chunks(
+        _score_chunk, (make_model, X, y), chunks, workers=workers
+    ):
+        rows.extend(chunk_rows)
+        stats.merge(chunk_stats)
+        if len(chunks) > 1:
             # Worker processes fed their own (discarded) global aggregate;
             # fold the chunk's counters into this process's record instead.
             GLOBAL_FIT_STATS.merge(chunk_stats)
-            for index, row in chunk_results:
-                results[index] = row
-    return results
+    return rows
 
 
 @dataclass(frozen=True)
@@ -309,7 +265,7 @@ def repeated_random_subsampling(
         perm = rng.permutation(n)
         splits.append((perm[n_test:], perm[:n_test]))  # (train, test)
     if _accepts_rng(make_model):
-        fit_rngs: list = _spawn_streams(rng, repetitions)
+        fit_rngs: list = spawn_streams(rng, repetitions)
     else:
         fit_rngs = [None] * repetitions
 
@@ -429,7 +385,7 @@ def leave_one_group_out(
     if _accepts_rng(make_model):
         if rng is None:
             rng = np.random.default_rng(0)
-        fit_rngs: list = _spawn_streams(rng, len(distinct))
+        fit_rngs: list = spawn_streams(rng, len(distinct))
     else:
         fit_rngs = [None] * len(distinct)
 

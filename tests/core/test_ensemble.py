@@ -1,5 +1,7 @@
 """Tests for the bootstrap ensemble predictor."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,19 @@ class TestParallelFit:
             parallel = build(kind, 3).predict_interval(target, co)
             assert serial.member_predictions == parallel.member_predictions
             assert serial.mean_s == parallel.mean_s
+
+    def test_serially_fitted_ensemble_pickles(self, small_dataset):
+        """Members are the same picklable objects for any ``workers``."""
+        ens = EnsemblePredictor(
+            ModelKind.NEURAL, FeatureSet.F, n_members=2, seed=6, workers=1,
+        )
+        ens.fit(list(small_dataset))
+        loaded = pickle.loads(pickle.dumps(ens))
+        for got, want in zip(
+            loaded.predict_observations(list(small_dataset)),
+            ens.predict_observations(list(small_dataset)),
+        ):
+            assert np.array_equal(got, want)
 
     def test_fit_stats_aggregated_over_members(self, ensemble):
         stats = ensemble.fit_stats_

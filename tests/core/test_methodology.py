@@ -1,5 +1,7 @@
 """Tests for the end-to-end methodology and predictor API."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,15 @@ class TestPerformancePredictor:
         target = baselines_6core.get("canneal", 2.53)
         with pytest.raises(RuntimeError, match="not fitted"):
             predictor.predict_time(target, [])
+
+    def test_fitted_neural_predictor_pickles(self, small_dataset):
+        predictor = PerformancePredictor(ModelKind.NEURAL, FeatureSet.F, seed=2)
+        predictor.fit(list(small_dataset))
+        loaded = pickle.loads(pickle.dumps(predictor))
+        assert np.array_equal(
+            loaded.predict_observations(list(small_dataset)),
+            predictor.predict_observations(list(small_dataset)),
+        )
 
     def test_seed_reproducibility(self, small_dataset, baselines_6core):
         target = baselines_6core.get("sp", 2.53)

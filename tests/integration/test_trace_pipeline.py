@@ -196,7 +196,7 @@ class TestParallelCollectionKeepsWorkerSpans:
             assert "harness.map_scenario_batches" in spans
             # The worker-side spans survived the pool teardown...
             chunk_spans = [
-                s for s in tracer.spans() if s.name == "harness.worker_chunk"
+                s for s in tracer.spans() if s.name == "pool.chunk"
             ]
             assert chunk_spans, "worker spans were dropped"
             # ...parented under the parent's map span, in the same trace.
@@ -233,15 +233,15 @@ class TestParallelCollectionKeepsWorkerSpans:
             names = [r["name"] for r in records]
             # Parent-side and worker-side spans meet at the collector.
             assert "harness.map_scenario_batches" in names
-            assert "harness.worker_chunk" in names
+            assert "pool.chunk" in names
             # Streaming workers ship their own spans; the parent does not
             # ingest (and so cannot double-stream) them.
             assert not any(
-                s.name == "harness.worker_chunk" for s in tracer.spans()
+                s.name == "pool.chunk" for s in tracer.spans()
             )
             # Worker batches carried their resource to the collector.
             chunk = next(
-                r for r in records if r["name"] == "harness.worker_chunk"
+                r for r in records if r["name"] == "pool.chunk"
             )
             assert chunk["resource"]["service"] == "collect-worker"
         finally:

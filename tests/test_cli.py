@@ -378,6 +378,18 @@ class TestServingCommands:
         assert payload["artifact"] == "ensemble"
         assert len(payload["members"]) == 3
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_serve_rejects_bad_workers(self, tmp_path, monkeypatch, workers):
+        def serve_forever(_server, _banner):
+            raise AssertionError("serve started a server")
+
+        monkeypatch.setattr("repro.cli._serve_until_interrupted", serve_forever)
+        with pytest.raises(SystemExit, match="--workers must be >= 1"):
+            main(
+                ["serve", "--registry", str(tmp_path), "--workers", workers,
+                 "--port", "0"]
+            )
+
     def test_train_ensemble_too_small(self, dataset_csv, tmp_path):
         with pytest.raises(SystemExit, match="at least 2"):
             main(
