@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..counters.hpcrun import FlatProfile
+from ..obs.trace import get_tracer
 from ..parallel import map_chunks, spawn_streams, split_chunks
 from .feature_sets import FeatureSet
 from .features import CoLocationObservation, feature_matrix, feature_row
@@ -131,16 +132,22 @@ class EnsemblePredictor:
         ]
         member_rngs = spawn_streams(self._rng, self.n_members)
         chunks = split_chunks(zip(resamples, member_rngs), self.workers)
-        members = [
-            member
-            for chunk in map_chunks(
-                _fit_members,
-                (self.kind, self.feature_set, X, y),
-                chunks,
-                workers=self.workers,
-            )
-            for member in chunk
-        ]
+        with get_tracer().span(
+            "fit.ensemble",
+            members=self.n_members,
+            samples=n,
+            workers=self.workers,
+        ):
+            members = [
+                member
+                for chunk in map_chunks(
+                    _fit_members,
+                    (self.kind, self.feature_set, X, y),
+                    chunks,
+                    workers=self.workers,
+                )
+                for member in chunk
+            ]
         aggregate = FitStats()
         for member in members:
             member_stats = getattr(member, "fit_stats_", None)

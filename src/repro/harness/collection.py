@@ -131,6 +131,23 @@ def _scenario_payloads(
     ]
 
 
+def _sweep_apps(
+    targets: list[ApplicationSpec] | None,
+    co_apps: list[ApplicationSpec] | None,
+) -> tuple[list[ApplicationSpec], list[ApplicationSpec]]:
+    """A sweep's targets and co-apps, defaults filled in, empties rejected."""
+    targets = list(targets) if targets is not None else list(all_applications())
+    co_apps = (
+        list(co_apps)
+        if co_apps is not None
+        else [get_application(n) for n in TRAINING_CO_APP_NAMES]
+    )
+    for name, apps in (("targets", targets), ("co_apps", co_apps)):
+        if not apps:
+            raise ValueError(f"{name}: need at least one application")
+    return targets, co_apps
+
+
 def _collect(
     engine: SimulationEngine,
     baselines: BaselineTable,
@@ -192,7 +209,8 @@ def collect_training_data(
     co_apps:
         Co-location applications; default the four training co-apps.
     counts:
-        Homogeneous co-location counts; default the machine's Table V row.
+        Homogeneous co-location counts, each at least 1 and given once, in
+        any order; default the machine's Table V row.
     frequencies_ghz:
         Restrict the sweep to these P-states (default: the machine's full
         ladder).  Each frequency must match a catalog P-state exactly;
@@ -204,14 +222,18 @@ def collect_training_data(
     workers:
         Worker processes for the sweep; 1 (the default) runs serially.
     """
-    targets = list(targets) if targets is not None else list(all_applications())
-    co_apps = (
-        list(co_apps)
-        if co_apps is not None
-        else [get_application(n) for n in TRAINING_CO_APP_NAMES]
-    )
+    targets, co_apps = _sweep_apps(targets, co_apps)
     if counts is None:
         counts = setup_for(engine.processor).co_location_counts
+    counts = tuple(counts)
+    if not counts:
+        raise ValueError("counts: need at least one co-location count")
+    if any(count < 1 for count in counts):
+        raise ValueError(f"counts: co-location counts must be >= 1, got {counts}")
+    if len(set(counts)) < len(counts):
+        raise ValueError(
+            f"counts: each co-location count may appear only once, got {counts}"
+        )
     for count in counts:
         engine.processor.validate_co_location_count(count)
     if frequencies_ghz is None:
@@ -269,12 +291,7 @@ def collect_random_training_data(
     """
     if budget < 1:
         raise ValueError("budget must be positive")
-    targets = list(targets) if targets is not None else list(all_applications())
-    co_apps = (
-        list(co_apps)
-        if co_apps is not None
-        else [get_application(n) for n in TRAINING_CO_APP_NAMES]
-    )
+    targets, co_apps = _sweep_apps(targets, co_apps)
     if rng is None:
         rng = np.random.default_rng(2015)
     if baselines is None:

@@ -37,6 +37,7 @@ import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -197,30 +198,95 @@ class AppRun:
         return self.llc_misses / self.llc_accesses if self.llc_accesses else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColocationRun:
     """Result of simulating one co-location scenario.
 
     ``runs[0]`` is the target application; the rest are co-runners in the
     order given.  Machine-level state is included for analysis/debugging.
+
+    Only the target's record is built with the run: a sweep reads nothing
+    else.  The co-runners' records are built from :attr:`state` on first
+    read and kept on the instance.  Equality compares every record and
+    the machine-level values.
     """
 
     processor_name: str
-    frequency_ghz: float
-    runs: tuple[AppRun, ...]
-    dram_utilization: float
-    dram_latency_ns: float
-    iterations: int
+    target: AppRun
+    #: The steady state the records come from (the last phase's, for a
+    #: phased target).
+    state: SteadyState = field(repr=False)
 
-    @property
-    def target(self) -> AppRun:
-        """The target application's run."""
-        return self.runs[0]
-
-    @property
+    @cached_property
     def co_runners(self) -> tuple[AppRun, ...]:
         """All co-located applications' runs."""
-        return self.runs[1:]
+        return tuple(_app_run(self.state, i) for i in range(1, len(self.state.apps)))
+
+    @cached_property
+    def runs(self) -> tuple[AppRun, ...]:
+        """The target's run, then the co-runners'."""
+        return (self.target,) + self.co_runners
+
+    @property
+    def frequency_ghz(self) -> float:
+        """Operating frequency of the run."""
+        return self.state.pstate.frequency_ghz
+
+    @property
+    def dram_utilization(self) -> float:
+        """Steady-state DRAM utilization."""
+        return self.state.dram_utilization
+
+    @property
+    def dram_latency_ns(self) -> float:
+        """Steady-state loaded DRAM latency."""
+        return self.state.dram_latency_ns
+
+    @property
+    def iterations(self) -> int:
+        """Fixed-point iterations of the steady-state solve."""
+        return self.state.iterations
+
+    def _key(self) -> tuple:
+        return (
+            self.processor_name,
+            self.frequency_ghz,
+            self.runs,
+            self.dram_utilization,
+            self.dram_latency_ns,
+            self.iterations,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+def _app_run(state: SteadyState, i: int, noise: float = 1.0) -> AppRun:
+    """``state.apps[i]``'s record for one complete run at its steady rate.
+
+    ``noise`` scales the reported time (the measurement noise of a
+    target).  Counter totals follow from the rates; ``.item`` hands back
+    Python floats, which multiply exactly as float64 scalars do.
+    """
+    app = state.apps[i]
+    tpi = state.seconds_per_instruction.item(i)
+    miss = state.miss_ratios.item(i)
+    accesses = float(app.instructions * app.accesses_per_instruction)
+    return AppRun(
+        app=app,
+        execution_time_s=float(app.instructions * tpi) * noise,
+        instructions=app.instructions,
+        llc_accesses=accesses,
+        llc_misses=accesses * miss,
+        miss_ratio=miss,
+        occupancy_bytes=state.occupancies_bytes.item(i),
+        instructions_per_second=1.0 / tpi,
+    )
 
 
 def _relabel(
@@ -342,15 +408,15 @@ class SimulationEngine:
     ) -> ColocationRun:
         total_time = 0.0
         tot_ins = tot_acc = tot_miss = 0.0
-        last = None
+        state = run = None
         for phase_spec in target.phase_specs():
-            run = self._run_steady(phase_spec, co_runners, pstate, rng=None)
-            total_time += run.target.execution_time_s
-            tot_ins += run.target.instructions
-            tot_acc += run.target.llc_accesses
-            tot_miss += run.target.llc_misses
-            last = run
-        if last is None:
+            state = self.solve_steady_state((phase_spec,) + co_runners, pstate)
+            run = _app_run(state, 0)
+            total_time += run.execution_time_s
+            tot_ins += run.instructions
+            tot_acc += run.llc_accesses
+            tot_miss += run.llc_misses
+        if state is None:
             raise ValueError(
                 f"phased application {target.name!r} yielded no phases to "
                 f"simulate"
@@ -364,17 +430,10 @@ class SimulationEngine:
             llc_accesses=tot_acc,
             llc_misses=tot_miss,
             miss_ratio=tot_miss / tot_acc if tot_acc else 0.0,
-            occupancy_bytes=last.target.occupancy_bytes,
+            occupancy_bytes=run.occupancy_bytes,
             instructions_per_second=tot_ins / total_time if total_time else 0.0,
         )
-        return ColocationRun(
-            processor_name=self.processor.name,
-            frequency_ghz=pstate.frequency_ghz,
-            runs=(target_run,) + last.co_runners,
-            dram_utilization=last.dram_utilization,
-            dram_latency_ns=last.dram_latency_ns,
-            iterations=last.iterations,
-        )
+        return ColocationRun(self.processor.name, target_run, state)
 
     def solve_steady_state(
         self,
@@ -594,43 +653,15 @@ class SimulationEngine:
     ) -> ColocationRun:
         """Turn a steady state into a :class:`ColocationRun`.
 
-        Counter totals follow from the rates; measurement noise (the only
-        stochastic step) is applied to the target's reported time here,
-        *outside* the solve — which is what makes caching and batching
-        exact.
+        Measurement noise (the only stochastic step) is applied to the
+        target's reported time here, *outside* the solve — which is what
+        makes caching and batching exact.  The co-runners' records are
+        left to the run, which builds them when they are first read.
         """
-        # Python floats multiply exactly as float64 scalars do, without the
-        # cost of indexing numpy scalars out of the arrays.
-        tpi = state.seconds_per_instruction.tolist()
-        miss = state.miss_ratios.tolist()
-        occ = state.occupancies_bytes.tolist()
-
-        runs = []
-        for i, app in enumerate(state.apps):
-            time_s = float(app.instructions * tpi[i])
-            if i == 0 and rng is not None and self.noise_sigma > 0.0:
-                time_s *= float(np.exp(rng.normal(0.0, self.noise_sigma)))
-            accesses = float(app.instructions * app.accesses_per_instruction)
-            runs.append(
-                AppRun(
-                    app=app,
-                    execution_time_s=time_s,
-                    instructions=app.instructions,
-                    llc_accesses=accesses,
-                    llc_misses=accesses * miss[i],
-                    miss_ratio=miss[i],
-                    occupancy_bytes=occ[i],
-                    instructions_per_second=1.0 / tpi[i],
-                )
-            )
-        return ColocationRun(
-            processor_name=self.processor.name,
-            frequency_ghz=state.pstate.frequency_ghz,
-            runs=tuple(runs),
-            dram_utilization=state.dram_utilization,
-            dram_latency_ns=state.dram_latency_ns,
-            iterations=state.iterations,
-        )
+        noise = 1.0
+        if rng is not None and self.noise_sigma > 0.0:
+            noise = float(np.exp(rng.normal(0.0, self.noise_sigma)))
+        return ColocationRun(self.processor.name, _app_run(state, 0, noise), state)
 
     # ------------------------------------------------------- batched solves
 

@@ -111,6 +111,11 @@ class CaseSpec:
             raise SuiteSpecError(
                 f"case {self.name!r}: co-location counts must be >= 1"
             )
+        if len(set(self.counts)) < len(self.counts):
+            raise SuiteSpecError(
+                f"case {self.name!r}: each co-location count may appear "
+                f"only once, got {list(self.counts)}"
+            )
         if self.repetitions < 1:
             raise SuiteSpecError(
                 f"case {self.name!r}: repetitions must be >= 1"

@@ -103,6 +103,51 @@ class TestCollectTrainingData:
                 engine_6core, baselines=baselines_6core, counts=(1, 6)
             )
 
+    @pytest.mark.parametrize("argument", ["targets", "co_apps", "counts"])
+    def test_empty_sweep_argument_rejected(
+        self, engine_6core, baselines_6core, argument
+    ):
+        with pytest.raises(ValueError, match=f"^{argument}: need at least one"):
+            collect_training_data(
+                engine_6core, baselines=baselines_6core, **{argument: []}
+            )
+
+    @pytest.mark.parametrize("counts", [(0,), (1, 0), (2, -1)])
+    def test_count_below_one_rejected(
+        self, engine_6core, baselines_6core, counts
+    ):
+        with pytest.raises(ValueError, match=r"^counts: .* must be >= 1"):
+            collect_training_data(
+                engine_6core, baselines=baselines_6core, counts=counts
+            )
+
+    @pytest.mark.parametrize("counts", [(3, 3), (1, 2, 1)])
+    def test_repeated_count_rejected(
+        self, engine_6core, baselines_6core, counts
+    ):
+        with pytest.raises(ValueError, match=r"^counts: .* only once"):
+            collect_training_data(
+                engine_6core, baselines=baselines_6core, counts=counts
+            )
+
+    def test_distinct_counts_keep_callers_order(
+        self, engine_6core, baselines_6core
+    ):
+        kwargs = dict(
+            baselines=baselines_6core,
+            targets=[get_application("sp")],
+            co_apps=[get_application("cg")],
+            frequencies_ghz=(2.53,),
+        )
+        descending = collect_training_data(
+            engine_6core, counts=(3, 1), rng=np.random.default_rng(9), **kwargs
+        )
+        assert [o.num_co_app for o in descending] == [3, 1]
+        ascending = collect_training_data(
+            engine_6core, counts=(1, 3), rng=np.random.default_rng(9), **kwargs
+        )
+        assert [o.num_co_app for o in ascending] == [1, 3]
+
     def test_frequency_subset_restricts_sweep(
         self, engine_6core, baselines_6core
     ):
@@ -170,6 +215,13 @@ class TestCollectRandomTrainingData:
         )
         assert len({o.target_name for o in ds}) > 3
         assert len({o.frequency_ghz for o in ds}) > 2
+
+    @pytest.mark.parametrize("argument", ["targets", "co_apps"])
+    def test_empty_apps_rejected(self, engine_6core, baselines_6core, argument):
+        with pytest.raises(ValueError, match=f"^{argument}: need at least one"):
+            collect_random_training_data(
+                engine_6core, 10, baselines=baselines_6core, **{argument: []}
+            )
 
     def test_budget_validation(self, engine_6core, baselines_6core):
         with pytest.raises(ValueError, match="budget"):

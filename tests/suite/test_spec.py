@@ -35,6 +35,11 @@ class TestCaseSpec:
         with pytest.raises(SuiteSpecError, match="counts must be"):
             CaseSpec(name="c", counts=(0,))
 
+    def test_repeated_count(self):
+        with pytest.raises(SuiteSpecError, match="only once, got \\[3, 1, 3\\]"):
+            CaseSpec(name="c", counts=(3, 1, 3))
+        assert CaseSpec(name="c", counts=(3, 1)).counts == (3, 1)
+
     def test_catalog_rejects_unknown_machine(self):
         case = CaseSpec(name="c", machine="i9")
         with pytest.raises(SuiteSpecError, match="unknown processor"):

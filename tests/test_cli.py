@@ -153,6 +153,23 @@ class TestPipelineCommands:
         with pytest.raises(SystemExit, match="at most 5"):
             main(["collect", "-o", str(tmp_path / "x.csv"), "--counts", "9"])
 
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--counts", "0"], "counts: .* must be >= 1"),
+            (["--counts", "3,3"], "counts: .* only once"),
+        ],
+        ids=["zero", "repeated"],
+    )
+    def test_collect_degenerate_counts(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "x.csv"
+        argv = ["collect", "-o", str(path), "--targets", "ep", "--co-apps", "cg"]
+        with pytest.raises(SystemExit, match=f"^error: {message}") as exc:
+            main(argv + flags)
+        assert exc.value.code != 0
+        assert not path.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_collect_bad_workers(self, tmp_path):
         with pytest.raises(SystemExit, match="workers"):
             main(["collect", "-o", str(tmp_path / "x.csv"), "--workers", "0"])
@@ -273,7 +290,7 @@ class TestStatsOutput:
     ):
         if command == "collect":
             argv = ["collect", "-o", str(tmp_path / "d.csv"),
-                    "--targets", "ep", "--co-apps", "cg", "--counts", "1,1"]
+                    "--targets", "ep", "--co-apps", "cg", "--counts", "1,2"]
         elif command == "evaluate":
             data = tmp_path / "d.csv"
             rows = dataset_csv.read_text().splitlines()[:25]

@@ -102,6 +102,39 @@ class TestPooledFitsKeepTheirSpans:
         assert _counts(pooled, _FIT_SPANS) == _counts(serial, _FIT_SPANS)
         assert _counts(serial, _FIT_SPANS)[0] == 3
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ensemble_span_is_the_members_parent(self, small_dataset, workers):
+        def run(workers):
+            EnsemblePredictor(
+                ModelKind.NEURAL, FeatureSet.C, n_members=3, seed=4,
+                workers=workers,
+            ).fit(list(small_dataset))
+
+        spans = _traced_spans(run, workers)
+        (ensemble,) = [span for span in spans if span.name == "fit.ensemble"]
+        assert ensemble.parent_id is None
+        assert ensemble.attributes == {
+            "members": 3, "samples": len(small_dataset), "workers": workers,
+        }
+        by_id = {span.span_id: span for span in spans}
+        chunks = [span for span in spans if span.name == "pool.chunk"]
+        fits = [span for span in spans if span.name in _FIT_SPANS]
+        assert len(chunks) == (3 if workers == 2 else 0)
+        assert len(fits) >= 3
+        assert all(
+            span.trace_id == ensemble.trace_id
+            and span.parent_id == ensemble.span_id
+            for span in chunks
+        )
+        for span in fits:
+            assert span.trace_id == ensemble.trace_id
+            while span.parent_id != ensemble.span_id:
+                span = by_id[span.parent_id]
+                assert span.name in _FIT_SPANS + ("pool.chunk",)
+        members = [span for span in fits if span.name == "fit.neural"]
+        parents = {by_id[span.parent_id].name for span in members}
+        assert parents == {"pool.chunk" if workers == 2 else "fit.ensemble"}
+
     def test_streaming_workers_send_fits_to_collector(self, small_dataset):
         collector = CollectorThread().start()
         tracer = StreamingTracer(
