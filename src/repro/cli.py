@@ -370,8 +370,8 @@ def _serve_until_interrupted(server, banner) -> None:
     """Run an asyncio HTTP server until Ctrl-C, then drain and stop it.
 
     ``banner()`` is printed once the server listens, so it can name the
-    bound port.  A server that keeps a request record prints that
-    record's ``/metrics`` samples after it stops.
+    bound port.  After it stops, the server's request record prints its
+    ``/metrics`` samples.
     """
     import asyncio
 
@@ -382,8 +382,7 @@ def _serve_until_interrupted(server, banner) -> None:
             await server.serve_forever()
         finally:
             await server.stop()
-            if server.metrics is not None:
-                print(samples_text(server.metrics.render_prometheus()))
+            print(samples_text(server.metrics.render_prometheus()))
 
     try:
         asyncio.run(run())

@@ -135,7 +135,12 @@ def _sweep_apps(
     targets: list[ApplicationSpec] | None,
     co_apps: list[ApplicationSpec] | None,
 ) -> tuple[list[ApplicationSpec], list[ApplicationSpec]]:
-    """A sweep's targets and co-apps, defaults filled in, empties rejected."""
+    """A sweep's targets and co-apps, defaults filled in.
+
+    Empty lists and an application named twice are rejected: a repeated
+    target or co-app would collect its scenarios twice (or, drawn at
+    random, weigh double).
+    """
     targets = list(targets) if targets is not None else list(all_applications())
     co_apps = (
         list(co_apps)
@@ -145,6 +150,11 @@ def _sweep_apps(
     for name, apps in (("targets", targets), ("co_apps", co_apps)):
         if not apps:
             raise ValueError(f"{name}: need at least one application")
+        names = [app.name for app in apps]
+        if len(set(names)) < len(names):
+            raise ValueError(
+                f"{name}: each application may appear only once, got {names}"
+            )
     return targets, co_apps
 
 
@@ -205,16 +215,19 @@ def collect_training_data(
     baselines:
         Pre-collected baseline table (collected fresh when omitted).
     targets:
-        Target applications; default all eleven of Table III.
+        Target applications, each named once; default all eleven of
+        Table III.
     co_apps:
-        Co-location applications; default the four training co-apps.
+        Co-location applications, each named once; default the four
+        training co-apps.
     counts:
         Homogeneous co-location counts, each at least 1 and given once, in
         any order; default the machine's Table V row.
     frequencies_ghz:
         Restrict the sweep to these P-states (default: the machine's full
-        ladder).  Each frequency must match a catalog P-state exactly;
-        experiment suites use this to declare per-case P-state subsets.
+        ladder).  Each frequency must match a catalog P-state exactly, and
+        no two may match the same one; experiment suites use this to
+        declare per-case P-state subsets.
     rng:
         Root of the measurement-noise streams (seeded default).  Each
         scenario gets its own child generator spawned from this root, so
@@ -248,6 +261,11 @@ def collect_training_data(
             raise ValueError(str(exc)) from None
         if not pstates:
             raise ValueError("need at least one P-state frequency")
+        if len(set(pstates)) < len(pstates):
+            raise ValueError(
+                "frequencies_ghz: each P-state may appear only once, got "
+                f"{list(frequencies_ghz)}"
+            )
     if rng is None:
         rng = np.random.default_rng(2015)
     if baselines is None:

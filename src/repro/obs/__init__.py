@@ -3,14 +3,15 @@
 The pipeline's layers each keep their own stats record —
 :class:`~repro.sim.solve_cache.EngineStats` in the simulator,
 :class:`~repro.core.fitstats.FitStats` in the fitting engine,
-:class:`~repro.serve.metrics.ServingMetrics` behind every server's
+:class:`~repro.serve.metrics.RequestMetrics` behind every server's
 ``/metrics``, and so on.  ``repro.obs`` is the cross-cutting layer they
 all thread through:
 
 * :mod:`~repro.obs.trace` — ``Tracer``/``Span`` context managers with
   trace/span IDs, monotonic timing, attributes, a bounded in-process ring
-  buffer, and a Chrome trace-event JSON exporter (open the file in
-  Perfetto).  The process tracer defaults to a no-op ``NullTracer`` so
+  buffer, and the one Chrome trace-event JSON writer, ``write_chrome``,
+  that the tracer and the span collector export through (open the file
+  in Perfetto).  The process tracer defaults to a no-op ``NullTracer`` so
   instrumentation costs nearly nothing until enabled;
 * :mod:`~repro.obs.registry` — :class:`Exposition`, the one writer of the
   Prometheus text format that every record renders its families
@@ -44,7 +45,9 @@ from .trace import (
     disable,
     enable,
     get_tracer,
+    records_to_chrome,
     set_tracer,
+    write_chrome,
 )
 from .otlp import load_otlp, records_to_otlp, write_otlp
 from .stream import SpanSender, StreamingTracer
@@ -85,10 +88,12 @@ __all__ = [
     "install_default_sources",
     "load_otlp",
     "load_trace",
+    "records_to_chrome",
     "records_to_otlp",
     "render_summary",
     "samples_text",
     "set_tracer",
     "span_forest",
+    "write_chrome",
     "write_otlp",
 ]

@@ -15,8 +15,9 @@ how many spans *they* shed (queue-full on the hot path), so the
 collector's ``/metrics`` scrape shows fleet-wide drops in one
 ``repro_obs_spans_dropped_total`` family.
 
-Exports mirror the tracer's: Chrome trace JSON (one row group per
-origin process) and OTLP/JSON via :mod:`repro.obs.otlp`.
+Exports mirror the tracer's: Chrome trace JSON through the tracer's
+writer (:func:`~repro.obs.trace.write_chrome`, one row group per origin
+process) and OTLP/JSON via :mod:`repro.obs.otlp`.
 :class:`CollectorThread` runs the collector on a background loop for
 synchronous callers (the CLI, tests, the serving tier).
 """
@@ -29,7 +30,8 @@ import threading
 from collections import deque
 
 from ..serve.http import HTTPError, HttpServerBase, Request, ServerThreadBase
-from .registry import Exposition, MetricsRegistry, install_default_sources
+from .registry import Exposition
+from .trace import write_chrome
 
 __all__ = ["CollectorServer", "CollectorThread"]
 
@@ -39,6 +41,7 @@ class CollectorServer(HttpServerBase):
 
     known_endpoints = ("/v1/spans", "/healthz", "/metrics")
     request_span_name = "collector.request"
+    metrics_prefix = "repro_obs_collector"
     #: The collector must not trace its own ingest requests: a process
     #: that both streams spans and hosts the collector would otherwise
     #: generate a span per batch received, feeding itself forever.
@@ -65,7 +68,6 @@ class CollectorServer(HttpServerBase):
         self.client_dropped = 0
         #: Batches received per service name.
         self.batches: dict[str, int] = {}
-        self.obs_registry = install_default_sources(MetricsRegistry())
         self.obs_registry.register_source(
             "collector", self._render_collector_metrics
         )
@@ -111,12 +113,6 @@ class CollectorServer(HttpServerBase):
             return 200, "application/json", json.dumps(
                 {"status": "ok", "spans": len(self)}
             ).encode()
-        if request.path == "/metrics":
-            return (
-                200,
-                "text/plain; version=0.0.4",
-                self.obs_registry.render().encode(),
-            )
         if request.path == "/v1/spans":
             if request.method == "GET":
                 return 200, "application/json", json.dumps(
@@ -230,67 +226,9 @@ class CollectorServer(HttpServerBase):
         return out.text()
 
     # ------------------------------------------------------------- export
-    def to_chrome_events(self) -> list[dict]:
-        """Stored spans as Chrome trace events, one row group per process."""
-        records = self.records()
-        origin = min(
-            (float(r.get("start_unix_s", 0.0)) for r in records),
-            default=0.0,
-        )
-        events: list[dict] = []
-        named_pids: set[int] = set()
-        for record in records:
-            resource = record.get("resource") or {}
-            pid = int(resource.get("pid", 0))
-            if pid not in named_pids:
-                named_pids.add(pid)
-                events.append(
-                    {
-                        "name": "process_name",
-                        "ph": "M",
-                        "pid": pid,
-                        "tid": 0,
-                        "args": {
-                            "name": str(resource.get("service", "unknown"))
-                        },
-                    }
-                )
-            args = {
-                "trace_id": record.get("trace_id", ""),
-                "span_id": record.get("span_id", ""),
-            }
-            if record.get("parent_id"):
-                args["parent_id"] = record["parent_id"]
-            args.update(record.get("attributes") or {})
-            start = float(record.get("start_unix_s", 0.0))
-            end = float(record.get("end_unix_s", 0.0))
-            events.append(
-                {
-                    "name": str(record.get("name", "")),
-                    "cat": str(record.get("name", "")).partition(".")[0]
-                    or "span",
-                    "ph": "X",
-                    "ts": round(1e6 * (start - origin), 3),
-                    "dur": round(1e6 * max(0.0, end - start), 3),
-                    "pid": pid,
-                    "tid": int(record.get("thread_id", 0)) % 2**31,
-                    "args": args,
-                }
-            )
-        return events
-
     def export_chrome(self, path) -> int:
         """Write stored spans as Chrome trace JSON; returns the span count."""
-        events = self.to_chrome_events()
-        payload = {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {"service": "collector"},
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=None, separators=(",", ":"))
-            handle.write("\n")
-        return sum(1 for event in events if event.get("ph") == "X")
+        return write_chrome(path, self.records())
 
     def export_otlp(self, path) -> int:
         """Write stored spans as OTLP/JSON; returns the span count."""

@@ -13,8 +13,10 @@ only a method call and a dict construction when tracing is off (the
 validation bench guards that cost at under 2% of sweep wall time).
 Enabling tracing (:func:`enable`, or CLI ``--trace``) swaps in a recording
 :class:`Tracer` that keeps finished spans in a bounded ring buffer and
-exports them as Chrome trace-event JSON — load the file in Perfetto
-(https://ui.perfetto.dev) or ``chrome://tracing`` to see the timeline.
+exports them as Chrome trace-event JSON through :func:`write_chrome`, the
+one Chrome writer (the span collector's export uses it too) — load the
+file in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing`` to see
+the timeline.
 
 Spans that are only known after the fact (e.g. how long a row waited in a
 micro-batch, discovered at flush time) are recorded retroactively with
@@ -31,6 +33,7 @@ import os
 import threading
 import time
 from collections import deque
+from typing import Iterable
 
 __all__ = [
     "NullTracer",
@@ -41,7 +44,9 @@ __all__ = [
     "disable",
     "enable",
     "get_tracer",
+    "records_to_chrome",
     "set_tracer",
+    "write_chrome",
 ]
 
 #: The active span for the current execution context (task or thread).
@@ -214,10 +219,10 @@ class Tracer:
         #: Spans evicted from the ring buffer since creation (the buffer
         #: wrapped).  Exposed as ``repro_obs_spans_dropped_total``.
         self.dropped = 0
-        #: perf_counter origin: exported timestamps are relative to this.
+        #: A perf_counter instant and the wall-clock instant matching it:
+        #: :meth:`serialize` turns span times into unix seconds with them,
+        #: so spans from many processes share one timeline.
         self.epoch = time.perf_counter()
-        #: Wall-clock instant matching ``epoch``: lets spans serialized
-        #: in one process be placed on another process's timeline.
         self.wall_epoch = time.time()
 
     # ----------------------------------------------------------- creation
@@ -368,85 +373,96 @@ class Tracer:
         self._finished.clear()
 
     # ------------------------------------------------------------- export
-    def to_chrome_events(self) -> list[dict]:
-        """Finished spans as Chrome trace-event dicts (``ph: "X"``).
-
-        Spans ingested from other processes keep their origin pid and
-        service name (from their ``resource``), so the exported timeline
-        shows one row group per fleet process.
-        """
-        local_pid = os.getpid()
-        events: list[dict] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": local_pid,
-                "tid": 0,
-                "args": {"name": self.service},
-            }
-        ]
-        named_pids = {local_pid}
-        for span in self._finished:
-            pid = local_pid
-            if span.resource is not None:
-                pid = int(span.resource.get("pid", local_pid))
-                if pid not in named_pids:
-                    named_pids.add(pid)
-                    events.append(
-                        {
-                            "name": "process_name",
-                            "ph": "M",
-                            "pid": pid,
-                            "tid": 0,
-                            "args": {
-                                "name": str(
-                                    span.resource.get("service", "remote")
-                                )
-                            },
-                        }
-                    )
-            args = {
-                "trace_id": span.trace_id,
-                "span_id": span.span_id,
-            }
-            if span.parent_id is not None:
-                args["parent_id"] = span.parent_id
-            for key, value in span.attributes.items():
-                if isinstance(value, (str, int, float, bool)) or value is None:
-                    args[key] = value
-                else:
-                    args[key] = repr(value)
-            events.append(
-                {
-                    "name": span.name,
-                    "cat": span.name.partition(".")[0] or "span",
-                    "ph": "X",
-                    "ts": round(1e6 * (span.start - self.epoch), 3),
-                    "dur": round(1e6 * span.duration_s, 3),
-                    "pid": pid,
-                    "tid": span.thread_id % 2**31,
-                    "args": args,
-                }
-            )
-        return events
-
     def export_chrome(self, path) -> int:
         """Write the Chrome trace JSON to ``path``; returns the span count.
 
-        The output is the standard ``{"traceEvents": [...]}`` envelope
-        that Perfetto and ``chrome://tracing`` both load directly.
+        Spans go through :meth:`serialize` into :func:`write_chrome`, the
+        writer the collector's export uses too; spans recorded here are
+        stamped with this process's pid and service name.
         """
-        events = self.to_chrome_events()
-        payload = {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {"service": self.service},
+        return write_chrome(
+            path,
+            [self.serialize(span) for span in self._finished],
+            default_resource={"service": self.service, "pid": os.getpid()},
+        )
+
+
+def records_to_chrome(
+    records: Iterable[dict], *, default_resource: dict | None = None
+) -> list[dict]:
+    """Serialized span records (:meth:`Tracer.serialize`) as Chrome events.
+
+    Each span is a complete (``ph: "X"``) event whose ``ts`` counts
+    microseconds from the earliest record's start.  A record's
+    ``resource`` — or ``default_resource`` for records without one —
+    names its process row: ``pid`` (0 when absent) and ``service`` (a
+    ``process_name`` metadata event before the row's first span), so a
+    fleet trace shows one row group per process.
+    """
+    records = list(records)
+    base = default_resource or {}
+    origin = min(
+        (float(r.get("start_unix_s", 0.0)) for r in records), default=0.0
+    )
+    events: list[dict] = []
+    named_pids: set[int] = set()
+    for record in records:
+        resource = record.get("resource") or base
+        pid = int(resource.get("pid", 0))
+        if pid not in named_pids:
+            named_pids.add(pid)
+            events.append(
+                {
+                    "name": "process_name",
+                    "ph": "M",
+                    "pid": pid,
+                    "tid": 0,
+                    "args": {"name": str(resource.get("service", "repro"))},
+                }
+            )
+        args = {
+            "trace_id": record.get("trace_id", ""),
+            "span_id": record.get("span_id", ""),
         }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=None, separators=(",", ":"))
-            handle.write("\n")
-        # Metadata (process-name) events are not spans.
-        return sum(1 for event in events if event.get("ph") == "X")
+        if record.get("parent_id"):
+            args["parent_id"] = record["parent_id"]
+        args.update(record.get("attributes") or {})
+        name = str(record.get("name", ""))
+        start = float(record.get("start_unix_s", 0.0))
+        end = float(record.get("end_unix_s", 0.0))
+        events.append(
+            {
+                "name": name,
+                "cat": name.partition(".")[0] or "span",
+                "ph": "X",
+                "ts": round(1e6 * (start - origin), 3),
+                "dur": round(1e6 * max(0.0, end - start), 3),
+                "pid": pid,
+                "tid": int(record.get("thread_id", 0)) % 2**31,
+                "args": args,
+            }
+        )
+    return events
+
+
+def write_chrome(
+    path, records: Iterable[dict], *, default_resource: dict | None = None
+) -> int:
+    """Write records to ``path`` as Chrome trace JSON; returns the span count.
+
+    The output is the standard ``{"traceEvents": [...]}`` envelope that
+    Perfetto and ``chrome://tracing`` both load directly.
+    """
+    events = records_to_chrome(records, default_resource=default_resource)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(
+            {"traceEvents": events, "displayTimeUnit": "ms"},
+            handle,
+            separators=(",", ":"),
+        )
+        handle.write("\n")
+    # Metadata (process-name) events are not spans.
+    return sum(1 for event in events if event["ph"] == "X")
 
 
 def current_span() -> Span | None:

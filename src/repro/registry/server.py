@@ -42,9 +42,8 @@ import hmac
 import json
 
 from ..core.persistence import PersistenceError, artifact_from_dict
-from ..obs.registry import Exposition, MetricsRegistry, install_default_sources
+from ..obs.registry import Exposition
 from ..serve.http import HTTPError, HttpServerBase, Request, ServerThreadBase
-from ..serve.metrics import ServingMetrics
 from .local import ModelRegistry, RegistryError, TombstoneError, parse_ref
 
 __all__ = ["RegistryServer", "RegistryServerThread"]
@@ -68,9 +67,6 @@ class RegistryServer(HttpServerBase):
     token:
         Bearer token required by ``POST /v1/push``.  ``None`` (default)
         disables pushing entirely: a read-only mirror.
-    metrics:
-        Optional shared :class:`~repro.serve.metrics.ServingMetrics`;
-        constructed with the ``repro_registry`` prefix by default.
     """
 
     known_endpoints = (
@@ -82,6 +78,7 @@ class RegistryServer(HttpServerBase):
         "/metrics",
     )
     request_span_name = "registry.request"
+    metrics_prefix = "repro_registry"
 
     def __init__(
         self,
@@ -90,18 +87,10 @@ class RegistryServer(HttpServerBase):
         host: str = "127.0.0.1",
         port: int = 0,
         token: str | None = None,
-        metrics: ServingMetrics | None = None,
     ) -> None:
         super().__init__(host=host, port=port)
         self.backend = backend
         self.token = token
-        self.metrics = (
-            metrics
-            if metrics is not None
-            else ServingMetrics(prefix="repro_registry")
-        )
-        self.obs_registry = install_default_sources(MetricsRegistry())
-        self.obs_registry.register_source("serving", self.metrics.render_prometheus)
         self.obs_registry.register_source(
             "registry_backend", self._render_backend_metrics
         )
@@ -144,10 +133,6 @@ class RegistryServer(HttpServerBase):
             self._require(method, "GET")
             body = {"status": "ok", "models": len(self.backend.names())}
             return 200, "application/json", json.dumps(body).encode()
-        if path == "/metrics":
-            self._require(method, "GET")
-            text = self.obs_registry.render()
-            return 200, "text/plain; version=0.0.4", text.encode()
         if path == "/v1/models":
             self._require(method, "GET")
             return self._list_models(request)

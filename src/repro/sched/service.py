@@ -44,11 +44,11 @@ from ..core.features import FEATURE_NAMES, Feature, feature_row
 from ..core.feature_sets import features_for
 from ..energy.power import PowerModel
 from ..harness.baselines import BaselineTable
-from ..obs.registry import Exposition, MetricsRegistry, install_default_sources
+from ..obs.registry import Exposition
 from ..obs.trace import get_tracer
 from ..serve.client import PredictionClient
 from ..serve.http import HTTPError, HttpServerBase, Request, ServerThreadBase
-from ..serve.metrics import LatencyHistogram, ServingMetrics
+from ..serve.metrics import LatencyHistogram
 from ..sim.engine import SimulationEngine
 from ..sim.solve_cache import SolveCache
 from ..workloads.app import ApplicationSpec
@@ -292,6 +292,7 @@ class SchedulerService(HttpServerBase):
         "/v1/jobs", "/v1/cluster", "/healthz", "/metrics",
     )
     request_span_name = "sched.request"
+    metrics_prefix = "repro_sched"
 
     def __init__(
         self,
@@ -372,9 +373,6 @@ class SchedulerService(HttpServerBase):
         self._loop_task: asyncio.Task | None = None
 
         self.sched_metrics = SchedMetrics()
-        self.metrics = ServingMetrics(prefix="repro_sched")
-        self.obs_registry = install_default_sources(MetricsRegistry())
-        self.obs_registry.register_source("serving", self.metrics.render_prometheus)
         self.obs_registry.register_source("sched", self._render_sched_metrics)
 
     # -------------------------------------------------------------- state
@@ -781,10 +779,6 @@ class SchedulerService(HttpServerBase):
                 "nodes": self.fleet.n_nodes,
             }
             return 200, "application/json", json.dumps(body).encode()
-        if path == "/metrics":
-            self._require(method, "GET")
-            text = self.obs_registry.render()
-            return 200, "text/plain; version=0.0.4", text.encode()
         if path == "/v1/cluster":
             self._require(method, "GET")
             return 200, "application/json", json.dumps(

@@ -8,17 +8,18 @@ long-running, observable prediction service:
   concurrent requests into one vectorized predict call, with optional
   admission control (shed with 429 once the backlog bound is hit);
 * :mod:`~repro.serve.http` — the shared stdlib asyncio HTTP plumbing
-  (keep-alive, graceful drain, request ids, error mapping) used by both
-  the prediction server and the registry server;
+  (keep-alive, graceful drain, request ids, error mapping, the request
+  record and ``GET /metrics``) under every repro server;
 * :mod:`~repro.serve.server` — an asyncio HTTP server exposing
   ``/v1/predict``, ``/v1/models``, ``/healthz``, and ``/metrics``; it
   serves from any registry backend (local directory or remote registry
   service) and can hot-reload newly pushed versions;
-* :mod:`~repro.serve.metrics` — the request/error counters and latency
-  and batch-size histograms one server records (``ServingMetrics``,
-  rendered through the stack's one exposition writer,
-  :class:`~repro.obs.registry.Exposition`), and the merge of several
-  servers' scrapes into one;
+* :mod:`~repro.serve.metrics` — every server's request record
+  (``RequestMetrics``: request/error counters and request latency), the
+  prediction server's (``ServingMetrics``: plus predictions, model-cache,
+  batch-size and phase families), both rendered through the stack's one
+  exposition writer, :class:`~repro.obs.registry.Exposition`, and the
+  merge of several servers' scrapes into one;
 * :mod:`~repro.serve.client` — a small blocking client for tests and
   load generators, with a label-aware Prometheus parser;
 * :mod:`~repro.serve.shard`, :mod:`~repro.serve.worker`, and
@@ -28,11 +29,11 @@ long-running, observable prediction service:
   splitting, machine-metadata routing, and one merged ``/metrics``
   scrape for the whole tier (``repro serve --workers N``).
 
-The server threads through :mod:`repro.obs`: each
-:class:`~repro.serve.server.PredictionServer` owns a metrics registry
-whose sources (engine, fitting, tracer health, serving, batcher
-backlog) make up one ``GET /metrics``; the shared HTTP base records
-every request and error into the server's ``ServingMetrics``.
+The server threads through :mod:`repro.obs`: the shared HTTP base
+gives each server a metrics registry whose sources (engine, fitting,
+tracer health, suite, the request record, then the server's own — the
+prediction server's batcher backlog) make up one ``GET /metrics``, and
+records every request and error into the server's record.
 Requests carry/echo ``X-Request-Id`` and become ``serve.request``
 trace spans, and the micro-batcher records per-phase latencies (queue,
 batch_wait, predict, serialize).

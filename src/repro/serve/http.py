@@ -3,8 +3,8 @@
 A deliberately small HTTP implementation on ``asyncio`` streams — no
 third-party web framework, matching the repo's stdlib+numpy/scipy
 dependency budget.  :class:`HttpServerBase` carries everything that is
-identical between the prediction server (:mod:`repro.serve.server`) and
-the registry artifact server (:mod:`repro.registry.server`):
+identical between the repro servers — the prediction server, the tier
+router, the registry, the scheduler and the span collector:
 
 * connection handling with keep-alive and bounded header/body sizes;
 * request parsing into :class:`Request`;
@@ -12,16 +12,19 @@ the registry artifact server (:mod:`repro.registry.server`):
   trace span per request, and error mapping (:class:`HTTPError` ->
   status + JSON body, unexpected exceptions -> 500 without killing the
   loop);
+* the request record (:attr:`HttpServerBase.metrics`, a
+  :class:`~repro.serve.metrics.RequestMetrics` under the class's
+  ``metrics_prefix``) that every request and error is counted in, and
+  ``GET /metrics``: the process-wide sources, that record, then the
+  sources a server registers on :attr:`HttpServerBase.obs_registry`;
 * graceful ``stop()``: the listener closes, a subclass drain hook runs,
   in-flight requests finish, then connections are torn down.
 
 Subclasses implement ``_route`` (returning ``(status, content_type,
-payload)`` or ``(status, content_type, payload, extra_headers)``); a
-server that sets ``self.metrics`` to a
-:class:`~repro.serve.metrics.ServingMetrics` gets every request and
-error recorded into it.  :class:`ServerThreadBase` runs any such server
-on a background event loop for synchronous callers (tests, benches, the
-CLI).
+payload)`` or ``(status, content_type, payload, extra_headers)``) for
+every path but ``/metrics``.  :class:`ServerThreadBase` runs any such
+server on a background event loop for synchronous callers (tests,
+benches, the CLI).
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ import time
 from dataclasses import dataclass
 from urllib.parse import parse_qs, urlsplit
 
+from ..obs.registry import MetricsRegistry, install_default_sources
 from ..obs.trace import NullTracer, get_tracer
+from .metrics import RequestMetrics
 
 #: Shared disabled tracer for servers that opt out of request spans.
 _NULL_TRACER = NullTracer()
@@ -129,10 +134,22 @@ class HttpServerBase:
     #: streams spans to it would feed the collector forever.
     trace_requests = True
 
-    #: Request/error record (a ``ServingMetrics``); ``None`` records nothing.
-    metrics = None
+    #: Prefix of the request record's families (``<prefix>_requests_total``).
+    metrics_prefix: str
+
+    #: The request record's type; the prediction server's adds its
+    #: prediction-path families.
+    metrics_type = RequestMetrics
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0) -> None:
+        #: Every request and error this server handles is counted here.
+        self.metrics = self.metrics_type(prefix=self.metrics_prefix)
+        #: This server's ``GET /metrics``: the process-wide sources, the
+        #: request record, then whatever sources the server registers.
+        #: Private (not a process default), so several servers in one
+        #: process scrape independently.
+        self.obs_registry = install_default_sources(MetricsRegistry())
+        self.obs_registry.register_source("serving", self.metrics.render_prometheus)
         self.host = host
         self._requested_port = port
         self._server: asyncio.AbstractServer | None = None
@@ -209,6 +226,10 @@ class HttpServerBase:
     async def _route(self, request: Request):
         """Subclass hook: ``(status, content_type, payload[, headers])``."""
         raise NotImplementedError
+
+    async def _scrape(self) -> str:
+        """The ``GET /metrics`` text: this server's registry, rendered."""
+        return self.obs_registry.render()
 
     def _endpoint_label(self, path: str) -> str:
         """Metrics label for one request path.
@@ -360,7 +381,12 @@ class HttpServerBase:
         with span_cm as span:
             extra_headers: dict[str, str] = {}
             try:
-                routed = await self._route(request)
+                if request.path == "/metrics":
+                    self._require(request.method, "GET")
+                    text = await self._scrape()
+                    routed = 200, "text/plain; version=0.0.4", text.encode()
+                else:
+                    routed = await self._route(request)
                 if len(routed) == 4:
                     status, content_type, payload, extra_headers = routed
                 else:
@@ -370,14 +396,12 @@ class HttpServerBase:
                 content_type = "application/json"
                 payload = json.dumps({"error": exc.message}).encode()
                 extra_headers = exc.headers
-                if self.metrics is not None:
-                    self.metrics.record_error(exc.reason)
+                self.metrics.record_error(exc.reason)
             except Exception as exc:  # noqa: BLE001 - report, don't kill the loop
                 status = 500
                 content_type = "application/json"
                 payload = json.dumps({"error": f"internal error: {exc}"}).encode()
-                if self.metrics is not None:
-                    self.metrics.record_error("internal")
+                self.metrics.record_error("internal")
             span.set(status=status)
         # The span closes *before* the response bytes go out: a client
         # that has read the response can rely on the request span (and
@@ -399,10 +423,7 @@ class HttpServerBase:
         header_lines.append(
             f"Connection: {'keep-alive' if keep_alive else 'close'}"
         )
-        if self.metrics is not None:
-            self.metrics.record_request(
-                endpoint, status, time.perf_counter() - started
-            )
+        self.metrics.record_request(endpoint, status, time.perf_counter() - started)
         head = "\r\n".join(header_lines) + "\r\n\r\n"
         writer.write(head.encode("latin-1") + payload)
         await writer.drain()
@@ -412,8 +433,7 @@ class HttpServerBase:
         self, writer: asyncio.StreamWriter, exc: HTTPError
     ) -> None:
         """Answer a request that could not be parsed, closing the connection."""
-        if self.metrics is not None:
-            self.metrics.record_error(exc.reason)
+        self.metrics.record_error(exc.reason)
         payload = json.dumps({"error": exc.message}).encode()
         head = (
             f"HTTP/1.1 {exc.status} {_STATUS_TEXT[exc.status]}\r\n"

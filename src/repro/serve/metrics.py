@@ -1,16 +1,16 @@
-"""Request-path observability for the prediction service.
+"""Request-path observability for the repro services.
 
 Mirrors the :class:`~repro.sim.solve_cache.EngineStats` pattern — a plain
-mutable record with ``record_*`` methods — extended with the
-serving-specific parts: per-endpoint/status request counters, error
-counters, batch-size and latency histograms with p50/p95/p99, and the
-model-cache hit and miss counters.
+mutable record with ``record_*`` methods.  :class:`RequestMetrics` is
+every server's request record: per-endpoint/status request counters,
+error counters and the request-latency histogram with p50/p95/p99.
+:class:`ServingMetrics` is the prediction server's: the request record
+plus the prediction, model-cache, batch-size and phase-latency families.
 
-:meth:`ServingMetrics.render_prometheus` writes everything through the
-stack's one exposition writer (:class:`~repro.obs.registry.Exposition`),
-so ``GET /metrics`` can be scraped by a stock Prometheus server.
-:func:`merge_prometheus_texts` folds several servers' scrapes into one
-for the routed tier.
+Both render through the stack's one exposition writer
+(:class:`~repro.obs.registry.Exposition`), so ``GET /metrics`` can be
+scraped by a stock Prometheus server.  :func:`merge_prometheus_texts`
+folds several servers' scrapes into one for the routed tier.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from ..obs.registry import Exposition, format_value
 
 __all__ = [
     "LatencyHistogram",
+    "RequestMetrics",
     "ServingMetrics",
     "merge_prometheus_texts",
 ]
@@ -99,16 +100,17 @@ class LatencyHistogram:
 _PERCENTILE_NAME = re.compile(r"_p\d+$")
 
 
-def _merge_family_of(bare_name: str, known: set[str]) -> str:
+def _merge_family_of(bare_name: str, types: dict[str, str]) -> str:
     """The metric family a sample line belongs to.
 
     Histogram samples (``X_bucket``/``X_sum``/``X_count``) roll up to
-    ``X`` when ``X`` declared itself with a TYPE line; everything else is
-    its own family.
+    ``X`` when ``X`` is typed ``histogram``; everything else is its own
+    family.
     """
     for suffix in ("_bucket", "_sum", "_count"):
-        if bare_name.endswith(suffix) and bare_name[: -len(suffix)] in known:
-            return bare_name[: -len(suffix)]
+        base = bare_name[: -len(suffix)]
+        if bare_name.endswith(suffix) and types.get(base) == "histogram":
+            return base
     return bare_name
 
 
@@ -126,109 +128,98 @@ def merge_prometheus_texts(texts: list[str]) -> str:
     * percentile gauges (bare name matching ``_p\\d+$``) take the
       **max** — the worst worker's tail — skipping ``NaN`` from workers
       that saw no samples;
-    * HELP/TYPE metadata and family ordering follow the first text that
-      mentioned each family, and every family's samples stay grouped
-      under its metadata as the exposition format requires.
+    * a family is kept only when some text declared both its HELP and
+      its TYPE line, single-spaced (the first of each wins), and a sample
+      only when it belongs to a kept family, so a malformed or stray line
+      never reaches the merged scrape;
+    * families follow the order of their first declaration, every
+      family's samples stay grouped under its metadata as the exposition
+      format requires.
     """
-    meta: dict[str, list[str]] = {}        # family -> HELP/TYPE lines
-    family_order: list[str] = []
-    family_keys: dict[str, list[str]] = {}  # family -> series keys, ordered
+    lines = [line.strip() for text in texts for line in text.splitlines()]
+    meta: dict[tuple[str, str], str] = {}  # (family, HELP|TYPE) -> line
+    types: dict[str, str] = {}
+    for line in lines:
+        parts = line.split(None, 3)
+        if (
+            len(parts) == 4
+            and parts[0] == "#"
+            and parts[1] in ("HELP", "TYPE")
+            and " ".join(parts) == line
+        ):
+            meta.setdefault((parts[2], parts[1]), line)
+            if parts[1] == "TYPE":
+                types.setdefault(parts[2], parts[3])
+    family_keys: dict[str, list[str]] = {
+        family: []
+        for family, _kind in meta
+        if (family, "HELP") in meta and (family, "TYPE") in meta
+    }
     values: dict[str, float] = {}
     int_valued: dict[str, bool] = {}
 
-    for text in texts:
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.split(None, 3)
-                if len(parts) >= 3 and parts[1] in ("HELP", "TYPE"):
-                    family = parts[2]
-                    if family not in meta:
-                        meta[family] = []
-                        family_order.append(family)
-                        family_keys.setdefault(family, [])
-                    if not any(
-                        existing.split(None, 3)[1] == parts[1]
-                        for existing in meta[family]
-                    ):
-                        meta[family].append(line)
-                continue
-            key, _sep, value_text = line.rpartition(" ")
-            if not _sep:
-                continue
-            try:
-                value = float(value_text)
-            except ValueError:
-                continue
-            bare = key.partition("{")[0]
-            family = _merge_family_of(bare, set(meta))
-            if family not in family_keys:
-                family_order.append(family)
-                family_keys[family] = []
-            if key not in values:
-                family_keys[family].append(key)
+    for line in lines:
+        if line.startswith("#"):
+            continue
+        key, _sep, value_text = line.rpartition(" ")
+        try:
+            value = float(value_text)
+        except ValueError:
+            continue
+        bare = key.partition("{")[0]
+        keys = family_keys.get(_merge_family_of(bare, types))
+        if keys is None:
+            continue  # no text declared this sample's family
+        if key not in values:
+            keys.append(key)
+            values[key] = value
+            int_valued[key] = value_text.isdigit()
+        elif _PERCENTILE_NAME.search(bare):
+            prior = values[key]
+            if math.isnan(prior) or (
+                not math.isnan(value) and value > prior
+            ):
                 values[key] = value
-                int_valued[key] = "." not in value_text and value_text.isdigit()
-            elif _PERCENTILE_NAME.search(bare):
-                prior = values[key]
-                if math.isnan(prior) or (
-                    not math.isnan(value) and value > prior
-                ):
-                    values[key] = value
-                int_valued[key] = False
-            else:
-                values[key] = values[key] + value
-                int_valued[key] = int_valued[key] and (
-                    "." not in value_text and value_text.isdigit()
-                )
+            int_valued[key] = False
+        else:
+            values[key] = values[key] + value
+            int_valued[key] = int_valued[key] and value_text.isdigit()
 
-    lines: list[str] = []
-    for family in family_order:
-        lines.extend(meta.get(family, []))
-        for key in family_keys.get(family, []):
+    out: list[str] = []
+    for family, keys in family_keys.items():
+        out += (meta[family, "HELP"], meta[family, "TYPE"])
+        for key in keys:
             value = values[key]
-            if int_valued[key]:
-                lines.append(f"{key} {int(value)}")
+            if int_valued[key] and math.isfinite(value):
+                out.append(f"{key} {int(value)}")
             else:
-                lines.append(f"{key} {format_value(value)}")
-    return "\n".join(lines) + "\n"
+                out.append(f"{key} {format_value(value)}")
+    return "\n".join(out) + "\n"
 
 
-class ServingMetrics:
-    """All request-path counters and histograms for one server.
+class RequestMetrics:
+    """One server's request record: requests, errors and request latency.
 
-    Single-threaded by design: the server mutates it only from its event
-    loop, so no locking is needed.  The blocking client may *read* a
-    rendered snapshot at any time via ``GET /metrics``.
+    Every :class:`~repro.serve.http.HttpServerBase` builds one and records
+    each request and error into it.  Single-threaded by design: the server
+    mutates it only from its event loop, so no locking is needed; a
+    client reads a rendered snapshot via ``GET /metrics``.
 
-    ``prefix`` names the exported metric family: the prediction server
-    keeps the default ``repro_serve``, the registry artifact server uses
-    ``repro_registry`` — same schema, distinct namespaces, so one scraper
-    configuration covers both services.
+    ``prefix`` names the exported families (``<prefix>_requests_total``
+    ...): ``repro_serve``, ``repro_router``, ``repro_registry``,
+    ``repro_sched`` or ``repro_obs_collector``, so one scraper
+    configuration covers every service.
     """
 
-    def __init__(self, *, prefix: str = "repro_serve") -> None:
+    def __init__(self, *, prefix: str) -> None:
         self.prefix = prefix
         #: (endpoint, status code) -> served request count.
         self.requests_total: dict[tuple[str, int], int] = {}
         #: error reason -> count (bad_request, unknown_model, internal, ...).
         self.errors_total: dict[str, int] = {}
-        #: predictions returned (a batch body counts each instance).
-        self.predictions_total = 0
-        #: resident-model cache hits / misses on /v1/predict.
-        self.model_cache_hits = 0
-        self.model_cache_misses = 0
         #: end-to-end request handling latency, seconds.
         self.latency = LatencyHistogram()
-        #: rows per flushed micro-batch.
-        self.batch_sizes = LatencyHistogram(buckets=tuple(float(b) for b in BATCH_BUCKETS))
-        #: request phase -> time spent in that phase, seconds (see
-        #: :data:`REQUEST_PHASES` for the pipeline order).
-        self.phase_latency: dict[str, LatencyHistogram] = {}
 
-    # ------------------------------------------------------------ record
     def record_request(self, endpoint: str, status: int, seconds: float) -> None:
         """Count one handled HTTP request and its wall latency."""
         key = (endpoint, int(status))
@@ -239,6 +230,75 @@ class ServingMetrics:
         """Count one failed request by reason."""
         self.errors_total[reason] = self.errors_total.get(reason, 0) + 1
 
+    @property
+    def request_count(self) -> int:
+        """Total HTTP requests across endpoints and statuses."""
+        return sum(self.requests_total.values())
+
+    def _render_requests(self) -> Exposition:
+        """The request and error counters, the first families of a render."""
+        p = self.prefix
+        out = Exposition()
+        out.family(
+            f"{p}_requests_total", "counter", "HTTP requests handled.",
+            [
+                ({"endpoint": endpoint, "status": status}, n)
+                for (endpoint, status), n in sorted(self.requests_total.items())
+            ],
+        )
+        out.family(
+            f"{p}_errors_total", "counter", "Failed requests by reason.",
+            [({"reason": r}, n) for r, n in sorted(self.errors_total.items())],
+        )
+        return out
+
+    def render_prometheus(self) -> str:
+        """The Prometheus text exposition for ``GET /metrics``."""
+        out = self._render_requests()
+        _quantiled_histogram(
+            out, f"{self.prefix}_request_latency_seconds",
+            "End-to-end request handling latency.", self.latency,
+        )
+        return out.text()
+
+
+def _quantiled_histogram(
+    out: Exposition, name: str, help_text: str, hist: LatencyHistogram
+) -> None:
+    """One unlabelled histogram and its ``_p50/_p95/_p99`` gauges."""
+    out.histogram(
+        name, help_text, [({}, hist.buckets, hist.bucket_counts, hist.total)]
+    )
+    # Quantile gauges (summary-style convenience for dashboards).
+    for q in (50, 95, 99):
+        out.gauge(
+            f"{name}_p{q}",
+            f"Percentile of {name} (over the retained sample window).",
+            hist.percentile(q),
+        )
+
+
+class ServingMetrics(RequestMetrics):
+    """The prediction server's record: requests plus the prediction path.
+
+    Adds the predictions, model-cache, batch-size and phase-latency
+    families to the request record; only the prediction server has them.
+    """
+
+    def __init__(self, *, prefix: str = "repro_serve") -> None:
+        super().__init__(prefix=prefix)
+        #: predictions returned (a batch body counts each instance).
+        self.predictions_total = 0
+        #: resident-model cache hits / misses on /v1/predict.
+        self.model_cache_hits = 0
+        self.model_cache_misses = 0
+        #: rows per flushed micro-batch.
+        self.batch_sizes = LatencyHistogram(buckets=tuple(float(b) for b in BATCH_BUCKETS))
+        #: request phase -> time spent in that phase, seconds (see
+        #: :data:`REQUEST_PHASES` for the pipeline order).
+        self.phase_latency: dict[str, LatencyHistogram] = {}
+
+    # ------------------------------------------------------------ record
     def record_predictions(self, n: int) -> None:
         """Count ``n`` prediction values returned to clients."""
         self.predictions_total += int(n)
@@ -261,28 +321,11 @@ class ServingMetrics:
         else:
             self.model_cache_misses += 1
 
-    # ------------------------------------------------------- derived
-    @property
-    def request_count(self) -> int:
-        """Total HTTP requests across endpoints and statuses."""
-        return sum(self.requests_total.values())
-
     # ------------------------------------------------------ rendering
     def render_prometheus(self) -> str:
         """The Prometheus text exposition for ``GET /metrics``."""
         p = self.prefix
-        out = Exposition()
-        out.family(
-            f"{p}_requests_total", "counter", "HTTP requests handled.",
-            [
-                ({"endpoint": endpoint, "status": status}, n)
-                for (endpoint, status), n in sorted(self.requests_total.items())
-            ],
-        )
-        out.family(
-            f"{p}_errors_total", "counter", "Failed requests by reason.",
-            [({"reason": r}, n) for r, n in sorted(self.errors_total.items())],
-        )
+        out = self._render_requests()
         out.counter(
             f"{p}_predictions_total", "Prediction values returned.",
             self.predictions_total,
@@ -295,23 +338,14 @@ class ServingMetrics:
             f"{p}_model_cache_misses_total", "Resident-model cache misses.",
             self.model_cache_misses,
         )
-        for name, help_text, hist in (
-            (f"{p}_request_latency_seconds",
-             "End-to-end request handling latency.", self.latency),
-            (f"{p}_batch_size", "Rows per flushed micro-batch.",
-             self.batch_sizes),
-        ):
-            out.histogram(
-                name, help_text,
-                [({}, hist.buckets, hist.bucket_counts, hist.total)],
-            )
-            # Quantile gauges (summary-style convenience for dashboards).
-            for q in (50, 95, 99):
-                out.gauge(
-                    f"{name}_p{q}",
-                    f"Percentile of {name} (over the retained sample window).",
-                    hist.percentile(q),
-                )
+        _quantiled_histogram(
+            out, f"{p}_request_latency_seconds",
+            "End-to-end request handling latency.", self.latency,
+        )
+        _quantiled_histogram(
+            out, f"{p}_batch_size", "Rows per flushed micro-batch.",
+            self.batch_sizes,
+        )
         name = f"{p}_phase_latency_seconds"
         phases = sorted(self.phase_latency.items())
         out.histogram(

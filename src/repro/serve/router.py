@@ -52,11 +52,11 @@ import time
 from dataclasses import dataclass
 from urllib.parse import urlencode
 
-from ..obs.registry import Exposition, MetricsRegistry, install_default_sources
+from ..obs.registry import Exposition
 from ..obs.trace import current_span
 from ..registry.local import RegistryError, parse_ref
 from .http import HTTPError, HttpServerBase, Request, ServerThreadBase
-from .metrics import LatencyHistogram, ServingMetrics, merge_prometheus_texts
+from .metrics import LatencyHistogram, merge_prometheus_texts
 from .shard import ShardMap
 from .worker import BackendSpec, WorkerProcess, backend_spec_for, open_backend
 
@@ -289,6 +289,7 @@ class RouterServer(HttpServerBase):
 
     known_endpoints = ("/v1/predict", "/v1/models", "/healthz", "/metrics")
     request_span_name = "route.request"
+    metrics_prefix = "repro_router"
 
     def __init__(
         self,
@@ -302,7 +303,6 @@ class RouterServer(HttpServerBase):
         shadow: tuple[ShadowSpec, ...] = (),
         pool_size: int = 32,
         machine_cache_s: float = 2.0,
-        metrics: ServingMetrics | None = None,
     ) -> None:
         if not worker_ports:
             raise ValueError("a router needs at least one worker port")
@@ -316,11 +316,6 @@ class RouterServer(HttpServerBase):
         self.canaries = {spec.name: spec for spec in canary}
         self.shadows = {spec.name: spec for spec in shadow}
         self.machine_cache_s = machine_cache_s
-        self.metrics = metrics if metrics is not None else ServingMetrics(
-            prefix="repro_router"
-        )
-        self.obs_registry = install_default_sources(MetricsRegistry())
-        self.obs_registry.register_source("serving", self.metrics.render_prometheus)
         self.obs_registry.register_source("router", self._render_router_metrics)
         from ..registry.local import ModelRegistry
 
@@ -393,9 +388,6 @@ class RouterServer(HttpServerBase):
         if path == "/healthz":
             self._require(method, "GET")
             return await self._healthz()
-        if path == "/metrics":
-            self._require(method, "GET")
-            return await self._merged_metrics()
         if path == "/v1/models":
             self._require(method, "GET")
             manifests = await self._backend_call(self.backend.list)
@@ -433,7 +425,7 @@ class RouterServer(HttpServerBase):
         body = {"status": status, "workers": workers}
         return 200, "application/json", json.dumps(body).encode()
 
-    async def _merged_metrics(self):
+    async def _scrape(self) -> str:
         """One scrape: the router's exposition + every worker's, merged."""
         scrapes = await asyncio.gather(
             *(
@@ -442,7 +434,7 @@ class RouterServer(HttpServerBase):
             ),
             return_exceptions=True,
         )
-        texts = [self.obs_registry.render()]
+        texts = [await super()._scrape()]
         unreachable = 0
         for scraped in scrapes:
             if isinstance(scraped, BaseException):
@@ -460,7 +452,7 @@ class RouterServer(HttpServerBase):
                 "Workers whose /metrics scrape failed this pass.",
                 unreachable,
             ).text()
-        return 200, "text/plain; version=0.0.4", merged.encode()
+        return merged
 
     # ------------------------------------------------------------- predict
     async def _predict(self, request: Request):

@@ -54,7 +54,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..obs.registry import Exposition, MetricsRegistry, install_default_sources
+from ..obs.registry import Exposition
 from ..registry.local import ModelRegistry, RegistryError, parse_ref
 from .batcher import BacklogFullError, MicroBatcher
 from .http import HTTPError, HttpServerBase, Request, ServerThreadBase
@@ -111,12 +111,12 @@ class PredictionServer(HttpServerBase):
         ``repro_serve_worker_up{worker="N"}`` gauge so the merged scrape
         shows which shards answered.  ``None`` (default) for standalone
         servers.
-    metrics:
-        Optional shared :class:`~repro.serve.metrics.ServingMetrics`.
     """
 
     known_endpoints = ("/v1/predict", "/v1/models", "/healthz", "/metrics")
     request_span_name = "serve.request"
+    metrics_prefix = "repro_serve"
+    metrics_type = ServingMetrics
 
     def __init__(
         self,
@@ -130,7 +130,6 @@ class PredictionServer(HttpServerBase):
         model_cache_size: int = 8,
         hot_reload_s: float | None = None,
         worker_id: int | None = None,
-        metrics: ServingMetrics | None = None,
     ) -> None:
         if model_cache_size < 1:
             raise ValueError("model_cache_size must be >= 1")
@@ -144,13 +143,6 @@ class PredictionServer(HttpServerBase):
         self.model_cache_size = model_cache_size
         self.hot_reload_s = hot_reload_s
         self.worker_id = worker_id
-        self.metrics = metrics if metrics is not None else ServingMetrics()
-        # Per-server metrics registry: one GET /metrics scrape merges the
-        # request-path metrics with the process-wide engine and fitting
-        # aggregates plus the per-model batcher backlog.  Private (not the
-        # obs default) so several servers in one process stay independent.
-        self.obs_registry = install_default_sources(MetricsRegistry())
-        self.obs_registry.register_source("serving", self.metrics.render_prometheus)
         self.obs_registry.register_source("batcher", self._render_batcher_metrics)
         self._resident: OrderedDict[str, _ResidentModel] = OrderedDict()
         # Remote backends block on sockets; resolve them off the loop.
@@ -426,13 +418,6 @@ class PredictionServer(HttpServerBase):
             self._require(method, "GET")
             body = {"status": "ok", "models": len(self.registry.names())}
             return 200, "application/json", json.dumps(body).encode()
-        if path == "/metrics":
-            self._require(method, "GET")
-            # The merged registry: serving + engine + fitting + batcher
-            # backlog, one scrape (the serving source is this server's own
-            # ServingMetrics).
-            text = self.obs_registry.render()
-            return 200, "text/plain; version=0.0.4", text.encode()
         if path == "/v1/models":
             self._require(method, "GET")
             body = {"models": [m.to_dict() for m in self.registry.list()]}

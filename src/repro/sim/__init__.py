@@ -1,11 +1,5 @@
 """Execution simulation: analytic steady-state engine + trace-driven check."""
 
-from .colocation import (
-    ColocationScenario,
-    homogeneous_scenarios,
-    normalized_execution_time,
-    run_scenario,
-)
 from .engine import (
     AppRun,
     BatchConvergenceError,
@@ -30,7 +24,6 @@ __all__ = [
     "BatchConvergenceError",
     "BatchFailure",
     "ColocationRun",
-    "ColocationScenario",
     "ConvergenceError",
     "EngineStats",
     "GLOBAL_ENGINE_STATS",
@@ -41,9 +34,6 @@ __all__ = [
     "TraceCompetitor",
     "TraceSharingResult",
     "app_signature",
-    "homogeneous_scenarios",
-    "normalized_execution_time",
-    "run_scenario",
     "simulate_trace_sharing",
     "solve_key",
 ]

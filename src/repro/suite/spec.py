@@ -111,11 +111,13 @@ class CaseSpec:
             raise SuiteSpecError(
                 f"case {self.name!r}: co-location counts must be >= 1"
             )
-        if len(set(self.counts)) < len(self.counts):
-            raise SuiteSpecError(
-                f"case {self.name!r}: each co-location count may appear "
-                f"only once, got {list(self.counts)}"
-            )
+        for field_name in ("targets", "co_apps", "counts", "frequencies_ghz"):
+            values = getattr(self, field_name)
+            if len(set(values)) < len(values):
+                raise SuiteSpecError(
+                    f"case {self.name!r}: each of {field_name} may appear "
+                    f"only once, got {list(values)}"
+                )
         if self.repetitions < 1:
             raise SuiteSpecError(
                 f"case {self.name!r}: repetitions must be >= 1"

@@ -130,6 +130,50 @@ class TestCollectTrainingData:
                 engine_6core, baselines=baselines_6core, counts=counts
             )
 
+    @pytest.mark.parametrize("argument", ["targets", "co_apps"])
+    def test_repeated_app_rejected(
+        self, engine_6core, baselines_6core, argument
+    ):
+        apps = [get_application(n) for n in ("ep", "cg", "ep")]
+        with pytest.raises(
+            ValueError,
+            match=rf"^{argument}: .* only once, got \['ep', 'cg', 'ep'\]",
+        ):
+            collect_training_data(
+                engine_6core, baselines=baselines_6core, **{argument: apps}
+            )
+
+    @pytest.mark.parametrize(
+        "frequencies", [(2.53, 2.53), (1.6, 2.53, 1.6 + 1e-12)]
+    )
+    def test_repeated_frequency_rejected(
+        self, engine_6core, baselines_6core, frequencies
+    ):
+        with pytest.raises(ValueError, match=r"^frequencies_ghz: .* only once"):
+            collect_training_data(
+                engine_6core,
+                baselines=baselines_6core,
+                frequencies_ghz=frequencies,
+            )
+
+    def test_distinct_apps_and_frequencies_keep_callers_order(
+        self, engine_6core, baselines_6core
+    ):
+        ds = collect_training_data(
+            engine_6core,
+            baselines=baselines_6core,
+            targets=[get_application("sp"), get_application("ep")],
+            co_apps=[get_application("lu"), get_application("cg")],
+            counts=(1,),
+            frequencies_ghz=(1.6, 2.53),
+        )
+        assert [(o.frequency_ghz, o.target_name, o.co_app_name) for o in ds] == [
+            (f, t, c)
+            for f in (1.6, 2.53)
+            for t in ("sp", "ep")
+            for c in ("lu", "cg")
+        ]
+
     def test_distinct_counts_keep_callers_order(
         self, engine_6core, baselines_6core
     ):
@@ -221,6 +265,16 @@ class TestCollectRandomTrainingData:
         with pytest.raises(ValueError, match=f"^{argument}: need at least one"):
             collect_random_training_data(
                 engine_6core, 10, baselines=baselines_6core, **{argument: []}
+            )
+
+    @pytest.mark.parametrize("argument", ["targets", "co_apps"])
+    def test_repeated_app_rejected(
+        self, engine_6core, baselines_6core, argument
+    ):
+        apps = [get_application(n) for n in ("cg", "cg")]
+        with pytest.raises(ValueError, match=f"^{argument}: .* only once"):
+            collect_random_training_data(
+                engine_6core, 10, baselines=baselines_6core, **{argument: apps}
             )
 
     def test_budget_validation(self, engine_6core, baselines_6core):

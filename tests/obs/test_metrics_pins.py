@@ -6,7 +6,9 @@ names, help text, types and family order) and the sample map as
 :func:`~repro.serve.client.parse_prometheus` reads it (series keys with
 their labels, and values).  The expected data never changes when the
 rendering code moves; only the ``_render_*`` call that produces a
-source's text may.
+source's text may.  Each ``serving:<prefix>`` source is the request
+record its server class builds, so a pin holds exactly the families that
+server exports.
 """
 
 from __future__ import annotations
@@ -40,7 +42,21 @@ from repro.suite.stats import SuiteStats
 
 PINS = json.loads(Path(__file__).with_name("metrics_pins.json").read_text())
 
-SERVING_PREFIXES = ("repro_serve", "repro_router", "repro_registry", "repro_sched")
+
+def _sched_service(request) -> SchedulerService:
+    baselines = request.getfixturevalue("baselines_6core")
+    fleet = FleetState([MachineConfig(XEON_E5649, count=2, name_prefix="node")])
+    return SchedulerService(fleet, baselines, policy="first-fit")
+
+
+#: Each server's request-record prefix -> a factory for that server.
+SERVERS = {
+    "repro_serve": lambda _request: PredictionServer(object()),
+    "repro_router": lambda _request: RouterServer([9001], object(), pool_size=1),
+    "repro_registry": lambda _request: RegistryServer(object()),
+    "repro_sched": _sched_service,
+    "repro_obs_collector": lambda _request: CollectorServer(),
+}
 
 
 def _render_engine(_request) -> str:
@@ -101,8 +117,8 @@ def _render_obs_streaming(_request) -> str:
     return _render_obs(tracer)
 
 
-def _serving_state(prefix: str) -> ServingMetrics:
-    metrics = ServingMetrics(prefix=prefix)
+def _record_serving_state(metrics) -> None:
+    """The fixed request state, plus the prediction path where it exists."""
     for endpoint, status, seconds in (
         ("/v1/predict", 200, 0.004),
         ("/v1/predict", 200, 0.0007),
@@ -114,6 +130,8 @@ def _serving_state(prefix: str) -> ServingMetrics:
     metrics.record_error("bad_request")
     metrics.record_error("unknown_model")
     metrics.record_error("unknown_model")
+    if not isinstance(metrics, ServingMetrics):
+        return
     metrics.record_predictions(9)
     for size in (1, 3, 5, 200):
         metrics.record_batch(size)
@@ -123,12 +141,14 @@ def _serving_state(prefix: str) -> ServingMetrics:
     for i, phase in enumerate(REQUEST_PHASES):
         metrics.record_phase(phase, 0.0002 * (i + 1))
         metrics.record_phase(phase, 0.003 * (i + 1))
-    return metrics
 
 
 def _render_serving(prefix: str):
-    def render(_request) -> str:
-        return _serving_state(prefix).render_prometheus()
+    def render(request) -> str:
+        metrics = SERVERS[prefix](request).metrics
+        assert metrics.prefix == prefix
+        _record_serving_state(metrics)
+        return metrics.render_prometheus()
 
     return render
 
@@ -168,9 +188,7 @@ def _render_router(_request) -> str:
 
 
 def _render_sched(request) -> str:
-    baselines = request.getfixturevalue("baselines_6core")
-    fleet = FleetState([MachineConfig(XEON_E5649, count=2, name_prefix="node")])
-    service = SchedulerService(fleet, baselines, policy="first-fit")
+    service = _sched_service(request)
     metrics = service.sched_metrics
     metrics.jobs_submitted = 6
     metrics.placements = 5
@@ -227,7 +245,7 @@ SOURCES = {
     "suite": _render_suite,
     "obs": _render_obs_ring,
     "obs_streaming": _render_obs_streaming,
-    **{f"serving:{prefix}": _render_serving(prefix) for prefix in SERVING_PREFIXES},
+    **{f"serving:{prefix}": _render_serving(prefix) for prefix in SERVERS},
     "serving_empty": _render_serving_empty,
     "batcher": _render_batcher,
     "router": _render_router,

@@ -7,8 +7,11 @@ declared twice, histogram buckets are cumulative and monotone with
 ``+Inf`` equal to ``_count``, and label escaping round-trips through the
 client's label-aware parser.  The checks run on a merged registry built
 from the real sources (with hostile label values and labelled
-histograms) and on the live ``/metrics`` of each in-process service; the
-router's merged tier scrape is checked in ``tests/serve/test_router.py``.
+histograms) and on the live ``/metrics`` of each in-process service (the
+router's in front of one in-process worker; its spawned tier is checked
+in ``tests/serve/test_router.py``).  Each live scrape must also carry its
+server's request record, and only the prediction server's carries the
+prediction-path families.
 """
 
 import http.client
@@ -33,7 +36,9 @@ from repro.registry.server import RegistryServerThread
 from repro.sched.fleet import FleetState, MachineConfig
 from repro.sched.service import SchedulerClient, SchedulerThread
 from repro.serve.client import PredictionClient, _parse_sample, parse_prometheus
+from repro.serve.http import ServerThreadBase
 from repro.serve.metrics import REQUEST_PHASES, ServingMetrics
+from repro.serve.router import RouterServer
 from repro.serve.server import ServerThread
 from repro.sim.solve_cache import GLOBAL_ENGINE_STATS
 
@@ -254,17 +259,31 @@ def model_registry(tmp_path_factory, small_dataset):
     return registry
 
 
-def _prediction_server_scrape(request) -> str:
-    registry = request.getfixturevalue("model_registry")
+def _features(request) -> dict:
     observation = next(iter(request.getfixturevalue("small_dataset")))
-    features = {
+    return {
         f.value: float(observation.feature_value(f)) for f in FeatureSet.F.features
     }
+
+
+def _prediction_server_scrape(request) -> str:
+    registry = request.getfixturevalue("model_registry")
+    features = _features(request)
     with ServerThread(registry, max_batch=4, max_wait_ms=1.0) as handle:
         with PredictionClient("127.0.0.1", handle.port) as client:
             client.predict_batch([features] * 3, model="point")
             _http(handle.port, "POST", "/v1/predict", b"not json")
         return _scrape(handle.port)
+
+
+def _router_scrape(request) -> str:
+    registry = request.getfixturevalue("model_registry")
+    with ServerThread(registry, max_batch=4, max_wait_ms=1.0) as worker:
+        router = ServerThreadBase(RouterServer([worker.port], registry))
+        with router:
+            with PredictionClient("127.0.0.1", router.port) as client:
+                client.predict(_features(request), model="point")
+            return _scrape(router.port)
 
 
 def _registry_server_scrape(request) -> str:
@@ -298,14 +317,46 @@ def _collector_scrape(_request) -> str:
         return _scrape(handle.port)
 
 
+#: Each live service's scrape and the prefix of its request record.
 LIVE = {
-    "prediction_server": _prediction_server_scrape,
-    "registry_server": _registry_server_scrape,
-    "scheduler": _scheduler_scrape,
-    "collector": _collector_scrape,
+    "prediction_server": (_prediction_server_scrape, "repro_serve"),
+    "router": (_router_scrape, "repro_router"),
+    "registry_server": (_registry_server_scrape, "repro_registry"),
+    "scheduler": (_scheduler_scrape, "repro_sched"),
+    "collector": (_collector_scrape, "repro_obs_collector"),
 }
 
+#: Families only the prediction server's record has, by name suffix.
+PREDICTION_FAMILIES = (
+    "_predictions_total",
+    "_model_cache_hits_total",
+    "_model_cache_misses_total",
+    "_batch_size",
+    "_phase_latency_seconds",
+)
 
-@pytest.mark.parametrize("service", sorted(LIVE))
-def test_live_scrape_conforms(service, request):
-    assert_conformant(LIVE[service](request))
+
+@pytest.fixture(scope="module", params=sorted(LIVE))
+def live_scrape(request) -> tuple[str, str]:
+    """``(service, scrape)`` after the service answered some requests."""
+    scrape, _prefix = LIVE[request.param]
+    return request.param, scrape(request)
+
+
+def test_live_scrape_conforms(live_scrape):
+    _service, text = live_scrape
+    assert_conformant(text)
+
+
+def test_live_scrape_has_its_request_record(live_scrape):
+    service, text = live_scrape
+    prefix = LIVE[service][1]
+    requests = {
+        key: n for key, n in parse_prometheus(text).items()
+        if key.startswith(f"{prefix}_requests_total{{")
+    }
+    assert requests and sum(requests.values()) >= 1
+    _helps, types = _comment_indexes(text)
+    prediction = {prefix + suffix for suffix in PREDICTION_FAMILIES}
+    expected = prediction if service == "prediction_server" else set()
+    assert prediction & set(types) == expected

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import socket
 import time
 
@@ -9,6 +10,7 @@ import pytest
 
 from repro.obs.collector import CollectorThread
 from repro.obs.stream import SpanSender, StreamingTracer, parse_endpoint
+from repro.obs.summary import load_trace, span_forest
 
 
 @pytest.fixture
@@ -130,3 +132,61 @@ class TestStreamingTracer:
         # The origin process already streamed it; re-sending would
         # duplicate every span a parent both ingests and streams.
         assert collector.records() == []
+
+
+def _chrome_spans(path) -> list[dict]:
+    events = json.loads(path.read_text())["traceEvents"]
+    return [
+        {key: e[key] for key in ("name", "ts", "dur", "pid", "tid", "args")}
+        for e in events
+        if e["ph"] == "X"
+    ]
+
+
+def _tree(nodes) -> list:
+    """A span forest's shape: names, attributes and children, ids aside.
+
+    The OTLP reader adds each span's ``service`` to its attributes, so
+    that one is left out.
+    """
+    return sorted(
+        (
+            node.name,
+            sorted((k, v) for k, v in node.attributes.items() if k != "service"),
+            _tree(node.children),
+        )
+        for node in nodes
+    )
+
+
+class TestOneChromeWriter:
+    def test_tracer_and_collector_exports_agree(self, collector, tmp_path):
+        # The sender names its pid, so the two Chrome files agree on
+        # every field, pid included.
+        tracer = StreamingTracer(
+            SpanSender(collector.endpoint, resource={"service": "unit"})
+        )
+        with tracer.span("outer", machine="e5649"):
+            with tracer.span("inner", payload=[1, 2]):
+                pass
+            with tracer.span("sibling"):
+                pass
+        tracer.flush()
+        tracer.close()
+        paths = {name: tmp_path / f"{name}.json" for name in ("local", "chrome", "otlp")}
+        assert tracer.export_chrome(paths["local"]) == 3
+        assert collector.export_chrome(paths["chrome"]) == 3
+        assert collector.export_otlp(paths["otlp"]) == 3
+
+        local = _chrome_spans(paths["local"])
+        assert local == _chrome_spans(paths["chrome"])
+        # Timestamps count from the earliest exported span.
+        assert min(span["ts"] for span in local) == 0.0
+        trees = [_tree(span_forest(load_trace(path))) for path in paths.values()]
+        assert trees[0] == trees[1] == trees[2] == [
+            (
+                "outer",
+                [("machine", "e5649")],
+                [("inner", [("payload", "[1, 2]")], []), ("sibling", [], [])],
+            )
+        ]

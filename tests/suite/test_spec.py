@@ -40,6 +40,22 @@ class TestCaseSpec:
             CaseSpec(name="c", counts=(3, 1, 3))
         assert CaseSpec(name="c", counts=(3, 1)).counts == (3, 1)
 
+    @pytest.mark.parametrize(
+        ("field", "values"),
+        [
+            ("targets", ("cg", "sp", "cg")),
+            ("co_apps", ("ep", "ep")),
+            ("frequencies_ghz", (2.53, 1.6, 2.53)),
+        ],
+    )
+    def test_repeated_value(self, field, values):
+        with pytest.raises(
+            SuiteSpecError, match=f"each of {field} may appear only once"
+        ):
+            CaseSpec(name="c", **{field: values})
+        distinct = tuple(dict.fromkeys(values))
+        assert getattr(CaseSpec(name="c", **{field: distinct}), field) == distinct
+
     def test_catalog_rejects_unknown_machine(self):
         case = CaseSpec(name="c", machine="i9")
         with pytest.raises(SuiteSpecError, match="unknown processor"):

@@ -8,6 +8,9 @@ import pytest
 from repro.cli import _serve_until_interrupted, build_parser, main
 from repro.core.fitstats import FitStats
 from repro.obs import samples_text
+from repro.obs.collector import CollectorServer
+from repro.registry import ModelRegistry
+from repro.registry.server import RegistryServer
 from repro.serve.metrics import ServingMetrics
 from repro.sim.solve_cache import EngineStats
 from repro.suite.stats import SuiteStats
@@ -170,6 +173,18 @@ class TestPipelineCommands:
         assert not path.exists()
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--targets", "--co-apps"])
+    def test_collect_repeated_app(self, tmp_path, capsys, flag):
+        path = tmp_path / "x.csv"
+        argv = ["collect", "-o", str(path), "--counts", "1",
+                "--targets", "sp", "--co-apps", "cg", flag, "ep,ep"]
+        name = flag[2:].replace("-", "_")
+        with pytest.raises(SystemExit, match=f"^error: {name}: .* only once") as exc:
+            main(argv)
+        assert "\n" not in exc.value.code
+        assert not path.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_collect_bad_workers(self, tmp_path):
         with pytest.raises(SystemExit, match="workers"):
             main(["collect", "-o", str(tmp_path / "x.csv"), "--workers", "0"])
@@ -326,7 +341,7 @@ class TestStatsOutput:
         assert out[-len(samples):] == samples
         assert not any(line.startswith("#") or "_bucket" in line for line in out)
 
-    def test_server_prints_its_record_at_shutdown(self, capsys):
+    def test_server_prints_its_record_at_shutdown(self, capsys, tmp_path):
         class Server:
             def __init__(self, metrics):
                 self.metrics = metrics
@@ -354,10 +369,26 @@ class TestStatsOutput:
             in lines
         )
         assert not any("_bucket" in line for line in lines)
-        # A server without a request record (the span collector) prints
-        # only its banner.
-        _serve_until_interrupted(Server(None), lambda: "listening")
-        assert capsys.readouterr().out.splitlines() == ["listening"]
+        # Every server keeps a request record, the span collector's
+        # included; only the prediction server's has prediction families.
+        for server in (CollectorServer(), RegistryServer(ModelRegistry(tmp_path))):
+            server.serve_forever = Server(None).serve_forever
+            server.metrics.record_request("/healthz", 200, 0.002)
+            _serve_until_interrupted(server, lambda: "listening")
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[1:] == samples_text(
+                server.metrics.render_prometheus()
+            ).splitlines()
+            assert (
+                f'{server.metrics_prefix}_requests_total{{endpoint="/healthz",'
+                f'status="200"}} 1'
+            ) in lines
+            assert not any(
+                unexpected in line
+                for line in lines
+                for unexpected in ("_predictions_total", "_model_cache_",
+                                   "_batch_size", "_phase_latency", "NaN")
+            )
 
 
 class TestServingCommands:
