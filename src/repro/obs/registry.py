@@ -151,11 +151,12 @@ def samples_text(exposition: str) -> str:
 
     Drops the ``# HELP``/``# TYPE`` lines and each histogram's
     ``_bucket`` series (its ``_sum`` and ``_count`` stay); every other
-    sample keeps its order and spelling.
+    sample keeps its order and spelling.  Lines end at ``"\\n"`` only,
+    so a label value's other line separators stay inside its sample.
     """
     buckets: set[str] = set()
     lines: list[str] = []
-    for line in exposition.splitlines():
+    for line in exposition.split("\n"):
         if line.startswith("#"):
             parts = line.split(" ", 3)
             if parts[1:2] == ["TYPE"] and parts[3:] == ["histogram"]:

@@ -23,23 +23,23 @@ Semantics every backend must preserve:
   :func:`~repro.registry.local.decode_payload`;
 * tombstoned versions are refused by ``resolve``/``get`` with a
   :class:`~repro.registry.local.TombstoneError` and skipped by bare-name
-  resolution — blocking never deletes bytes.
+  resolution — blocking never deletes bytes;
+* ``changed_models(cursor)`` returns ``(names, cursor)``: the names whose
+  versions or tombstones changed since ``cursor`` (removed names too)
+  and a fresh cursor.  ``None`` or an undecodable cursor means "no prior
+  view" and reports every name, so the first call is a full sync.
 
-One surface is *optional*: ``changed_models(cursor) -> (names, cursor)``,
-the incremental change feed both stock backends implement (the HTTP
-backend additionally returns ``None`` when its server predates the
-feature).  Consumers discover it with ``getattr``/``hasattr`` and fall
-back to ``names()``/``list()`` full scans — it is deliberately absent
-from the protocol so minimal third-party backends stay conformant.
+:func:`call_backend` is how an event loop calls any of these methods.
 """
 
 from __future__ import annotations
 
+import asyncio
 from typing import Protocol, runtime_checkable
 
-from .local import Artifact, ModelManifest
+from .local import Artifact, ModelManifest, ModelRegistry
 
-__all__ = ["RegistryBackend"]
+__all__ = ["RegistryBackend", "call_backend"]
 
 
 @runtime_checkable
@@ -56,6 +56,10 @@ class RegistryBackend(Protocol):
 
     def list(self) -> list[ModelManifest]:
         """Every stored manifest (tombstoned included), sorted."""
+        ...
+
+    def changed_models(self, cursor: str | None) -> tuple[list[str], str]:
+        """Names changed since ``cursor``, plus a fresh cursor."""
         ...
 
     def resolve(self, ref: str) -> ModelManifest:
@@ -83,3 +87,17 @@ class RegistryBackend(Protocol):
     def tombstone_reason(self, name: str, version: int) -> str | None:
         """Tombstone reason for one version, or ``None`` if live."""
         ...
+
+
+async def call_backend(backend, fn, *args):
+    """``fn(*args)``, a call that reads ``backend``, from an event loop.
+
+    A local :class:`~repro.registry.local.ModelRegistry` reads the local
+    filesystem, and its per-request call (``latest_version``) is a stat
+    and a cached dict lookup, cheaper than a thread-pool hop, so it runs
+    inline.  Any other backend may block on a socket for its whole
+    timeout, so it runs in a worker thread and the loop keeps serving.
+    """
+    if isinstance(backend, ModelRegistry):
+        return fn(*args)
+    return await asyncio.to_thread(fn, *args)

@@ -18,8 +18,12 @@ local directory.  Two properties make it fit for a serving fleet:
 * **Incremental sync.**  :meth:`HttpBackend.changed_models` speaks the
   server's ``?since=<cursor>`` change feed so pollers (the prediction
   server's hot-reload loop) learn which names changed in one request
-  instead of re-listing the store; against servers that predate the
-  cursor it returns ``None`` and callers fall back to full listings.
+  instead of re-listing the store.
+* **Wire faults read as an outage.**  A refused or reset connection, a
+  timeout and a response cut short all take the unreachable path, so
+  the cache fallback applies; a 200 whose body is not a JSON object
+  raises a :class:`~repro.registry.local.RegistryError` naming the
+  server.
 
 Error parity: tampered, truncated, and corrupted payloads raise the same
 descriptive :class:`~repro.registry.local.RegistryError` messages as the
@@ -101,11 +105,6 @@ class HttpBackend:
         """Human-readable backend location (for logs and errors)."""
         return self.base_url
 
-    @staticmethod
-    def parse_ref(ref: str) -> tuple[str, int | None]:
-        """Split ``name`` or ``name@version`` into its parts."""
-        return parse_ref(ref)
-
     def _request(
         self,
         method: str,
@@ -114,7 +113,9 @@ class HttpBackend:
         body: bytes | None = None,
         headers: dict[str, str] | None = None,
     ) -> tuple[int, bytes]:
-        """One HTTP round-trip; raises ``OSError`` when unreachable."""
+        """One HTTP round-trip; raises ``OSError`` when unreachable, and
+        when the response is malformed or cut short (nothing usable came
+        back, exactly as if the server were down)."""
         self.http_requests += 1
         conn = http.client.HTTPConnection(
             self._host, self._port, timeout=self.timeout_s
@@ -123,14 +124,30 @@ class HttpBackend:
             conn.request(method, path, body=body, headers=headers or {})
             response = conn.getresponse()
             return response.status, response.read()
+        except http.client.HTTPException as exc:
+            raise ConnectionError(
+                f"bad response from registry at {self.base_url}: {exc!r}"
+            ) from None
         finally:
             conn.close()
+
+    def _json(self, payload: bytes, what: str) -> dict:
+        """A 200 body as a JSON object; anything else names the server."""
+        try:
+            data = json.loads(payload.decode())
+        except (ValueError, RecursionError):
+            data = None
+        if not isinstance(data, dict):
+            raise RegistryError(
+                f"registry at {self.base_url} sent an unparsable {what}"
+            )
+        return data
 
     @staticmethod
     def _error_text(payload: bytes, fallback: str) -> str:
         try:
             return str(json.loads(payload.decode())["error"])
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecursionError):
             return fallback
 
     # ------------------------------------------------------------- cache
@@ -214,7 +231,7 @@ class HttpBackend:
         except OSError:
             return self._resolve_cached(name, version)
         if status == 200:
-            data = json.loads(payload.decode())
+            data = self._json(payload, f"manifest for {ref!r}")
             self._cache_manifest(data)
             return ModelManifest.from_dict(data)
         message = self._error_text(
@@ -405,10 +422,8 @@ class HttpBackend:
                     f"model listing ({status})"
                 )
             )
-        data = json.loads(payload.decode())
-        for entry in data.get("models", []):
-            self._cache_manifest(entry)
-        return sorted({str(m["name"]) for m in data.get("models", [])})
+        entries = self._entries(self._json(payload, "model listing"))
+        return sorted({m.name for m in entries})
 
     def list(self) -> list[ModelManifest]:
         """Every stored manifest (cache on outage), sorted."""
@@ -431,13 +446,23 @@ class HttpBackend:
                     f"model listing ({status})"
                 )
             )
-        entries = json.loads(payload.decode()).get("models", [])
+        return self._entries(self._json(payload, "model listing"))
+
+    def _entries(self, data: dict) -> list[ModelManifest]:
+        """A listing's manifests, each cached as it arrives."""
+        entries = data.get("models", [])
+        try:
+            manifests = [ModelManifest.from_dict(entry) for entry in entries]
+        except (RegistryError, TypeError) as exc:
+            raise RegistryError(
+                f"registry at {self.base_url} sent a bad model listing: {exc}"
+            ) from None
         for entry in entries:
             self._cache_manifest(entry)
-        return [ModelManifest.from_dict(m) for m in entries]
+        return manifests
 
-    def changed_models(self, cursor: str | None) -> tuple[list[str], str] | None:
-        """Names changed since ``cursor`` plus a fresh cursor, or ``None``.
+    def changed_models(self, cursor: str | None) -> tuple[list[str], str]:
+        """Names changed since ``cursor`` plus a fresh cursor.
 
         Speaks ``GET /v1/models?since=...`` — the server answers with
         only the changed names' manifests (cached here as they arrive),
@@ -445,11 +470,11 @@ class HttpBackend:
         cursor.  ``cursor=None`` sends the conventional ``0``, which no
         cursor decodes to, so the first call is a full sync.
 
-        ``None`` (the return value) means the server predates change
-        cursors — its listing carries no ``cursor`` field — and callers
-        should fall back to full listings.  Unreachable servers raise
-        ``OSError`` untouched: a change feed has no meaningful cache
-        fallback, and pollers just retry next tick.
+        A listing without a ``cursor`` raises
+        :class:`~repro.registry.local.RegistryError` naming the server.
+        Unreachable servers raise ``OSError`` untouched: a change feed
+        has no meaningful cache fallback, and pollers just retry next
+        tick.
         """
         since = cursor if cursor else "0"
         status, payload = self._request("GET", f"/v1/models?since={since}")
@@ -460,13 +485,15 @@ class HttpBackend:
                     f"change listing ({status})"
                 )
             )
-        data = json.loads(payload.decode())
-        if "cursor" not in data:
-            return None
-        for entry in data.get("models", []):
-            self._cache_manifest(entry)
-        changed = [str(name) for name in data.get("changed", [])]
-        return changed, str(data["cursor"])
+        data = self._json(payload, "change listing")
+        changed = data.get("changed", [])
+        if "cursor" not in data or not isinstance(changed, list):
+            raise RegistryError(
+                f"registry at {self.base_url} sent a change listing without "
+                f"a 'cursor' and a 'changed' list"
+            )
+        self._entries(data)
+        return [str(name) for name in changed], str(data["cursor"])
 
     # -------------------------------------------------------- tombstones
     def tombstone_reason(self, name: str, version: int) -> str | None:
@@ -482,7 +509,8 @@ class HttpBackend:
             return str(cached["tombstone"])
         if status != 200:
             return None  # unknown version reads as "no tombstone", as local
-        reason = json.loads(payload.decode()).get("reason")
+        data = self._json(payload, f"tombstone status of {name}@{version}")
+        reason = data.get("reason")
         if reason is not None:
             self._mark_tombstoned(name, version, str(reason))
             return str(reason)
@@ -527,6 +555,6 @@ class HttpBackend:
                     f"({status})",
                 )
             )
-        manifest_data = json.loads(payload.decode())
+        manifest_data = self._json(payload, "push receipt")
         self._cache_manifest(manifest_data)
         return ModelManifest.from_dict(manifest_data)

@@ -152,17 +152,20 @@ def decode_change_cursor(cursor: str) -> dict[str, str] | None:
     """Decode a change cursor back to its signature map.
 
     Returns ``None`` for anything that does not decode to a string
-    map — an unknown, truncated, or foreign cursor means the caller's
-    view is unusable and every model must be treated as changed.
+    map — an unknown, truncated, foreign or hostile cursor (JSON nested
+    past the parser's recursion limit included) means the caller's view
+    is unusable and every model must be treated as changed.
     """
     padded = cursor + "=" * (-len(cursor) % 4)
     try:
         data = json.loads(base64.urlsafe_b64decode(padded.encode()))
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, RecursionError):
         return None
-    if not isinstance(data, dict):
+    if not isinstance(data, dict) or not all(
+        isinstance(sig, str) for sig in data.values()
+    ):
         return None
-    return {str(name): str(sig) for name, sig in data.items()}
+    return data
 
 
 @dataclass(frozen=True)
@@ -307,11 +310,6 @@ class ModelRegistry:
         return str(self.root)
 
     # ------------------------------------------------------------ refs
-    @staticmethod
-    def parse_ref(ref: str) -> tuple[str, int | None]:
-        """Split ``name`` or ``name@version`` into its parts."""
-        return parse_ref(ref)
-
     def _dir(self, name: str, version: int) -> Path:
         return self.root / name / str(version)
 
@@ -356,7 +354,7 @@ class ModelRegistry:
         Returns the written manifest.  The artifact's JSON bytes are
         hashed at push time; every later load re-verifies that hash.
         """
-        parsed, version = self.parse_ref(name)
+        parsed, version = parse_ref(name)
         if version is not None:
             raise RegistryError(
                 f"push takes a bare name; versions are assigned by the "
@@ -397,7 +395,7 @@ class ModelRegistry:
         Bare names float to the newest version that is not tombstoned;
         a pinned tombstoned version raises :class:`TombstoneError`.
         """
-        name, version = self.parse_ref(ref)
+        name, version = parse_ref(ref)
         versions = self._versions(name)
         if not versions:
             known = self.names()
@@ -626,7 +624,7 @@ class ModelRegistry:
         float past it.  Requires an explicit version (tombstoning "the
         latest" silently would invite racing a concurrent push).
         """
-        name, version = self.parse_ref(ref)
+        name, version = parse_ref(ref)
         if version is None:
             raise RegistryError(
                 f"tombstone takes an explicit name@version (got {ref!r})"
@@ -648,7 +646,7 @@ class ModelRegistry:
 
     def untombstone(self, ref: str) -> bool:
         """Lift a tombstone; returns whether a marker was removed."""
-        name, version = self.parse_ref(ref)
+        name, version = parse_ref(ref)
         if version is None:
             raise RegistryError(
                 f"untombstone takes an explicit name@version (got {ref!r})"

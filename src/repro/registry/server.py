@@ -9,8 +9,10 @@ to one place and every prediction server pulls from it.  Endpoints:
   with ``?since=<cursor>`` only the manifests of names changed since the
   cursor come back, plus ``changed`` (names, including removed ones) and
   a fresh ``cursor`` — hot-reload pollers sync in O(changes).  An
-  unknown or stale cursor (including the conventional initial ``0``)
-  degrades to a full sync;
+  unknown, stale or malformed cursor (including the conventional
+  initial ``0``) degrades to a full sync.  A read replica whose
+  upstream is down answers ``503``, and one whose upstream answers
+  garbage ``502``, naming the upstream;
 * ``GET /v1/models/{name}`` — one name's versions with tombstone reasons;
 * ``GET /v1/models/{ref}/manifest`` — resolve ``name`` or
   ``name@version`` to its manifest (``410 Gone`` for tombstoned pins);
@@ -158,24 +160,27 @@ class RegistryServer(HttpServerBase):
 
     def _list_models(self, request: Request):
         since = request.query.get("since")
-        if since is None or not hasattr(self.backend, "changed_models"):
-            # Full listing: the original contract, also the answer old
-            # clients (no ``since``) and cursor-less backends get.  No
-            # ``cursor`` key in the body is the downgrade signal clients
-            # key their fallback on.
+        if since is None:
             body = {
                 "models": [self._manifest_dict(m) for m in self.backend.list()]
             }
             return 200, "application/json", json.dumps(body).encode()
-        feed = self.backend.changed_models(since[0] or None)
-        if feed is None:
-            # Mirror whose *upstream* predates change cursors: downgrade
-            # to the full listing, exactly as a cursor-less backend would.
-            body = {
-                "models": [self._manifest_dict(m) for m in self.backend.list()]
-            }
-            return 200, "application/json", json.dumps(body).encode()
-        changed, cursor = feed
+        try:
+            changed, cursor = self.backend.changed_models(since[0])
+        except OSError as exc:
+            # A mirror whose upstream is down: the change feed has no
+            # cache to fall back on.
+            raise HTTPError(
+                503, "upstream_unavailable",
+                f"upstream registry {self.backend.describe()} is "
+                f"unreachable: {exc}",
+            ) from None
+        except RegistryError as exc:
+            raise HTTPError(
+                502, "bad_upstream",
+                f"upstream registry {self.backend.describe()} failed the "
+                f"change listing: {exc}",
+            ) from None
         names = set(changed)
         manifests = (
             [

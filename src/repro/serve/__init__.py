@@ -64,10 +64,9 @@ from .router import (
 )
 from .server import PredictionServer, ServerThread
 from .shard import ShardMap, shard_for
-from .worker import BackendSpec, WorkerProcess, backend_spec_for
+from .worker import WorkerProcess
 
 __all__ = [
-    "BackendSpec",
     "BacklogFullError",
     "BatcherStats",
     "CanarySpec",
@@ -87,7 +86,6 @@ __all__ = [
     "ShardMap",
     "TombstoneError",
     "WorkerProcess",
-    "backend_spec_for",
     "merge_prometheus_texts",
     "parse_canary",
     "parse_prometheus",

@@ -89,10 +89,12 @@ def parse_prometheus(text: str) -> dict[str, float]:
 
     Labels are sorted by name and values re-escaped, so a sample's key is
     identical however the server happened to order or escape it.  Comment
-    and malformed lines are skipped.
+    and malformed lines are skipped.  Lines end at ``"\\n"`` only, as the
+    text format defines: a label value may hold any other line separator
+    (U+2028, U+0085, ...) unescaped.
     """
     samples: dict[str, float] = {}
-    for line in text.splitlines():
+    for line in text.split("\n"):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

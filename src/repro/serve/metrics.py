@@ -136,7 +136,8 @@ def merge_prometheus_texts(texts: list[str]) -> str:
       family's samples stay grouped under its metadata as the exposition
       format requires.
     """
-    lines = [line.strip() for text in texts for line in text.splitlines()]
+    # Lines end at "\n" only: a label value may hold any other separator.
+    lines = [line.strip() for text in texts for line in text.split("\n")]
     meta: dict[tuple[str, str], str] = {}  # (family, HELP|TYPE) -> line
     types: dict[str, str] = {}
     for line in lines:

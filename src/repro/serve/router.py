@@ -54,11 +54,12 @@ from urllib.parse import urlencode
 
 from ..obs.registry import Exposition
 from ..obs.trace import current_span
+from ..registry.backend import call_backend
 from ..registry.local import RegistryError, parse_ref
 from .http import HTTPError, HttpServerBase, Request, ServerThreadBase
 from .metrics import LatencyHistogram, merge_prometheus_texts
 from .shard import ShardMap
-from .worker import BackendSpec, WorkerProcess, backend_spec_for, open_backend
+from .worker import WorkerProcess
 
 __all__ = [
     "CanarySpec",
@@ -277,14 +278,13 @@ class RouterServer(HttpServerBase):
         Loopback ports of the running workers, in shard order.
     backend:
         The router's own registry backend handle — used for
-        ``/v1/models``, machine-metadata resolution, and ``/healthz``
-        inventory.  Workers hold their own instances.
+        ``/v1/models``, machine-metadata resolution and canary
+        baselines.  Workers hold their own instances.
     canary, shadow:
         :class:`CanarySpec` / :class:`ShadowSpec` sequences (at most one
         per model name each).
     machine_cache_s:
-        TTL of the machine -> newest-compatible-artifact resolution
-        cache.
+        TTL of the machine and canary-baseline resolution cache.
     """
 
     known_endpoints = ("/v1/predict", "/v1/models", "/healthz", "/metrics")
@@ -317,16 +317,13 @@ class RouterServer(HttpServerBase):
         self.shadows = {spec.name: spec for spec in shadow}
         self.machine_cache_s = machine_cache_s
         self.obs_registry.register_source("router", self._render_router_metrics)
-        from ..registry.local import ModelRegistry
-
-        self._offload_backend = not isinstance(backend, ModelRegistry)
         self._canary_acc: dict[str, float] = {}
         self._canary_sent: dict[str, int] = {}
         self._shadow_sent: dict[str, int] = {}
         self._shadow_errors: dict[str, int] = {}
         self._shadow_divergence: dict[str, LatencyHistogram] = {}
-        self._machine_cache: dict[str, tuple[float, str]] = {}
-        self._baseline_cache: dict[str, tuple[float, str]] = {}
+        # (kind, key) -> (resolved at, ref) for _newest_live hits.
+        self._newest_cache: dict[tuple[str, str], tuple[float, str]] = {}
 
     # ------------------------------------------------------------- metrics
     def _render_router_metrics(self) -> str:
@@ -390,18 +387,13 @@ class RouterServer(HttpServerBase):
             return await self._healthz()
         if path == "/v1/models":
             self._require(method, "GET")
-            manifests = await self._backend_call(self.backend.list)
+            manifests = await call_backend(self.backend, self.backend.list)
             body = {"models": [m.to_dict() for m in manifests]}
             return 200, "application/json", json.dumps(body).encode()
         if path == "/v1/predict":
             self._require(method, "POST")
             return await self._predict(request)
         raise HTTPError(404, "not_found", f"no route for {path}")
-
-    async def _backend_call(self, fn, *args):
-        if self._offload_backend:
-            return await asyncio.to_thread(fn, *args)
-        return fn(*args)
 
     async def _healthz(self):
         workers = []
@@ -538,30 +530,41 @@ class RouterServer(HttpServerBase):
 
     async def _canary_baseline(self, name: str, canary: CanarySpec) -> str:
         """Where non-canary bare traffic goes: the newest live version
-        older than the canary (TTL-cached), or the bare name when the
-        canary is the only version."""
-        cached = self._baseline_cache.get(name)
+        older than the canary, or the bare name when there is none."""
+        baseline = await self._newest_live(
+            ("canary", name),
+            lambda m: m.name == name and m.version < canary.version,
+            rank=lambda m: m.version,
+        )
+        return name if baseline is None else baseline
+
+    async def _newest_live(self, cache_key, matches, *, rank) -> str | None:
+        """Ref of the highest-``rank`` live manifest that ``matches``.
+
+        A hit is cached for ``machine_cache_s``; a miss is not, so the
+        next request looks again.  A version whose tombstone status
+        cannot be read counts as live.
+        """
+        cached = self._newest_cache.get(cache_key)
         now = time.monotonic()
         if cached is not None and now - cached[0] < self.machine_cache_s:
             return cached[1]
-        manifests = await self._backend_call(self.backend.list)
-        best: int | None = None
-        for manifest in manifests:
-            if manifest.name != name or manifest.version >= canary.version:
-                continue
-            if best is not None and manifest.version <= best:
-                continue
+        manifests = await call_backend(self.backend, self.backend.list)
+        candidates = sorted(filter(matches, manifests), key=rank, reverse=True)
+        for manifest in candidates:
             try:
-                blocked = await self._backend_call(
-                    self.backend.tombstone_reason, name, manifest.version
+                blocked = await call_backend(
+                    self.backend,
+                    self.backend.tombstone_reason,
+                    manifest.name,
+                    manifest.version,
                 )
             except Exception:  # noqa: BLE001 - can't check; treat as live
                 blocked = None
             if blocked is None:
-                best = manifest.version
-        baseline = name if best is None else f"{name}@{best}"
-        self._baseline_cache[name] = (now, baseline)
-        return baseline
+                self._newest_cache[cache_key] = (now, manifest.ref)
+                return manifest.ref
+        return None
 
     @staticmethod
     def _forward_headers(request: Request) -> dict[str, str]:
@@ -623,45 +626,24 @@ class RouterServer(HttpServerBase):
 
     # ------------------------------------------------------------- machine
     async def _resolve_machine(self, machine: str) -> str:
-        """Newest live artifact trained for ``machine`` (TTL-cached)."""
-        cached = self._machine_cache.get(machine)
-        now = time.monotonic()
-        if cached is not None and now - cached[0] < self.machine_cache_s:
-            return cached[1]
-        manifests = await self._backend_call(self.backend.list)
-        best = None
-        for manifest in manifests:
-            if manifest.processor_name != machine:
-                continue
-            try:
-                blocked = await self._backend_call(
-                    self.backend.tombstone_reason,
-                    manifest.name,
-                    manifest.version,
-                )
-            except Exception:  # noqa: BLE001 - can't check; treat as live
-                blocked = None
-            if blocked is not None:
-                continue
-            key = (manifest.created_at, manifest.version)
-            if best is None or key > best[0]:
-                best = (key, manifest.ref)
-        if best is None:
-            known = sorted(
-                {
-                    m.processor_name
-                    for m in manifests
-                    if m.processor_name is not None
-                }
-            )
-            raise HTTPError(
-                404,
-                "unknown_model",
-                f"no live artifact trained for machine {machine!r}; "
-                f"known machines: {known}",
-            )
-        self._machine_cache[machine] = (now, best[1])
-        return best[1]
+        """Newest live artifact trained for ``machine``."""
+        ref = await self._newest_live(
+            ("machine", machine),
+            lambda m: m.processor_name == machine,
+            rank=lambda m: (m.created_at, m.version),
+        )
+        if ref is not None:
+            return ref
+        manifests = await call_backend(self.backend, self.backend.list)
+        known = sorted(
+            {m.processor_name for m in manifests if m.processor_name is not None}
+        )
+        raise HTTPError(
+            404,
+            "unknown_model",
+            f"no live artifact trained for machine {machine!r}; "
+            f"known machines: {known}",
+        )
 
 
 class _RouterThread(ServerThreadBase):
@@ -677,9 +659,12 @@ class ServingTier:
             client = PredictionClient("127.0.0.1", tier.port)
             ...
 
-    ``start()`` spawns the worker processes (clean ``spawn``
-    interpreters), waits for each to report its bound port, and runs the
-    router on a background event loop.  ``stop()`` drains the router
+    ``backend`` is a :class:`~repro.registry.local.ModelRegistry` or an
+    :class:`~repro.registry.client.HttpBackend`: the router reads it, and
+    every worker gets its own unpickled copy.  ``start()`` spawns the
+    worker processes (clean ``spawn`` interpreters), waits for each to
+    report its bound port, and runs the router on a background event
+    loop.  ``stop()`` drains the router
     (in-flight requests finish), then runs each worker's drain protocol
     and records its exit code in :attr:`worker_exitcodes`.
 
@@ -713,11 +698,7 @@ class ServingTier:
             raise ValueError(f"a tier needs at least 1 worker; got {workers}")
         if trace_stream:
             worker_config["trace_stream"] = trace_stream
-        self.spec = (
-            backend
-            if isinstance(backend, BackendSpec)
-            else backend_spec_for(backend)
-        )
+        self.backend = backend
         self.host = host
         self._requested_port = port
         self.canary = tuple(canary)
@@ -728,7 +709,7 @@ class ServingTier:
         worker_config.pop("worker_id")
         self.worker_config = worker_config
         self.workers = [
-            WorkerProcess(i, self.spec, {**worker_config, "worker_id": i})
+            WorkerProcess(i, backend, {**worker_config, "worker_id": i})
             for i in range(workers)
         ]
         self.worker_exitcodes: list[int | None] = []
@@ -755,7 +736,7 @@ class ServingTier:
             raise
         self.router = RouterServer(
             [w.port for w in self.workers],
-            open_backend(self.spec),
+            self.backend,
             host=self.host,
             port=self._requested_port,
             canary=self.canary,

@@ -23,9 +23,11 @@ The server reads artifacts through the
 :class:`~repro.registry.backend.RegistryBackend` protocol, so the same
 process serves from a local directory
 (:class:`~repro.registry.local.ModelRegistry`) or from a remote registry
-service (:class:`~repro.registry.client.HttpBackend`) unchanged.  Remote
-backends are resolved off the event loop (``asyncio.to_thread``) so a
-slow registry never stalls in-flight predictions.
+service (:class:`~repro.registry.client.HttpBackend`) unchanged.  Every
+request-path backend call goes through
+:func:`~repro.registry.backend.call_backend`, which runs remote backends
+off the event loop, so a slow or hung registry stalls only the requests
+that wait on it: a concurrent ``/metrics`` scrape still answers.
 
 Two production behaviours are optional:
 
@@ -37,11 +39,9 @@ Two production behaviours are optional:
 * **Hot-reload** (``hot_reload_s``): a background task polls the backend
   for new latest versions, pre-warms them into the resident-model LRU
   (so the first request after a push never pays the artifact load), and
-  evicts residents whose version was tombstoned.  Backends with a change
-  cursor (``changed_models``) are polled incrementally — one
-  ``?since=<cursor>`` round-trip per tick, touching only changed names;
-  cursor-less backends and old registry servers fall back to the
-  original full scan.
+  evicts residents whose version was tombstoned.  Each tick reads the
+  backend's change feed (``changed_models``) — for a remote registry one
+  ``?since=<cursor>`` round-trip — and touches only the changed names.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ from collections import OrderedDict
 import numpy as np
 
 from ..obs.registry import Exposition
-from ..registry.local import ModelRegistry, RegistryError, parse_ref
+from ..registry.backend import call_backend
+from ..registry.local import RegistryError, parse_ref
 from .batcher import BacklogFullError, MicroBatcher
 from .http import HTTPError, HttpServerBase, Request, ServerThreadBase
 from .http import header_safe as _header_safe  # noqa: F401  (compat re-export)
@@ -145,20 +146,12 @@ class PredictionServer(HttpServerBase):
         self.worker_id = worker_id
         self.obs_registry.register_source("batcher", self._render_batcher_metrics)
         self._resident: OrderedDict[str, _ResidentModel] = OrderedDict()
-        # Remote backends block on sockets; resolve them off the loop.
-        # The local directory backend stays inline (a stat + cached dict
-        # lookup is cheaper than a thread-pool hop).
-        self._offload_registry = not isinstance(registry, ModelRegistry)
         self._reload_task: asyncio.Task | None = None
         self._reload_stop: asyncio.Event | None = None
         self._hot_reload_loads = 0
         self._hot_reload_evictions = 0
-        # Change-cursor state for the poller: the last cursor returned by
-        # the backend's ``changed_models``, and whether that surface is
-        # usable at all (None = not probed yet; False = backend or server
-        # lacks it, full scans for the rest of this server's life).
+        # The last cursor the backend's change feed returned.
         self._reload_cursor: str | None = None
-        self._reload_cursor_supported: bool | None = None
 
     # ----------------------------------------------------------- lifecycle
     async def _on_start(self) -> None:
@@ -260,40 +253,26 @@ class PredictionServer(HttpServerBase):
             evicted.batcher._flush("drain")  # resolve any queued rows
         return resident
 
-    def _resolve_key(self, ref: str) -> str:
-        """Pin a reference to ``name@version`` via the backend."""
+    async def _resident_model(self, ref: str) -> _ResidentModel:
+        """Resolve a reference to a loaded model, LRU-caching residents."""
         name, version = parse_ref(ref)
         if version is None:
             # A bare name floats with the registry: resolve the current
             # latest version (the backend caches this), then hit the
             # resident cache on its pin.
-            version = self.registry.latest_version(name)
-        return f"{name}@{version}"
-
-    def _resident_model(self, ref: str) -> _ResidentModel:
-        """Resolve a reference to a loaded model, LRU-caching residents."""
-        key = self._resolve_key(ref)
+            version = await call_backend(
+                self.registry, self.registry.latest_version, name
+            )
+        key = f"{name}@{version}"
         resident = self._resident.get(key)
         if resident is not None:
             self._resident.move_to_end(key)
             self.metrics.record_model_cache(hit=True)
             return resident
         self.metrics.record_model_cache(hit=False)
-        artifact, manifest = self.registry.get(key)
-        return self._install_resident(key, artifact, manifest)
-
-    async def _resident_model_async(self, ref: str) -> _ResidentModel:
-        """Like :meth:`_resident_model`, but remote backends run off-loop."""
-        if not self._offload_registry:
-            return self._resident_model(ref)
-        key = await asyncio.to_thread(self._resolve_key, ref)
-        resident = self._resident.get(key)
-        if resident is not None:
-            self._resident.move_to_end(key)
-            self.metrics.record_model_cache(hit=True)
-            return resident
-        self.metrics.record_model_cache(hit=False)
-        artifact, manifest = await asyncio.to_thread(self.registry.get, key)
+        artifact, manifest = await call_backend(
+            self.registry, self.registry.get, key
+        )
         return self._install_resident(key, artifact, manifest)
 
     # --------------------------------------------------------- hot reload
@@ -316,37 +295,14 @@ class PredictionServer(HttpServerBase):
             except asyncio.TimeoutError:
                 pass
 
-    async def _changed_names(self) -> list[str] | None:
-        """Names changed since the last poll, or ``None`` for a full scan.
-
-        Uses the backend's optional change cursor
-        (:meth:`~repro.registry.local.ModelRegistry.changed_models`).  A
-        backend without the method — or an HTTP backend whose server
-        predates cursors (it reports that by returning ``None``) —
-        disables the cursor path for this server's lifetime, and every
-        poll falls back to the full ``names()`` scan.
-        """
-        if self._reload_cursor_supported is False:
-            return None
-        changed_models = getattr(self.registry, "changed_models", None)
-        if changed_models is None:
-            self._reload_cursor_supported = False
-            return None
-        result = await asyncio.to_thread(changed_models, self._reload_cursor)
-        if result is None:
-            self._reload_cursor_supported = False
-            return None
-        changed, self._reload_cursor = result
-        self._reload_cursor_supported = True
-        return list(changed)
-
     async def hot_reload_once(self) -> None:
         """One poll: pre-warm new latest versions, evict tombstoned ones.
 
-        When the backend offers a change cursor, each poll asks only for
-        the names that changed since the previous one — O(changes)
-        instead of a full listing per tick — and restricts the tombstone
-        sweep to residents of those names.  The cursor advances even
+        Each poll asks the backend's change feed only for the names that
+        changed since the previous one — O(changes) instead of a full
+        listing per tick — and restricts the tombstone sweep to
+        residents of those names.  Every backend call runs in a worker
+        thread, whatever the backend.  The cursor advances even
         when a warm fails (outage mid-poll): pre-warming is an
         optimization, and the per-request lazy-load path still serves
         the model; the next change re-warms it.
@@ -357,16 +313,12 @@ class PredictionServer(HttpServerBase):
         of mutating the LRU (or issuing further backend calls) after the
         drain has begun.
         """
-        changed = await self._changed_names()
+        changed, self._reload_cursor = await asyncio.to_thread(
+            self.registry.changed_models, self._reload_cursor
+        )
         if self._reload_stopping():
             return
-        if changed is None:
-            names = await asyncio.to_thread(self.registry.names)
-            changed_names = None
-        else:
-            names = changed
-            changed_names = set(changed)
-        for name in names:
+        for name in changed:
             if self._reload_stopping():
                 return
             try:
@@ -387,11 +339,9 @@ class PredictionServer(HttpServerBase):
                 return
             self._install_resident(manifest.ref, artifact, manifest)
             self._hot_reload_loads += 1
+        changed_names = set(changed)
         for key, resident in list(self._resident.items()):
-            if (
-                changed_names is not None
-                and resident.manifest.name not in changed_names
-            ):
+            if resident.manifest.name not in changed_names:
                 continue  # untouched since the cursor: tombstone unchanged
             if self._reload_stopping():
                 return
@@ -416,11 +366,13 @@ class PredictionServer(HttpServerBase):
         path, method = request.path, request.method
         if path == "/healthz":
             self._require(method, "GET")
-            body = {"status": "ok", "models": len(self.registry.names())}
+            names = await call_backend(self.registry, self.registry.names)
+            body = {"status": "ok", "models": len(names)}
             return 200, "application/json", json.dumps(body).encode()
         if path == "/v1/models":
             self._require(method, "GET")
-            body = {"models": [m.to_dict() for m in self.registry.list()]}
+            manifests = await call_backend(self.registry, self.registry.list)
+            body = {"models": [m.to_dict() for m in manifests]}
             return 200, "application/json", json.dumps(body).encode()
         if path == "/v1/predict":
             self._require(method, "POST")
@@ -455,7 +407,7 @@ class PredictionServer(HttpServerBase):
             request.query.get("interval", ["0"])[0] not in ("", "0", "false")
         )
         try:
-            resident = await self._resident_model_async(ref)
+            resident = await self._resident_model(ref)
         except RegistryError as exc:
             raise HTTPError(404, "unknown_model", str(exc)) from None
         if interval and not resident.is_ensemble:

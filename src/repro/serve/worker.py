@@ -11,7 +11,12 @@ Workers are spawned with the ``spawn`` start method: a clean interpreter
 per worker, no inherited event loop or thread state, which keeps the
 tier safe to start from threaded parents (pytest, the bench harness).
 Because the child re-imports this module, everything the worker needs
-travels as a picklable :class:`BackendSpec` + plain config dict.
+travels pickled: the registry backend object itself plus a plain config
+dict.  Each worker unpickles its own backend instance, so per-worker
+hot-reload pollers and latest-version caches never share mutable
+state; workers over an :class:`~repro.registry.client.HttpBackend`
+share only its on-disk content-addressed cache, whose writes are atomic
+per process.
 
 **Drain protocol.**  A worker stops on any of three signals — a
 ``"stop"`` message on its control pipe, ``SIGTERM``, or the pipe
@@ -25,12 +30,11 @@ the integration tests pin that under concurrent load.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import multiprocessing
 import signal
 import threading
 
-__all__ = ["BackendSpec", "WorkerProcess", "backend_spec_for", "open_backend"]
+__all__ = ["WorkerProcess"]
 
 #: How long the parent waits for a spawned worker to report its port.
 _READY_TIMEOUT_S = 60.0
@@ -38,60 +42,7 @@ _READY_TIMEOUT_S = 60.0
 _STOP_TIMEOUT_S = 15.0
 
 
-@dataclasses.dataclass(frozen=True)
-class BackendSpec:
-    """A picklable recipe for opening a registry backend in a worker.
-
-    ``kind`` is ``"local"`` (``root`` names the registry directory) or
-    ``"http"`` (``url``/``cache``/``token`` configure an
-    :class:`~repro.registry.client.HttpBackend`).  Every worker opens its
-    *own* backend instance from the spec, so per-worker hot-reload
-    pollers and latest-version caches never share mutable state; HTTP
-    workers share only the on-disk content-addressed cache, whose writes
-    are atomic per process.
-    """
-
-    kind: str
-    root: str | None = None
-    url: str | None = None
-    cache: str | None = None
-    token: str | None = None
-
-
-def backend_spec_for(backend) -> BackendSpec:
-    """Derive the :class:`BackendSpec` that recreates ``backend``."""
-    from ..registry.client import HttpBackend
-    from ..registry.local import ModelRegistry
-
-    if isinstance(backend, ModelRegistry):
-        return BackendSpec(kind="local", root=str(backend.root))
-    if isinstance(backend, HttpBackend):
-        return BackendSpec(
-            kind="http",
-            url=backend.base_url,
-            cache=str(backend.cache_dir),
-            token=backend.token,
-        )
-    raise TypeError(
-        f"cannot derive a worker backend spec from {type(backend).__name__}; "
-        f"pass a ModelRegistry, an HttpBackend, or a BackendSpec"
-    )
-
-
-def open_backend(spec: BackendSpec):
-    """Open a fresh backend instance from a spec (runs in the worker)."""
-    if spec.kind == "local":
-        from ..registry.local import ModelRegistry
-
-        return ModelRegistry(spec.root)
-    if spec.kind == "http":
-        from ..registry.client import HttpBackend
-
-        return HttpBackend(spec.url, spec.cache, token=spec.token)
-    raise ValueError(f"unknown backend spec kind {spec.kind!r}")
-
-
-async def _serve(spec: BackendSpec, config: dict, conn) -> None:
+async def _serve(backend, config: dict, conn) -> None:
     """The worker's event loop body: serve until told to stop, drain, exit."""
     from .server import PredictionServer
 
@@ -119,9 +70,7 @@ async def _serve(spec: BackendSpec, config: dict, conn) -> None:
             )
         )
         set_tracer(tracer)
-    server = PredictionServer(
-        open_backend(spec), host="127.0.0.1", port=0, **config
-    )
+    server = PredictionServer(backend, host="127.0.0.1", port=0, **config)
     await server.start()
     loop = asyncio.get_running_loop()
     stopping = asyncio.Event()
@@ -160,10 +109,10 @@ async def _serve(spec: BackendSpec, config: dict, conn) -> None:
         pass
 
 
-def worker_main(spec: BackendSpec, config: dict, conn) -> None:
+def worker_main(backend, config: dict, conn) -> None:
     """Entry point of a spawned worker process."""
     try:
-        asyncio.run(_serve(spec, config, conn))
+        asyncio.run(_serve(backend, config, conn))
     except Exception as exc:  # noqa: BLE001 - report startup failures upward
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -182,9 +131,9 @@ class WorkerProcess:
     (pipe message, then SIGTERM, then kill) and records the exit code.
     """
 
-    def __init__(self, index: int, spec: BackendSpec, config: dict) -> None:
+    def __init__(self, index: int, backend, config: dict) -> None:
         self.index = index
-        self.spec = spec
+        self.backend = backend
         self.config = dict(config)
         self.port: int | None = None
         self.exitcode: int | None = None
@@ -202,7 +151,7 @@ class WorkerProcess:
         self._conn, child_conn = ctx.Pipe()
         self._process = ctx.Process(
             target=worker_main,
-            args=(self.spec, self.config, child_conn),
+            args=(self.backend, self.config, child_conn),
             name=f"repro-serve-worker-{self.index}",
             daemon=True,
         )

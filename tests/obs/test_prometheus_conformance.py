@@ -30,6 +30,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     escape_label_value,
     install_default_sources,
+    samples_text,
 )
 from repro.registry.local import ModelRegistry
 from repro.registry.server import RegistryServerThread
@@ -37,7 +38,11 @@ from repro.sched.fleet import FleetState, MachineConfig
 from repro.sched.service import SchedulerClient, SchedulerThread
 from repro.serve.client import PredictionClient, _parse_sample, parse_prometheus
 from repro.serve.http import ServerThreadBase
-from repro.serve.metrics import REQUEST_PHASES, ServingMetrics
+from repro.serve.metrics import (
+    REQUEST_PHASES,
+    ServingMetrics,
+    merge_prometheus_texts,
+)
 from repro.serve.router import RouterServer
 from repro.serve.server import ServerThread
 from repro.sim.solve_cache import GLOBAL_ENGINE_STATS
@@ -77,7 +82,7 @@ def scrape() -> str:
 def _comment_indexes(text: str) -> tuple[dict[str, str], dict[str, str]]:
     helps: dict[str, str] = {}
     types: dict[str, str] = {}
-    for line in text.splitlines():
+    for line in text.split("\n"):
         if line.startswith("# HELP "):
             name, _, rest = line[len("# HELP "):].partition(" ")
             helps[name] = rest
@@ -99,7 +104,7 @@ def _family_of(name: str, types: dict[str, str]) -> str | None:
 
 
 def _samples(text: str):
-    for line in text.splitlines():
+    for line in text.split("\n"):
         if not line or line.startswith("#"):
             continue
         parsed = _parse_sample(line)
@@ -120,7 +125,7 @@ def _check_no_family_declared_twice(text: str) -> None:
     for kind in ("HELP", "TYPE"):
         names = [
             line.split()[2]
-            for line in text.splitlines()
+            for line in text.split("\n")
             if line.startswith(f"# {kind} ")
         ]
         repeated = sorted({n for n in names if names.count(n) > 1})
@@ -226,6 +231,30 @@ def test_phase_family_covers_every_phase(scrape):
     for phase in REQUEST_PHASES:
         key = f'repro_serve_phase_latency_seconds_count{{phase="{phase}"}}'
         assert samples[key] == 1.0
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\r", "\x1c"])
+def test_other_line_separators_stay_inside_their_sample(separator):
+    """Only ``"\\n"`` ends a line; the writer escapes no other separator,
+    so a reader that also breaks at U+2028 and kin lets a label value
+    inject samples."""
+    service = f"x{separator}repro_fake_total 99{separator}"
+    collector = CollectorServer()
+    collector.ingest([{"name": "a"}], resource={"service": service})
+    text = collector.obs_registry.render()
+    key = (
+        'repro_obs_collector_batches_total{service="'
+        + escape_label_value(service) + '"}'
+    )
+    for samples in (
+        parse_prometheus(text),
+        parse_prometheus(merge_prometheus_texts([text])),
+    ):
+        assert samples[key] == 1
+        assert not any(k.startswith("repro_fake") for k in samples)
+    printed = samples_text(text).split("\n")
+    assert not any(line.startswith("repro_fake") for line in printed)
+    assert sum(line.startswith(key) for line in printed) == 1
 
 
 # ---------------------------------------------------------------- live scrapes

@@ -1,17 +1,19 @@
 """Change cursor: incremental sync for pollers, end to end.
 
-Satellite requirement: ``GET /v1/models?since=<cursor>`` returns only
-what changed since the cursor (O(changes), not O(models)), and clients
-talking to servers that predate the feature detect the missing
-``cursor`` field and fall back to full listings.
+``GET /v1/models?since=<cursor>`` returns only what changed since the
+cursor (O(changes), not O(models)); a listing without a ``cursor`` is a
+protocol error the client names, and no ``since=`` text causes a 500.
 """
 
+import base64
 import json
 import urllib.request
+from urllib.parse import quote
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.registry import HttpBackend, RegistryServerThread
+from repro.registry import HttpBackend, ModelRegistry, RegistryServerThread
 from repro.registry.local import decode_change_cursor, encode_change_cursor
 
 from .conftest import PUSH_TOKEN
@@ -29,6 +31,15 @@ class TestCursorCodec:
         assert decode_change_cursor("not base64 at all!") is None
         # Valid base64 ("[1]"), but not a JSON object.
         assert decode_change_cursor("WzFd") is None
+
+    def test_hostile_cursors_decode_to_none(self):
+        # JSON nested past the parser's recursion limit ...
+        deep = base64.urlsafe_b64encode(b"[" * 5000).decode()
+        assert decode_change_cursor(deep) is None
+        # ... and objects whose values are not signature strings.
+        for data in ({"point": 1}, {"point": ["1:2:0"]}, {"point": None}):
+            raw = json.dumps(data).encode()
+            assert decode_change_cursor(base64.urlsafe_b64encode(raw).decode()) is None
 
     def test_url_safe(self):
         cursor = encode_change_cursor({"a" * 40: "1:2:3"})
@@ -108,16 +119,53 @@ class TestServerSinceParam:
         assert body["cursor"] != cursor
 
 
-class _CursorlessStore:
-    """A backend proxy hiding ``changed_models``: an old-style registry."""
+@pytest.fixture(scope="module")
+def since_server(tmp_path_factory, point_predictor):
+    store = ModelRegistry(tmp_path_factory.mktemp("since") / "store")
+    store.push("point", point_predictor)
+    with RegistryServerThread(store) as handle:
+        yield handle
 
-    def __init__(self, inner):
-        self._inner = inner
 
-    def __getattr__(self, attr):
-        if attr in ("changed_models", "change_cursor"):
-            raise AttributeError(attr)
-        return getattr(self._inner, attr)
+def _assert_full_sync(port, since):
+    with urllib.request.urlopen(
+        f"http://127.0.0.1:{port}/v1/models?since={quote(since, safe='')}"
+    ) as response:
+        assert response.status == 200
+        body = json.loads(response.read().decode())
+    assert set(body) == {"models", "changed", "cursor"}
+    assert "point" in body["changed"]
+
+
+class TestHostileSince:
+    """No ``since=`` text causes a 500: an unusable cursor is a full sync.
+
+    (An empty ``since=`` reads as no ``since`` at all: a plain listing.)
+    """
+
+    def test_deeply_nested_cursor(self, since_server):
+        deep = base64.urlsafe_b64encode(b"[" * 5000).decode()
+        _assert_full_sync(since_server.port, deep)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        since=st.text(
+            st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=300
+        )
+    )
+    def test_any_text(self, since_server, since):
+        _assert_full_sync(since_server.port, since)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    ))
+    def test_any_json_cursor(self, since_server, data):
+        raw = json.dumps(data).encode()
+        cursor = base64.urlsafe_b64encode(raw).decode().rstrip("=")
+        _assert_full_sync(since_server.port, cursor)
 
 
 class TestHttpBackendChangedModels:
@@ -152,10 +200,3 @@ class TestHttpBackendChangedModels:
         assert remote.full_list_requests == 0
         remote.names()
         assert remote.full_list_requests == 1
-
-    def test_old_server_yields_none(self, populated_store, cache_dir):
-        with RegistryServerThread(_CursorlessStore(populated_store)) as old:
-            remote = HttpBackend(
-                f"http://127.0.0.1:{old.port}", cache_dir
-            )
-            assert remote.changed_models(None) is None

@@ -229,18 +229,6 @@ class TestStopDuringPoll:
                 )
 
 
-class _CursorlessRegistry:
-    """A local-store proxy without the change-cursor surface."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def __getattr__(self, attr):
-        if attr in ("changed_models", "change_cursor"):
-            raise AttributeError(attr)
-        return getattr(self._inner, attr)
-
-
 class TestChangeCursorPolling:
     """The poller syncs via ``?since=`` — no full listings after sync."""
 
@@ -277,44 +265,3 @@ class TestChangeCursorPolling:
 
             asyncio.run(drive())
         assert backend.full_list_requests == 0
-        assert server._reload_cursor_supported is True
-
-    def test_cursorless_backend_falls_back_to_full_scan(
-        self, populated_registry
-    ):
-        import asyncio
-
-        from repro.serve.server import PredictionServer
-
-        server = PredictionServer(_CursorlessRegistry(populated_registry))
-        asyncio.run(server.hot_reload_once())
-        assert server._reload_cursor_supported is False
-        assert {r.manifest.ref for r in server._resident.values()} == {
-            "point@1",
-            "band@1",
-        }
-
-    def test_old_server_falls_back_to_full_scan(
-        self, populated_registry, tmp_path
-    ):
-        """An HTTP backend on a cursor-less server: None => full scans."""
-        import asyncio
-
-        from repro.registry import HttpBackend, RegistryServerThread
-        from repro.serve.server import PredictionServer
-
-        with RegistryServerThread(
-            _CursorlessRegistry(populated_registry)
-        ) as registry_handle:
-            backend = HttpBackend(
-                f"http://127.0.0.1:{registry_handle.port}",
-                tmp_path / "old-server-cache",
-            )
-            server = PredictionServer(backend)
-            asyncio.run(server.hot_reload_once())
-            assert server._reload_cursor_supported is False
-            assert backend.full_list_requests >= 1
-            assert {r.manifest.ref for r in server._resident.values()} == {
-                "point@1",
-                "band@1",
-            }

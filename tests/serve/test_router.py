@@ -19,6 +19,7 @@ import pytest
 from repro.core.ensemble import EnsemblePredictor
 from repro.core.feature_sets import FeatureSet
 from repro.core.methodology import ModelKind
+from repro.registry import HttpBackend, RegistryServerThread
 from repro.registry.local import ModelRegistry
 from repro.serve.client import ClientError, PredictionClient
 from repro.serve.router import ServingTier, parse_canary, parse_shadow
@@ -298,3 +299,41 @@ class TestBackpressurePassthrough:
             finally:
                 conn.close()
         assert tight.worker_exitcodes == [0]
+
+
+class TestRemoteRegistryTier:
+    """A tier whose workers each unpickle their own :class:`HttpBackend`."""
+
+    def test_predictions_health_and_clean_exit(
+        self, tmp_path, point_predictor, ensemble, feature_dicts, feature_rows
+    ):
+        # One name per worker: "pinned" shards to worker 0, "band" to 1.
+        assert [shard_for(name, 2) for name in ("pinned", "band")] == [0, 1]
+        store = ModelRegistry(tmp_path / "store")
+        store.push("pinned", point_predictor)
+        store.push("band", ensemble)
+        with RegistryServerThread(store) as registry:
+            backend = HttpBackend(
+                f"http://127.0.0.1:{registry.port}", tmp_path / "cache"
+            )
+            with ServingTier(backend, workers=2) as tier:
+                with PredictionClient("127.0.0.1", tier.port) as client:
+                    point = client.predict_batch(
+                        feature_dicts[:4], model="pinned"
+                    )
+                    single = client.predict(feature_dicts[0], model="pinned@1")
+                    band = client.predict_batch(
+                        feature_dicts[:4], model="band", interval=True
+                    )
+                    health = client.healthz()
+        expected = [float(v) for v in point_predictor.predict_rows(feature_rows[:4])]
+        assert point["predictions"] == expected
+        assert single["prediction"] == expected[0]
+        means, stds = ensemble.predict_rows(feature_rows[:4])
+        assert band["predictions"] == [float(v) for v in means]
+        assert band["stds"] == [float(v) for v in stds]
+        assert [(w["index"], w["status"]) for w in health["workers"]] == [
+            (0, "ok"), (1, "ok")
+        ]
+        assert all(w["models"] == 2 for w in health["workers"])
+        assert tier.worker_exitcodes == [0, 0]
