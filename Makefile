@@ -20,11 +20,13 @@ bench-quick:
 # cache-speedup, serving micro-batch, registry round-trip, and
 # scheduler placement regressions in routine checks without the full
 # bench cost, checks the cluster simulator's claim that model-driven
-# placement beats first-fit on a job stream, and checks that the
+# placement beats first-fit on a job stream, checks that the
 # event-driven running set reproduces the steady state under restarting
-# co-runners and drifts from it, monotonically, under departing ones.
+# co-runners and drifts from it, monotonically, under departing ones, and
+# checks the steady-state engine's shared-cache miss ratios against the
+# trace-driven simulator.
 bench-smoke:
-	REPRO_SMOKE=1 PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} pytest benchmarks/bench_engine_throughput.py benchmarks/bench_serve_throughput.py benchmarks/bench_validation_throughput.py benchmarks/bench_registry_roundtrip.py benchmarks/bench_sched_service.py benchmarks/bench_trace_streaming.py benchmarks/bench_suite_incremental.py benchmarks/bench_extension_online_scheduling.py benchmarks/bench_ablation_timesliced.py -q --benchmark-disable
+	REPRO_SMOKE=1 PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} pytest benchmarks/bench_engine_throughput.py benchmarks/bench_serve_throughput.py benchmarks/bench_validation_throughput.py benchmarks/bench_registry_roundtrip.py benchmarks/bench_sched_service.py benchmarks/bench_trace_streaming.py benchmarks/bench_suite_incremental.py benchmarks/bench_extension_online_scheduling.py benchmarks/bench_ablation_timesliced.py benchmarks/bench_ablation_engine.py -q --benchmark-disable
 
 examples:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python examples/quickstart.py

@@ -4,13 +4,14 @@ DESIGN.md's two-level simulation claim, quantified: the analytic
 steady-state engine (serial and batched, which must agree bit-exactly)
 and the trace-driven shared-cache simulator agree on miss ratios under
 contention, while the analytic engine is orders of magnitude faster —
-which is what makes the full Table V sweep tractable.
+which is what makes the full Table V sweep tractable.  The timed
+quantity is one uncached engine solve; ``test_ablation_trace_sim_cost``
+times one trace run.
 """
 
 import numpy as np
 
 from repro.cache.reuse import ReuseProfile
-from repro.cache.sharing import CacheCompetitor, solve_shared_cache
 from repro.machine.processor import (
     CacheGeometry,
     DRAMConfig,
@@ -88,10 +89,6 @@ def test_ablation_analytic_vs_trace_agreement(benchmark, emit):
             200_000,
             rng,
         )
-        analytic = solve_shared_cache(
-            [CacheCompetitor(victim, 1.0), CacheCompetitor(aggressor, weight)],
-            geometry.size_bytes,
-        )
         # The batched engine must not merely agree with the trace — it
         # must reproduce the serial engine bit for bit.
         assert np.array_equal(
@@ -102,41 +99,32 @@ def test_ablation_analytic_vs_trace_agreement(benchmark, emit):
             [
                 weight,
                 measured.miss_ratios[0],
-                analytic.miss_ratios[0],
                 float(serial_state.miss_ratios[0]),
                 float(batched_state.miss_ratios[0]),
-                abs(measured.miss_ratios[0] - analytic.miss_ratios[0]),
                 abs(measured.miss_ratios[0] - float(serial_state.miss_ratios[0])),
             ]
         )
-    # The timed quantity: one analytic solve (the hot path of data
-    # collection) — compare against the trace numbers in the table.
-    benchmark(
-        lambda: solve_shared_cache(
-            [CacheCompetitor(victim, 1.0), CacheCompetitor(aggressor, 2.0)],
-            geometry.size_bytes,
-        )
-    )
+    # The timed quantity: one uncached engine solve (the hot path of data
+    # collection) — compare against the trace cost below.
+    specs = _specs(victim, aggressor, 2.0)
+    benchmark(lambda: engine_serial.solve_steady_state(specs))
     emit(
         "ablation_engine_agreement",
         render_table(
             [
                 "aggressor weight",
                 "victim miss ratio (trace)",
-                "victim miss ratio (analytic)",
                 "victim miss ratio (engine serial)",
                 "victim miss ratio (engine batched)",
-                "abs diff (analytic)",
                 "abs diff (engine)",
             ],
             rows,
-            title="Ablation: analytic sharing model vs trace-driven ground truth",
+            title="Ablation: analytic engine vs trace-driven ground truth",
         ),
     )
-    assert all(r[5] < 0.12 for r in rows)
-    assert all(r[6] < 0.12 for r in rows)
+    assert all(r[4] < 0.12 for r in rows)
     # Bit-identity across the whole sweep: serial == batched exactly.
-    assert all(r[3] == r[4] for r in rows)
+    assert all(r[2] == r[3] for r in rows)
 
 
 def test_ablation_trace_sim_cost(benchmark):

@@ -1,13 +1,13 @@
 """Last-level cache substrate: reuse profiles, LRU simulation, sharing.
 
-Two complementary models live here:
-
-* :mod:`repro.cache.setassoc` — a faithful trace-driven set-associative LRU
-  cache (slow, ground truth), and
-* :mod:`repro.cache.sharing` — the analytic occupancy-equilibrium model of
-  a shared cache (fast, used by the bulk data-collection engine).
-
-Both consume :class:`repro.cache.reuse.ReuseProfile` locality descriptions.
+* :mod:`repro.cache.reuse` — locality descriptions
+  (:class:`~repro.cache.reuse.ReuseProfile`) and the miss-ratio curves
+  the steady-state engine evaluates;
+* :mod:`repro.cache.sharing` — the waterfill split of a shared cache,
+  one step of the engine's occupancy fixed point;
+* :mod:`repro.cache.setassoc` — a faithful trace-driven set-associative
+  LRU cache (slow, ground truth), which :mod:`repro.sim.tracesim` uses to
+  check the engine's shared-cache equilibrium.
 """
 
 from .reuse import (
@@ -20,16 +20,9 @@ from .reuse import (
 )
 from .replacement import CacheSet, ReplacementPolicy, make_set
 from .setassoc import CacheStats, SetAssociativeCache, measure_miss_ratio_curve
-from .sharing import (
-    CacheCompetitor,
-    SharingSolution,
-    solve_shared_cache,
-    waterfill,
-    waterfill_batched,
-)
+from .sharing import waterfill_batched, waterfill_floats
 
 __all__ = [
-    "CacheCompetitor",
     "CacheSet",
     "CacheStats",
     "MissRatioCurve",
@@ -39,11 +32,9 @@ __all__ = [
     "ReuseComponent",
     "ReuseProfile",
     "SetAssociativeCache",
-    "SharingSolution",
     "make_set",
     "measure_miss_ratio_curve",
     "ordered_sum",
-    "solve_shared_cache",
-    "waterfill",
     "waterfill_batched",
+    "waterfill_floats",
 ]

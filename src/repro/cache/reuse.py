@@ -6,8 +6,8 @@ working-set components, each a plateau in the classic miss-ratio-versus-
 capacity curve.  From the profile we derive
 
 * a :class:`MissRatioCurve` — miss ratio as a function of allocated LLC
-  capacity, used by the analytic shared-cache model
-  (:mod:`repro.cache.sharing`), and
+  capacity, which the steady-state engine (:mod:`repro.sim.engine`)
+  evaluates on every fixed-point iteration, and
 * a stack-distance distribution — used by the synthetic trace generator
   (:mod:`repro.workloads.tracegen`) to emit address streams whose behaviour
   in a real (simulated) LRU cache matches the profile.
@@ -349,21 +349,6 @@ class ProfileTable:
     def __len__(self) -> int:
         return len(self.profiles)
 
-    def miss_ratio(self, occupancies_bytes: np.ndarray) -> np.ndarray:
-        """Per-profile miss ratio at per-profile occupancy (length-n each).
-
-        Equivalent to ``[p.miss_ratio(o) for p, o in zip(profiles, occ)]``
-        but in one shot (verified against the scalar path in the tests).
-        The array form of :meth:`miss_ratio_floats`.
-        """
-        occ = np.asarray(occupancies_bytes, dtype=float)
-        if occ.shape != (len(self.profiles),):
-            raise ValueError(
-                f"expected {len(self.profiles)} occupancies, got shape {occ.shape}"
-            )
-        with np.errstate(over="ignore"):
-            return np.array(self.miss_ratio_floats(occ.tolist()))
-
     def miss_ratio_floats(self, occupancies_bytes: Sequence[float]) -> list[float]:
         """Per-profile miss ratio at per-profile occupancy, as floats.
 
@@ -373,8 +358,7 @@ class ProfileTable:
         components is exact: each adds ``+0.0`` to a sum that starts at
         ``+0.0``.  A power that overflows yields ``inf`` (a miss fraction
         of 0, the right limit) and numpy warns about it unless the caller
-        silences overflow, as :meth:`miss_ratio` and the steady-state
-        solver do.
+        silences overflow, as the steady-state solver does.
         """
         # np.maximum(occ, 0.0), exactly: NaN passes through, -0.0 gives 0.0.
         occ = [0.0 if o <= 0.0 else o for o in occupancies_bytes]

@@ -1,4 +1,4 @@
-"""Analytic shared last-level cache occupancy model.
+"""Shared last-level cache occupancy: the waterfill split.
 
 When several applications share an LRU cache, each one's resident capacity
 is determined by the competition of their *insertion* streams: an
@@ -18,9 +18,13 @@ with two physical refinements:
   applications from collapsing to zero occupancy (they still stream cold
   misses through the cache).
 
-This is the standard rate-proportional occupancy approximation for shared
-LRU caches; its predictions are validated against the trace-driven
-simulator (:mod:`repro.cache.setassoc`) in the test suite.  The sharp,
+The steady-state engine (:mod:`repro.sim.engine`) iterates this fixed
+point together with throughput and DRAM latency, and owns the pressure
+floor.  This module holds the step it repeats, the capped proportional
+split, in two forms that agree bit for bit: :func:`waterfill_floats` for
+one scenario and :func:`waterfill_batched` for a stacked sweep.  The
+engine's occupancies and miss ratios are checked against the trace-driven
+simulator (:mod:`repro.sim.tracesim`) in the test suite.  The sharp,
 *nonlinear* growth of a target application's miss ratio as co-runner
 footprints approach the cache capacity is the first of the two contention
 mechanisms that make the paper's linear models plateau.
@@ -28,97 +32,31 @@ mechanisms that make the paper's linear models plateau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .reuse import ReuseProfile, ordered_sum
+from .reuse import ordered_sum
 
-__all__ = [
-    "CacheCompetitor",
-    "SharingSolution",
-    "solve_shared_cache",
-    "waterfill",
-    "waterfill_batched",
-    "waterfill_floats",
-]
-
-
-@dataclass(frozen=True)
-class CacheCompetitor:
-    """One application competing for the shared cache.
-
-    Attributes
-    ----------
-    profile:
-        Reuse profile (gives the miss-ratio curve and footprint).
-    access_rate:
-        LLC accesses per second issued by the application.  Only relative
-        magnitudes matter for the occupancy split.
-    """
-
-    profile: ReuseProfile
-    access_rate: float
-
-    def __post_init__(self) -> None:
-        if self.access_rate < 0.0:
-            raise ValueError("access rate must be non-negative")
-
-
-@dataclass(frozen=True)
-class SharingSolution:
-    """Result of the shared-cache fixed point.
-
-    Attributes
-    ----------
-    occupancies_bytes:
-        Steady-state resident capacity per competitor (sums to at most the
-        cache capacity; strictly less when everything fits).
-    miss_ratios:
-        Miss ratio per competitor at its occupancy.
-    iterations:
-        Fixed-point iterations performed.
-    converged:
-        Whether the iteration met the tolerance before the cap.
-    """
-
-    occupancies_bytes: np.ndarray
-    miss_ratios: np.ndarray
-    iterations: int
-    converged: bool
-
-
-def waterfill(pressure: np.ndarray, demand: np.ndarray, capacity: float) -> np.ndarray:
-    """Split ``capacity`` proportionally to ``pressure``, capped by ``demand``.
-
-    Classic waterfilling: applications whose proportional share exceeds
-    their demand are clipped and the slack re-split among the rest.
-    Terminates in at most ``len(pressure)`` rounds.  The array form of
-    :func:`waterfill_floats`, which does the arithmetic.
-    """
-    return np.array(
-        waterfill_floats(
-            np.asarray(pressure, dtype=float).tolist(),
-            np.asarray(demand, dtype=float).tolist(),
-            capacity,
-        ),
-        dtype=float,
-    )
+__all__ = ["waterfill_batched", "waterfill_floats"]
 
 
 def waterfill_floats(
     pressure: Sequence[float], demand: Sequence[float], capacity: float
 ) -> list[float]:
-    """:func:`waterfill` on Python floats, for the few apps of one scenario.
+    """Split ``capacity`` proportionally to ``pressure``, capped by ``demand``.
 
-    Each round sums the active pressures left to right from ``+0.0`` and
-    gives every active entry ``alloc + remaining * pressure / total`` (or
-    an even split when no pressure is left), the masked arithmetic
-    :func:`waterfill_batched` applies row-wise over ``(S, A)`` arrays.
-    Leaving the inactive entries out of a sum is exact, since the masked
-    form adds ``+0.0`` for them, so the two are bit-identical per
-    scenario, which the steady-state solvers rely on.
+    Classic waterfilling on Python floats, for the few apps of one
+    scenario: applications whose proportional share exceeds their demand
+    are clipped and the slack re-split among the rest, in at most
+    ``len(pressure)`` rounds.  Each round sums the active pressures left
+    to right from ``+0.0`` and gives every active entry ``alloc +
+    remaining * pressure / total`` (or an even split when no pressure is
+    left), the masked arithmetic :func:`waterfill_batched` applies
+    row-wise over ``(S, A)`` arrays.  Leaving the inactive entries out of
+    a sum is exact, since the masked form adds ``+0.0`` for them, so the
+    two are bit-identical per scenario, which the steady-state solvers
+    rely on.
     """
     alloc = [0.0] * len(pressure)
     active = list(range(len(pressure)))
@@ -161,7 +99,7 @@ def waterfill_batched(
     capacity: float | np.ndarray,
     valid: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Scenario-vectorized :func:`waterfill`: one call fills S rows at once.
+    """Scenario-vectorized :func:`waterfill_floats`: one call fills S rows.
 
     ``pressure`` and ``demand`` are ``(S, A)``; ``capacity`` is a scalar or
     an ``(S,)`` per-scenario vector.  ``valid`` masks padded entries of
@@ -169,11 +107,11 @@ def waterfill_batched(
     the even-split denominator, and always receive 0.0.
 
     Row ``s`` of the result is bit-identical to
-    ``waterfill(pressure[s, :n_s], demand[s, :n_s], capacity[s])``: each
-    round performs the same masked arithmetic, rows finish independently
-    (a finished row's allocation is frozen while others keep clipping),
-    and all reductions share the sequential-accumulation discipline of
-    :func:`~repro.cache.reuse.ordered_sum`.
+    ``waterfill_floats(pressure[s, :n_s], demand[s, :n_s], capacity[s])``:
+    each round performs the same masked arithmetic, rows finish
+    independently (a finished row's allocation is frozen while others
+    keep clipping), and all reductions share the sequential-accumulation
+    discipline of :func:`~repro.cache.reuse.ordered_sum`.
     """
     pressure = np.asarray(pressure, dtype=float)
     demand = np.asarray(demand, dtype=float)
@@ -213,78 +151,3 @@ def waterfill_batched(
         alloc = np.where(over, demand, alloc)
         active &= ~over
     return alloc
-
-
-def solve_shared_cache(
-    competitors: list[CacheCompetitor],
-    capacity_bytes: float,
-    *,
-    max_iterations: int = 200,
-    tolerance_bytes: float = 1024.0,
-    damping: float = 0.5,
-    pressure_floor: float = 0.002,
-) -> SharingSolution:
-    """Solve the occupancy fixed point for one set of co-located apps.
-
-    Parameters
-    ----------
-    competitors:
-        The applications sharing the cache (target plus co-runners).
-    capacity_bytes:
-        Shared LLC capacity.
-    max_iterations, tolerance_bytes, damping:
-        Fixed-point controls.  ``damping`` is the weight on the new iterate.
-    pressure_floor:
-        Minimum insertion pressure per unit access rate — models the cold
-        misses that keep even fully-resident applications circulating lines.
-
-    Notes
-    -----
-    With a single competitor the solution is simply
-    ``min(footprint, capacity)``, which reduces the model to the solo
-    miss-ratio curve — the baseline case of the paper.
-    """
-    if capacity_bytes <= 0.0:
-        raise ValueError("capacity must be positive")
-    if not competitors:
-        raise ValueError("need at least one competitor")
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must be in (0, 1]")
-
-    n = len(competitors)
-    rates = np.array([c.access_rate for c in competitors], dtype=float)
-    demand = np.array(
-        [min(c.profile.footprint_bytes, capacity_bytes) for c in competitors]
-    )
-
-    if demand.sum() <= capacity_bytes:
-        # Everything fits: no competition, occupancy == footprint.
-        occ = demand.copy()
-        miss = np.array(
-            [c.profile.miss_ratio(o) for c, o in zip(competitors, occ)]
-        )
-        return SharingSolution(occ, miss, iterations=0, converged=True)
-
-    # Start from a demand-proportional split.
-    occ = waterfill(demand.copy(), demand, capacity_bytes)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        miss = np.array(
-            [c.profile.miss_ratio(o) for c, o in zip(competitors, occ)]
-        )
-        pressure = rates * np.maximum(miss, pressure_floor)
-        if pressure.sum() <= 0.0:
-            # No one inserts (all rates zero): keep the current split.
-            converged = True
-            break
-        target = waterfill(pressure, demand, capacity_bytes)
-        new_occ = (1.0 - damping) * occ + damping * target
-        if np.max(np.abs(new_occ - occ)) <= tolerance_bytes:
-            occ = new_occ
-            converged = True
-            break
-        occ = new_occ
-
-    miss = np.array([c.profile.miss_ratio(o) for c, o in zip(competitors, occ)])
-    return SharingSolution(occ, miss, iterations=iterations, converged=converged)

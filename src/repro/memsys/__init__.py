@@ -1,11 +1,10 @@
-"""Memory system substrate: DRAM contention and the composed hierarchy."""
+"""Memory system substrate: the DRAM contention model.
+
+The steady-state engine (:mod:`repro.sim.engine`) composes it with the
+shared-LLC split (:mod:`repro.cache.sharing`) and owns the stall formula
+that turns miss ratios and loaded latency into time per instruction.
+"""
 
 from .dram import MAX_UTILIZATION, DRAMModel
-from .hierarchy import MemoryHierarchy, MemorySystemState
 
-__all__ = [
-    "DRAMModel",
-    "MAX_UTILIZATION",
-    "MemoryHierarchy",
-    "MemorySystemState",
-]
+__all__ = ["DRAMModel", "MAX_UTILIZATION"]

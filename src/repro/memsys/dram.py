@@ -68,22 +68,7 @@ class DRAMModel:
         stays on Python floats (the serial steady-state solver calls this
         once per iteration) and an array is evaluated elementwise.
         """
-        return self._queueing_latency(self.utilization(demand_bytes_per_s))
-
-    def latency_at_utilization(self, rho: float) -> float:
-        """Loaded latency at an explicit utilization (for reporting)."""
-        if not 0.0 <= rho <= MAX_UTILIZATION:
-            raise ValueError(
-                f"utilization must be in [0, {MAX_UTILIZATION}], got {rho}"
-            )
-        return self._queueing_latency(float(rho))
-
-    def _queueing_latency(self, rho: np.ndarray | float) -> np.ndarray | float:
-        """The open-queueing latency formula, on a float or an array."""
+        rho = self.utilization(demand_bytes_per_s)
         return self.config.idle_latency_ns * (
             1.0 + self.config.queue_shape * rho / (1.0 - rho)
         )
-
-    def saturation_demand_bytes_per_s(self) -> float:
-        """Demand at which the model hits the utilization ceiling."""
-        return MAX_UTILIZATION * self.config.peak_bandwidth_gbs * 1e9

@@ -137,21 +137,23 @@ class CollectorServer(HttpServerBase):
 
         The batch form is ``{"resource": {...}, "spans": [...],
         "dropped": n}``; JSON-lines is one record (or batch object) per
-        line, for senders that stream without buffering.
+        ``"\\n"``-terminated line, for senders that stream without
+        buffering.  JSON nested past the decoder's recursion limit is a
+        400 like any other unparsable payload.
         """
         text = body.decode("utf-8", errors="replace").strip()
         if not text:
             raise HTTPError(400, "bad_request", "empty span payload")
         try:
             payloads = [json.loads(text)]
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             try:
                 payloads = [
                     json.loads(line)
-                    for line in text.splitlines()
+                    for line in text.split("\n")
                     if line.strip()
                 ]
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise HTTPError(
                     400, "bad_request", f"invalid span JSON: {exc}"
                 ) from exc

@@ -29,7 +29,8 @@ Semantics every backend must preserve:
   and a fresh cursor.  ``None`` or an undecodable cursor means "no prior
   view" and reports every name, so the first call is a full sync.
 
-:func:`call_backend` is how an event loop calls any of these methods.
+:func:`call_backend` is how an event loop calls any of these methods, and
+:func:`call_listing` how an HTTP handler calls a listing.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from __future__ import annotations
 import asyncio
 from typing import Protocol, runtime_checkable
 
-from .local import Artifact, ModelManifest, ModelRegistry
+from .local import Artifact, ModelManifest, ModelRegistry, RegistryError
 
-__all__ = ["RegistryBackend", "call_backend"]
+__all__ = ["RegistryBackend", "call_backend", "call_listing"]
 
 
 @runtime_checkable
@@ -101,3 +102,27 @@ async def call_backend(backend, fn, *args):
     if isinstance(backend, ModelRegistry):
         return fn(*args)
     return await asyncio.to_thread(fn, *args)
+
+
+async def call_listing(backend, fn, *args):
+    """:func:`call_backend` for a listing that an HTTP handler answers.
+
+    A registry fault is not the handler's own failure, so it never reads
+    as a 500: a registry that cannot be reached answers 503
+    ``upstream_unavailable`` and one that answers garbage 502
+    ``bad_upstream``, each naming the registry.
+    """
+    from ..serve.http import HTTPError  # repro.serve imports this module
+
+    try:
+        return await call_backend(backend, fn, *args)
+    except OSError as exc:
+        raise HTTPError(
+            503, "upstream_unavailable",
+            f"registry {backend.describe()} is unreachable: {exc}",
+        ) from None
+    except RegistryError as exc:
+        raise HTTPError(
+            502, "bad_upstream",
+            f"registry {backend.describe()} failed the listing: {exc}",
+        ) from None

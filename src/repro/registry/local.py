@@ -51,7 +51,8 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass
+import shutil
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -353,6 +354,12 @@ class ModelRegistry:
 
         Returns the written manifest.  The artifact's JSON bytes are
         hashed at push time; every later load re-verifies that hash.
+
+        A version appears whole or not at all: both files are written
+        into a staging directory under ``<name>/`` (its name is not a
+        number, so no reader sees it) that one ``os.rename`` publishes.
+        If a concurrent push took the version number first, the rename
+        fails and the next number is tried.
         """
         parsed, version = parse_ref(name)
         if version is not None:
@@ -365,11 +372,9 @@ class ModelRegistry:
         except PersistenceError as exc:
             raise RegistryError(f"cannot push {parsed!r}: {exc}") from None
         payload = json.dumps(data, indent=2).encode()
-        versions = self._versions(parsed)
-        next_version = (versions[-1] + 1) if versions else 1
         manifest = ModelManifest(
             name=parsed,
-            version=next_version,
+            version=0,  # assigned below
             artifact=data["artifact"],
             kind=data["kind"],
             feature_set=data["feature_set"],
@@ -380,13 +385,28 @@ class ModelRegistry:
             created_at=created_at
             or datetime.now(timezone.utc).isoformat(timespec="seconds"),
         )
-        target = self._dir(parsed, next_version)
-        target.mkdir(parents=True)
-        (target / "model.json").write_bytes(payload)
-        (target / "manifest.json").write_text(
-            json.dumps(manifest.to_dict(), indent=2)
-        )
-        return manifest
+        staging = self.root / parsed / f".push-{os.getpid()}-{os.urandom(6).hex()}"
+        staging.mkdir(parents=True)
+        try:
+            (staging / "model.json").write_bytes(payload)
+            while True:
+                versions = self._versions(parsed)
+                manifest = replace(
+                    manifest, version=(versions[-1] + 1) if versions else 1
+                )
+                (staging / "manifest.json").write_text(
+                    json.dumps(manifest.to_dict(), indent=2)
+                )
+                target = self._dir(parsed, manifest.version)
+                try:
+                    os.rename(staging, target)
+                except OSError:
+                    if not target.exists():
+                        raise
+                    continue  # a concurrent push published this version
+                return manifest
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
 
     # ------------------------------------------------------------- get
     def resolve(self, ref: str) -> ModelManifest:

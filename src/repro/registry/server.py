@@ -46,6 +46,7 @@ import json
 from ..core.persistence import PersistenceError, artifact_from_dict
 from ..obs.registry import Exposition
 from ..serve.http import HTTPError, HttpServerBase, Request, ServerThreadBase
+from .backend import call_listing
 from .local import ModelRegistry, RegistryError, TombstoneError, parse_ref
 
 __all__ = ["RegistryServer", "RegistryServerThread"]
@@ -133,14 +134,15 @@ class RegistryServer(HttpServerBase):
         path, method = request.path, request.method
         if path == "/healthz":
             self._require(method, "GET")
-            body = {"status": "ok", "models": len(self.backend.names())}
+            names = await call_listing(self.backend, self.backend.names)
+            body = {"status": "ok", "models": len(names)}
             return 200, "application/json", json.dumps(body).encode()
         if path == "/v1/models":
             self._require(method, "GET")
-            return self._list_models(request)
+            return await self._list_models(request)
         if path.startswith("/v1/models/"):
             self._require(method, "GET")
-            return self._model_route(path[len("/v1/models/"):])
+            return await self._model_route(path[len("/v1/models/"):])
         if path.startswith("/v1/blobs/"):
             self._require(method, "GET")
             return self._blob(path[len("/v1/blobs/"):])
@@ -158,34 +160,22 @@ class RegistryServer(HttpServerBase):
         )
         return data
 
-    def _list_models(self, request: Request):
+    async def _list_models(self, request: Request):
         since = request.query.get("since")
         if since is None:
-            body = {
-                "models": [self._manifest_dict(m) for m in self.backend.list()]
-            }
+            manifests = await call_listing(self.backend, self.backend.list)
+            body = {"models": [self._manifest_dict(m) for m in manifests]}
             return 200, "application/json", json.dumps(body).encode()
-        try:
-            changed, cursor = self.backend.changed_models(since[0])
-        except OSError as exc:
-            # A mirror whose upstream is down: the change feed has no
-            # cache to fall back on.
-            raise HTTPError(
-                503, "upstream_unavailable",
-                f"upstream registry {self.backend.describe()} is "
-                f"unreachable: {exc}",
-            ) from None
-        except RegistryError as exc:
-            raise HTTPError(
-                502, "bad_upstream",
-                f"upstream registry {self.backend.describe()} failed the "
-                f"change listing: {exc}",
-            ) from None
+        # A mirror's change feed has no cache to fall back on when its
+        # upstream is down.
+        changed, cursor = await call_listing(
+            self.backend, self.backend.changed_models, since[0]
+        )
         names = set(changed)
         manifests = (
             [
                 self._manifest_dict(m)
-                for m in self.backend.list()
+                for m in await call_listing(self.backend, self.backend.list)
                 if m.name in names
             ]
             if names
@@ -194,15 +184,15 @@ class RegistryServer(HttpServerBase):
         body = {"models": manifests, "changed": changed, "cursor": cursor}
         return 200, "application/json", json.dumps(body).encode()
 
-    def _model_route(self, rest: str):
+    async def _model_route(self, rest: str):
         """Dispatch ``/v1/models/{...}`` sub-paths."""
         if rest.endswith("/manifest"):
             return self._manifest(rest[: -len("/manifest")])
         if rest.endswith("/tombstone"):
-            return self._tombstone_status(rest[: -len("/tombstone")])
+            return await self._tombstone_status(rest[: -len("/tombstone")])
         if "/" in rest:
             raise HTTPError(404, "not_found", f"no route for /v1/models/{rest}")
-        return self._model_info(rest)
+        return await self._model_info(rest)
 
     def _manifest(self, ref: str):
         """Resolve a reference exactly as the local backend would."""
@@ -220,7 +210,7 @@ class RegistryServer(HttpServerBase):
             json.dumps(self._manifest_dict(manifest)).encode(),
         )
 
-    def _model_info(self, name: str):
+    async def _model_info(self, name: str):
         try:
             parsed, version = parse_ref(name)
         except RegistryError as exc:
@@ -230,7 +220,8 @@ class RegistryServer(HttpServerBase):
                 404, "not_found",
                 f"use /v1/models/{parsed}@{version}/manifest for one version",
             )
-        manifests = [m for m in self.backend.list() if m.name == parsed]
+        listing = await call_listing(self.backend, self.backend.list)
+        manifests = [m for m in listing if m.name == parsed]
         if not manifests:
             try:
                 self.backend.resolve(parsed)  # raises with the canonical text
@@ -242,7 +233,7 @@ class RegistryServer(HttpServerBase):
         }
         return 200, "application/json", json.dumps(body).encode()
 
-    def _tombstone_status(self, ref: str):
+    async def _tombstone_status(self, ref: str):
         try:
             name, version = parse_ref(ref)
         except RegistryError as exc:
@@ -252,8 +243,8 @@ class RegistryServer(HttpServerBase):
                 404, "not_found",
                 "tombstone status takes an explicit name@version",
             )
-        if version not in [m.version for m in self.backend.list()
-                           if m.name == name]:
+        listing = await call_listing(self.backend, self.backend.list)
+        if version not in [m.version for m in listing if m.name == name]:
             raise HTTPError(
                 404, "unknown_model",
                 f"unknown version {version} of {name!r}",
@@ -285,14 +276,7 @@ class RegistryServer(HttpServerBase):
     # ------------------------------------------------------------- push
     def _push(self, request: Request):
         self._authorize(request)
-        try:
-            body = json.loads(request.body.decode() or "{}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise HTTPError(
-                400, "bad_request", f"body is not valid JSON: {exc}"
-            ) from None
-        if not isinstance(body, dict):
-            raise HTTPError(400, "bad_request", "body must be a JSON object")
+        body = self._json_object(request)
         name = body.get("name")
         if not isinstance(name, str) or not name:
             raise HTTPError(400, "bad_request", "body needs a model 'name'")

@@ -816,14 +816,7 @@ class SchedulerService(HttpServerBase):
     def _submit(self, request: Request):
         if self._draining:
             raise HTTPError(503, "draining", "scheduler is draining")
-        try:
-            body = json.loads(request.body.decode() or "{}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise HTTPError(
-                400, "bad_request", f"body is not valid JSON: {exc}"
-            ) from None
-        if not isinstance(body, dict):
-            raise HTTPError(400, "bad_request", "body must be a JSON object")
+        body = self._json_object(request)
         names: list[str] = []
         if "apps" in body:
             apps = body["apps"]

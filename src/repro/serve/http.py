@@ -451,6 +451,23 @@ class HttpServerBase:
                 405, "method_not_allowed", f"use {expected} for this endpoint"
             )
 
+    @staticmethod
+    def _json_object(request: Request) -> dict:
+        """The request body as a JSON object (empty reads as ``{}``).
+
+        Anything else is a 400 ``bad_request``, including a body nested
+        deeper than the decoder's recursion limit.
+        """
+        try:
+            body = json.loads(request.body.decode() or "{}")
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise HTTPError(
+                400, "bad_request", f"body is not valid JSON: {exc}"
+            ) from None
+        if not isinstance(body, dict):
+            raise HTTPError(400, "bad_request", "body must be a JSON object")
+        return body
+
 
 async def _discard(reader: asyncio.StreamReader, length: int) -> None:
     """Read and drop up to ``length`` bytes, for at most ``_DISCARD_SECONDS``."""

@@ -54,7 +54,7 @@ from urllib.parse import urlencode
 
 from ..obs.registry import Exposition
 from ..obs.trace import current_span
-from ..registry.backend import call_backend
+from ..registry.backend import call_backend, call_listing
 from ..registry.local import RegistryError, parse_ref
 from .http import HTTPError, HttpServerBase, Request, ServerThreadBase
 from .metrics import LatencyHistogram, merge_prometheus_texts
@@ -387,7 +387,7 @@ class RouterServer(HttpServerBase):
             return await self._healthz()
         if path == "/v1/models":
             self._require(method, "GET")
-            manifests = await call_backend(self.backend, self.backend.list)
+            manifests = await call_listing(self.backend, self.backend.list)
             body = {"models": [m.to_dict() for m in manifests]}
             return 200, "application/json", json.dumps(body).encode()
         if path == "/v1/predict":
@@ -396,13 +396,22 @@ class RouterServer(HttpServerBase):
         raise HTTPError(404, "not_found", f"no route for {path}")
 
     async def _healthz(self):
+        """Every worker's ``/healthz``, asked at once: a hung registry
+        costs one backend timeout, not one per worker."""
+        answers = await asyncio.gather(
+            *(channel.request("GET", "/healthz") for channel in self.channels),
+            return_exceptions=True,
+        )
         workers = []
         status = "ok"
-        for index, channel in enumerate(self.channels):
-            try:
-                worker_status, _ctype, payload, _headers = await channel.request(
-                    "GET", "/healthz"
-                )
+        for index, answer in enumerate(answers):
+            if isinstance(answer, HTTPError):
+                entry = {"index": index, "status": "unreachable"}
+                status = "degraded"
+            elif isinstance(answer, BaseException):
+                raise answer
+            else:
+                worker_status, _ctype, payload, _headers = answer
                 entry = {"index": index, "status": "ok"}
                 if worker_status != 200:
                     entry["status"] = f"http {worker_status}"
@@ -410,9 +419,6 @@ class RouterServer(HttpServerBase):
                 else:
                     entry.update(json.loads(payload.decode()))
                     entry["status"] = "ok"
-            except HTTPError:
-                entry = {"index": index, "status": "unreachable"}
-                status = "degraded"
             workers.append(entry)
         body = {"status": status, "workers": workers}
         return 200, "application/json", json.dumps(body).encode()
@@ -448,14 +454,7 @@ class RouterServer(HttpServerBase):
 
     # ------------------------------------------------------------- predict
     async def _predict(self, request: Request):
-        try:
-            body = json.loads(request.body.decode() or "{}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise HTTPError(
-                400, "bad_request", f"body is not valid JSON: {exc}"
-            ) from None
-        if not isinstance(body, dict):
-            raise HTTPError(400, "bad_request", "body must be a JSON object")
+        body = self._json_object(request)
         ref = body.get("model")
         machine = body.get("machine")
         if ref is None and isinstance(machine, str) and machine:
@@ -549,7 +548,7 @@ class RouterServer(HttpServerBase):
         now = time.monotonic()
         if cached is not None and now - cached[0] < self.machine_cache_s:
             return cached[1]
-        manifests = await call_backend(self.backend, self.backend.list)
+        manifests = await call_listing(self.backend, self.backend.list)
         candidates = sorted(filter(matches, manifests), key=rank, reverse=True)
         for manifest in candidates:
             try:
@@ -634,7 +633,7 @@ class RouterServer(HttpServerBase):
         )
         if ref is not None:
             return ref
-        manifests = await call_backend(self.backend, self.backend.list)
+        manifests = await call_listing(self.backend, self.backend.list)
         known = sorted(
             {m.processor_name for m in manifests if m.processor_name is not None}
         )

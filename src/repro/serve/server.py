@@ -27,7 +27,10 @@ service (:class:`~repro.registry.client.HttpBackend`) unchanged.  Every
 request-path backend call goes through
 :func:`~repro.registry.backend.call_backend`, which runs remote backends
 off the event loop, so a slow or hung registry stalls only the requests
-that wait on it: a concurrent ``/metrics`` scrape still answers.
+that wait on it: a concurrent ``/metrics`` scrape still answers.  The
+listings behind ``/healthz`` and ``/v1/models`` go through
+:func:`~repro.registry.backend.call_listing`, which answers a registry
+fault with 502 or 503 naming the registry.
 
 Two production behaviours are optional:
 
@@ -55,7 +58,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ..obs.registry import Exposition
-from ..registry.backend import call_backend
+from ..registry.backend import call_backend, call_listing
 from ..registry.local import RegistryError, parse_ref
 from .batcher import BacklogFullError, MicroBatcher
 from .http import HTTPError, HttpServerBase, Request, ServerThreadBase
@@ -366,12 +369,12 @@ class PredictionServer(HttpServerBase):
         path, method = request.path, request.method
         if path == "/healthz":
             self._require(method, "GET")
-            names = await call_backend(self.registry, self.registry.names)
+            names = await call_listing(self.registry, self.registry.names)
             body = {"status": "ok", "models": len(names)}
             return 200, "application/json", json.dumps(body).encode()
         if path == "/v1/models":
             self._require(method, "GET")
-            manifests = await call_backend(self.registry, self.registry.list)
+            manifests = await call_listing(self.registry, self.registry.list)
             body = {"models": [m.to_dict() for m in manifests]}
             return 200, "application/json", json.dumps(body).encode()
         if path == "/v1/predict":
@@ -382,14 +385,7 @@ class PredictionServer(HttpServerBase):
     # ------------------------------------------------------------- predict
     async def _predict(self, request: Request):
         entered = time.perf_counter()
-        try:
-            body = json.loads(request.body.decode() or "{}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise HTTPError(
-                400, "bad_request", f"body is not valid JSON: {exc}"
-            ) from None
-        if not isinstance(body, dict):
-            raise HTTPError(400, "bad_request", "body must be a JSON object")
+        body = self._json_object(request)
         ref = body.get("model")
         if not isinstance(ref, str) or not ref:
             raise HTTPError(

@@ -16,12 +16,14 @@ The model couples three mutually-dependent quantities in one fixed point:
   which depends on throughput and miss ratios.
 
 Each iteration evaluates all miss ratios through a
-:class:`~repro.cache.reuse.ProfileTable` and solves the occupancy split
-with the same rate-proportional waterfilling as the reference model in
-:mod:`repro.cache.sharing` (agreement between the two is tested).  Damped
-iteration converges in a few dozen steps.  One scenario is solved on
-Python floats; a sweep is solved as one stacked fixed point over numpy
-arrays, bit-identical to solving its scenarios one by one.
+:class:`~repro.cache.reuse.ProfileTable`, splits the LLC with the
+rate-proportional waterfill of :mod:`repro.cache.sharing`, loads DRAM
+through :class:`~repro.memsys.dram.DRAMModel` and applies the stall
+formula (see :data:`HIT_EXPOSURE`).  Damped iteration converges in a few
+dozen steps.  The trace-driven simulator (:mod:`repro.sim.tracesim`)
+checks the resulting shared-cache equilibrium.  One scenario is solved
+on Python floats; a sweep is solved as one stacked fixed point over
+numpy arrays, bit-identical to solving its scenarios one by one.
 
 Co-runners are modeled as *continuously running*: the paper's test harness
 restarts co-located applications so that pressure on the target stays
@@ -62,12 +64,14 @@ __all__ = [
     "SteadyState",
 ]
 
-#: Exposed fraction of the LLC hit latency (out-of-order cores hide the
-#: rest); see :meth:`repro.memsys.hierarchy.MemoryHierarchy.stall_ns_per_access`.
+#: Exposed fraction of the LLC hit latency: out-of-order cores hide the
+#: rest.  A hit costs ``HIT_EXPOSURE`` times the hit latency and a miss
+#: the loaded DRAM latency over the app's memory-level parallelism.
 HIT_EXPOSURE = 0.3
 
-#: Insertion-pressure floor used by the occupancy waterfilling, matching
-#: :func:`repro.cache.sharing.solve_shared_cache`.
+#: Insertion-pressure floor of the occupancy waterfill, per unit access
+#: rate: even a cache-resident app streams cold misses through the LLC,
+#: so its share never collapses to zero.
 PRESSURE_FLOOR = 0.002
 
 

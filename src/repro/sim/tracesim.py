@@ -5,8 +5,9 @@ traces for every co-located application are interleaved (in proportion to
 their access rates) through one shared set-associative LRU cache, and the
 per-application miss ratios and occupancies that *emerge* are measured.
 
-This module exists to validate the analytic cache-sharing model — the
-rate-proportional occupancy fixed point of :mod:`repro.cache.sharing` —
+This module exists to check the steady-state engine's shared-cache
+equilibrium — the rate-proportional occupancy fixed point that
+:meth:`repro.sim.engine.SimulationEngine.solve_steady_state` iterates —
 against ground truth.  It operates on validation-scale profiles (use
 :func:`repro.workloads.tracegen.scaled_profile` to shrink the Table III
 applications); driving it with full-size footprints would need billions of

@@ -199,9 +199,9 @@ class TestProfileTable:
         ]
         table = ProfileTable(profiles)
         occ = rng.uniform(0, 4 * MB, size=3)
-        batched = table.miss_ratio(occ)
+        floats = table.miss_ratio_floats(occ.tolist())
         scalar = np.array([p.miss_ratio(float(o)) for p, o in zip(profiles, occ)])
-        np.testing.assert_allclose(batched, scalar, rtol=1e-12)
+        np.testing.assert_allclose(floats, scalar, rtol=1e-12)
 
     def test_footprints_match(self):
         profiles = [ReuseProfile.single(1 * MB), ReuseProfile.single(4 * MB)]
@@ -209,11 +209,6 @@ class TestProfileTable:
         np.testing.assert_allclose(
             table.footprints, [p.footprint_bytes for p in profiles]
         )
-
-    def test_shape_validation(self):
-        table = ProfileTable([ReuseProfile.single(1 * MB)])
-        with pytest.raises(ValueError, match="expected 1"):
-            table.miss_ratio(np.zeros(2))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -306,7 +301,7 @@ class TestProfileStack:
         occ = rng.uniform(0.0, 16 * MB, size=(len(rows), 5)) * stack.valid
         batched = stack.miss_ratio(occ)
         for i, row in enumerate(rows):
-            serial = ProfileTable(row).miss_ratio(occ[i, : len(row)])
+            serial = ProfileTable(row).miss_ratio_floats(occ[i, : len(row)].tolist())
             assert np.array_equal(serial, batched[i, : len(row)])
             assert np.all(batched[i, len(row):] == 0.0)
 

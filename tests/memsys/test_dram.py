@@ -52,26 +52,20 @@ class TestEffectiveLatency:
         # The utilization clamp keeps latency finite at any demand.
         assert np.isfinite(model.effective_latency_ns(1e15))
 
-    def test_latency_at_utilization_matches(self, model):
-        rho = 0.5
-        demand = rho * 10e9
-        assert model.latency_at_utilization(rho) == pytest.approx(
-            float(model.effective_latency_ns(demand))
-        )
-
-    def test_latency_at_utilization_validation(self, model):
-        with pytest.raises(ValueError):
-            model.latency_at_utilization(-0.1)
-        with pytest.raises(ValueError):
-            model.latency_at_utilization(0.99)
+    def test_latency_at_half_load_matches_the_formula(self, model):
+        """At half the peak demand the latency is the queueing formula at
+        rho = 0.5: idle * (1 + shape * 0.5 / 0.5)."""
+        assert model.effective_latency_ns(0.5 * 10e9) == pytest.approx(80.0 * 1.5)
 
     def test_zero_queue_shape_flat_latency(self):
         flat = DRAMModel(DRAMConfig(idle_latency_ns=50.0, peak_bandwidth_gbs=1.0, queue_shape=0.0))
         assert flat.effective_latency_ns(9e8) == pytest.approx(50.0)
 
     def test_saturation_demand(self, model):
-        d = model.saturation_demand_bytes_per_s()
+        """The utilization ceiling is reached exactly at its demand."""
+        d = MAX_UTILIZATION * 10e9
         assert model.utilization(d) == pytest.approx(MAX_UTILIZATION)
+        assert model.utilization(0.99 * d) < MAX_UTILIZATION
 
     @given(
         demand=st.floats(min_value=0.0, max_value=1e13),

@@ -81,6 +81,16 @@ class TestIngestProtocol:
         assert status == 200 and body == {"accepted": 2}
         assert collector.server.batches == {"w0": 1, "w1": 1}
 
+    def test_json_lines_split_on_newline_only(self, collector):
+        """A raw U+2028 inside a JSON string is not a line break."""
+        lines = b"\n".join(
+            json.dumps(_span(name, f"s{i}"), ensure_ascii=False).encode()
+            for i, name in enumerate(["a\u2028b", "c\u0085d"])
+        )
+        status, body = _post(collector, lines)
+        assert status == 200 and body == {"accepted": 2}
+        assert [r["name"] for r in collector.records()] == ["a\u2028b", "c\u0085d"]
+
     @pytest.mark.parametrize(
         "payload", [b"", b"not json", b"[1,2]", b'{"spans": 4}']
     )

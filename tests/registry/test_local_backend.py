@@ -7,10 +7,14 @@ subsystem added on top.
 
 import json
 import os
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
 from repro.registry import (
+    ModelRegistry,
     RegistryBackend,
     RegistryError,
     TombstoneError,
@@ -23,6 +27,87 @@ class TestBackendProtocol:
 
     def test_describe_names_the_root(self, store):
         assert str(store.root) == store.describe()
+
+
+class _Interrupted(Exception):
+    pass
+
+
+class TestAtomicPush:
+    """A version appears with both files or not at all."""
+
+    def test_interrupted_push_leaves_the_store_unchanged(
+        self, store, point_predictor, monkeypatch
+    ):
+        store.push("m", point_predictor)
+        before = store.list()
+        write_bytes = Path.write_bytes
+
+        def write_then_die(path, data):
+            write_bytes(path, data)
+            raise _Interrupted(path.name)
+
+        monkeypatch.setattr(Path, "write_bytes", write_then_die)
+        with pytest.raises(_Interrupted, match="model.json"):
+            store.push("m", point_predictor)
+        monkeypatch.undo()
+        assert store.resolve("m").version == 1
+        assert store.list() == before
+        assert store.push("m", point_predictor).version == 2
+
+    def test_leftover_staging_dir_is_invisible(self, store, point_predictor):
+        """What a killed push leaves behind is skipped by every reader."""
+        store.push("m", point_predictor)
+        leftover = store.root / "m" / ".push-1-abc"
+        leftover.mkdir()
+        (leftover / "model.json").write_text("{}")
+        assert store.names() == ["m"]
+        assert [m.ref for m in store.list()] == ["m@1"]
+        assert store.push("m", point_predictor).version == 2
+        assert store.resolve("m").version == 2
+
+    def test_concurrent_pushes_get_distinct_versions(
+        self, store, point_predictor, monkeypatch
+    ):
+        """Eight pushers (more than the cores) read the same version list
+        before any publishes, so all first try the same number."""
+        store.push("m", point_predictor)
+        pushers = 8
+        all_read = threading.Barrier(pushers, timeout=10)
+        versions = ModelRegistry._versions
+        waited: set[int] = set()
+
+        def racing_versions(registry, name):
+            found = versions(registry, name)
+            if threading.get_ident() not in waited:
+                waited.add(threading.get_ident())
+                all_read.wait()
+            return found
+
+        monkeypatch.setattr(ModelRegistry, "_versions", racing_versions)
+        pushed, errors = [], []
+
+        def push():
+            try:
+                pushed.append(ModelRegistry(store.root).push("m", point_predictor))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=push) for _ in range(pushers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(m.version for m in pushed) == list(range(2, pushers + 2))
+        monkeypatch.undo()
+        assert [m.version for m in store.list()] == list(range(1, pushers + 2))
 
 
 class TestTombstones:

@@ -7,7 +7,8 @@ cut-short body as an outage (so its cache fallback applies) and an
 unparsable one as a ``RegistryError`` naming the server; a prediction
 server over either answers 4xx; a read replica whose upstream is down or
 broken answers its change listing with 503 or 502 naming the upstream;
-and a hung registry stalls only the request that waits on it.
+every listing a server answers from a broken registry is a 502 naming
+it; and a hung registry stalls only the request that waits on it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import pytest
 
 from repro.registry import HttpBackend, RegistryError, RegistryServerThread
 from repro.serve.client import ClientError, PredictionClient
+from repro.serve.http import ServerThreadBase
+from repro.serve.router import RouterServer, parse_canary
 from repro.serve.server import ServerThread
 
 #: A 200 announcing 200 body bytes and sending 14 of them.
@@ -96,10 +99,14 @@ def _dead_url() -> str:
     return f"http://127.0.0.1:{port}"
 
 
-def _get(port: int, path: str) -> tuple[int, dict]:
+def _get(port: int, path: str, payload: dict | None = None) -> tuple[int, dict]:
+    """GET ``path``, or POST ``payload`` to it as JSON."""
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
     try:
-        conn.request("GET", path)
+        if payload is None:
+            conn.request("GET", path)
+        else:
+            conn.request("POST", path, body=json.dumps(payload).encode())
         response = conn.getresponse()
         return response.status, json.loads(response.read().decode())
     finally:
@@ -206,3 +213,44 @@ class TestMirror:
                 status, body = _get(handle.port, "/v1/models?since=0")
         assert status == 502
         assert fake.url in body["error"]
+
+    @pytest.mark.parametrize(
+        "path", ["/v1/models", "/v1/models/point", "/v1/models/point@1/tombstone"]
+    )
+    def test_listings_of_a_broken_upstream_are_502(self, cache_dir, path):
+        with FakeRegistry(GARBAGE) as fake:
+            with RegistryServerThread(HttpBackend(fake.url, cache_dir)) as handle:
+                status, body = _get(handle.port, path)
+        assert status == 502
+        assert fake.url in body["error"]
+
+
+class TestListings:
+    """A listing from a registry that answers garbage is a 502 naming it."""
+
+    def test_prediction_server(self, cache_dir):
+        with FakeRegistry(GARBAGE) as fake:
+            with ServerThread(HttpBackend(fake.url, cache_dir)) as handle:
+                answers = [_get(handle.port, p) for p in ("/healthz", "/v1/models")]
+        for status, body in answers:
+            assert status == 502
+            assert fake.url in body["error"]
+
+    def test_router(self, cache_dir):
+        """``/v1/models`` and the listings behind machine and canary
+        resolution; no request reaches the (absent) worker."""
+        with FakeRegistry(GARBAGE) as fake:
+            router = RouterServer(
+                [int(_dead_url().rsplit(":", 1)[1])],
+                HttpBackend(fake.url, cache_dir),
+                canary=(parse_canary("point@2:50"),),
+            )
+            with ServerThreadBase(router) as handle:
+                answers = [
+                    _get(handle.port, "/v1/models"),
+                    _get(handle.port, "/v1/predict", {"machine": "e5649"}),
+                    _get(handle.port, "/v1/predict", {"model": "point"}),
+                ]
+        for status, body in answers:
+            assert status == 502
+            assert fake.url in body["error"]

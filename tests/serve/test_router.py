@@ -11,8 +11,11 @@ shadow-divergence histogram must measure).
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
+import time
+from contextlib import ExitStack
 
 import pytest
 
@@ -22,7 +25,8 @@ from repro.core.methodology import ModelKind
 from repro.registry import HttpBackend, RegistryServerThread
 from repro.registry.local import ModelRegistry
 from repro.serve.client import ClientError, PredictionClient
-from repro.serve.router import ServingTier, parse_canary, parse_shadow
+from repro.serve.http import HttpServerBase, ServerThreadBase
+from repro.serve.router import RouterServer, ServingTier, parse_canary, parse_shadow
 from repro.serve.shard import shard_for
 from tests.obs.test_prometheus_conformance import assert_conformant
 
@@ -337,3 +341,32 @@ class TestRemoteRegistryTier:
         ]
         assert all(w["models"] == 2 for w in health["workers"])
         assert tier.worker_exitcodes == [0, 0]
+
+
+class _SlowWorker(HttpServerBase):
+    """A worker whose ``/healthz`` takes half a second."""
+
+    metrics_prefix = "slow_worker"
+
+    async def _route(self, request):
+        await asyncio.sleep(0.5)
+        return 200, "application/json", b'{"status": "ok", "models": 0}'
+
+
+class TestHealthz:
+    def test_workers_are_asked_at_once(self, registry):
+        with ExitStack() as stack:
+            ports = [
+                stack.enter_context(ServerThreadBase(_SlowWorker())).port
+                for _ in range(2)
+            ]
+            router = stack.enter_context(
+                ServerThreadBase(RouterServer(ports, registry))
+            )
+            with PredictionClient("127.0.0.1", router.port) as client:
+                started = time.monotonic()
+                body = client.healthz()
+                elapsed = time.monotonic() - started
+        assert body["status"] == "ok"
+        assert [w["index"] for w in body["workers"]] == [0, 1]
+        assert elapsed < 0.9

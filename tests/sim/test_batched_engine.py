@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.cache.reuse import ProfileStack, ProfileTable, ReuseProfile, ordered_sum
-from repro.cache.sharing import waterfill, waterfill_batched
+from repro.cache.sharing import waterfill_batched, waterfill_floats
 from repro.machine import XEON_E5649, XEON_E5_2697V2
 from repro.sim import (
     BatchConvergenceError,
@@ -409,7 +409,7 @@ def test_profile_stack_matches_profile_table_bitwise():
         occ[i, : len(row)] = rng.uniform(0.0, 2**21, size=len(row))
     batched = stack.miss_ratio(occ)
     for i, row in enumerate(rows):
-        serial = ProfileTable(row).miss_ratio(occ[i, : len(row)])
+        serial = ProfileTable(row).miss_ratio_floats(occ[i, : len(row)].tolist())
         assert np.array_equal(serial, batched[i, : len(row)])
         # Pad columns are exactly zero-miss contributions.
         assert np.all(batched[i, len(row) :] == 0.0)
@@ -429,7 +429,9 @@ def test_waterfill_batched_matches_serial_bitwise():
         valid[i, :n] = True
     batched = waterfill_batched(pressure, demand, capacity, valid=valid)
     for i, n in enumerate(widths):
-        serial = waterfill(pressure[i, :n].copy(), demand[i, :n], capacity)
+        serial = waterfill_floats(
+            pressure[i, :n].tolist(), demand[i, :n].tolist(), capacity
+        )
         assert np.array_equal(serial, batched[i, :n])
         assert np.all(batched[i, n:] == 0.0)
 
@@ -440,7 +442,7 @@ def test_waterfill_batched_zero_pressure_even_split_excludes_pads():
     demand = np.array([[600.0, 600.0, 0.0, 0.0]])
     valid = np.array([[True, True, False, False]])
     alloc = waterfill_batched(pressure, demand, capacity, valid=valid)
-    serial = waterfill(np.zeros(2), np.array([600.0, 600.0]), capacity)
+    serial = waterfill_floats([0.0, 0.0], [600.0, 600.0], capacity)
     assert np.array_equal(alloc[0, :2], serial)
     assert np.all(alloc[0, 2:] == 0.0)
 

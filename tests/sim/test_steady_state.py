@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.cache.sharing import waterfill_floats
+from repro.sim.engine import HIT_EXPOSURE, PRESSURE_FLOOR
+from repro.workloads import all_applications
 from repro.workloads.suite import get_application
 
 
@@ -108,3 +111,48 @@ class TestSolveSteadyState:
         apps = tuple([get_application("ep")] * 6)
         state = engine_6core.solve_steady_state(apps)
         assert state.miss_ratios.shape == (6,)
+
+
+def _mixes(num_cores: int, count: int = 10):
+    """Seeded mixes of the suite's apps, one to ``num_cores`` each."""
+    rng = np.random.default_rng(0)
+    apps = all_applications()
+    for _ in range(count):
+        n = int(rng.integers(1, num_cores + 1))
+        yield [apps[i] for i in rng.integers(0, len(apps), n)]
+
+
+@pytest.mark.parametrize("engine_name", ["engine_6core", "engine_12core"])
+def test_converged_state_satisfies_the_fixed_point(request, engine_name):
+    """Every tpi is the stall formula and every contended occupancy is
+    the waterfill at the state's own rates, miss ratios and latency."""
+    engine = request.getfixturevalue(engine_name)
+    processor = engine.processor
+    capacity = float(processor.llc.size_bytes)
+    hit_ns = processor.llc.hit_latency_ns * HIT_EXPOSURE
+    contended = 0
+    for apps in _mixes(processor.num_cores):
+        for pstate in (processor.pstates.fastest, processor.pstates.slowest):
+            state = engine.solve_steady_state(apps, pstate)
+            api = np.array([a.accesses_per_instruction for a in apps])
+            cpi = np.array([a.base_cpi for a in apps])
+            mlp = np.array([a.mlp for a in apps])
+            m, lat = state.miss_ratios, state.dram_latency_ns
+            tpi = cpi / pstate.frequency_hz + api * (
+                (1.0 - m) * hit_ns + m * lat / mlp
+            ) * 1e-9
+            np.testing.assert_allclose(
+                state.seconds_per_instruction, tpi, rtol=1e-5
+            )
+            demand = [min(a.footprint_bytes, capacity) for a in apps]
+            if sum(demand) <= capacity:
+                continue
+            contended += 1
+            rate = api / state.seconds_per_instruction
+            pressure = rate * np.maximum(m, PRESSURE_FLOOR)
+            np.testing.assert_allclose(
+                state.occupancies_bytes,
+                waterfill_floats(pressure.tolist(), demand, capacity),
+                rtol=1e-5,
+            )
+    assert contended >= 10
