@@ -20,9 +20,9 @@ import time
 import numpy as np
 
 from repro.harness.baselines import collect_baselines
-from repro.harness.collection import collect_training_data
+from repro.harness.collection import collect_training_data, setup_for
 from repro.harness.parallel import spawn_streams
-from repro.machine import XEON_E5649
+from repro.machine import XEON_E5649, XEON_E5_2697V2
 from repro.obs import samples_text
 from repro.sim import SimulationEngine, SolveCache, SolveRequest
 from repro.workloads.suite import all_applications, get_application
@@ -233,6 +233,59 @@ def test_batched_collection_speedup(benchmark, record):
         batches=stats.batches,
         batch_dedupe_hits=stats.batch_dedupe_hits,
         frozen_iterations_saved=stats.frozen_iterations_saved,
+        smoke=_SMOKE,
+    )
+
+
+def test_table5_12core_collection_ratio(benchmark, record):
+    """The E5-2697v2 Table V sweep's stacked-over-serial ratio, recorded.
+
+    Its rows put up to eleven copies of one co-app next to the target,
+    which is where one stacked column per distinct application saves
+    most.  The sweep is the full-shape targets and co-apps of
+    :func:`test_batched_collection_speedup` at the machine's Table V
+    counts (the smallest and largest under ``REPRO_SMOKE``).  No floor
+    is asserted; the ratio and the bit-identity verdict go to
+    ``results/BENCH_engine.json``.
+    """
+    kwargs = _table5_kwargs()
+    counts = setup_for(XEON_E5_2697V2).co_location_counts
+    kwargs["counts"] = (counts[0], counts[-1]) if _SMOKE else counts
+    apps = sorted(set(kwargs["targets"] + kwargs["co_apps"]), key=lambda a: a.name)
+    baselines = collect_baselines(
+        SimulationEngine(XEON_E5_2697V2, cache=SolveCache()), apps
+    )
+
+    def collect():
+        engine = SimulationEngine(XEON_E5_2697V2, cache=SolveCache())
+        start = time.perf_counter()
+        dataset = collect_training_data(
+            engine,
+            baselines=baselines,
+            rng=np.random.default_rng(2015),
+            **kwargs,
+        )
+        return dataset, time.perf_counter() - start
+
+    start = time.perf_counter()
+    serial_times = _per_scenario_times(
+        SimulationEngine(XEON_E5_2697V2, cache=SolveCache()), **kwargs
+    )
+    serial_s = time.perf_counter() - start
+    dataset, batched_s = benchmark.pedantic(collect, rounds=1, iterations=1)
+    speedup = serial_s / batched_s
+    print(
+        f"\ne5-2697v2: {len(dataset)} scenarios, serial {serial_s * 1e3:.1f} ms, "
+        f"batched {batched_s * 1e3:.1f} ms, speedup {speedup:.2f}x"
+    )
+    record(
+        "BENCH_engine.json",
+        e5_2697v2_collection_scenarios=len(dataset),
+        e5_2697v2_serial_collection_s=serial_s,
+        e5_2697v2_batched_collection_s=batched_s,
+        e5_2697v2_batched_speedup=speedup,
+        e5_2697v2_bit_identical=serial_times
+        == [o.actual_time_s for o in dataset],
         smoke=_SMOKE,
     )
 

@@ -33,6 +33,8 @@ __all__ = [
     "MissRatioCurve",
     "ProfileTable",
     "ProfileStack",
+    "SlotLayout",
+    "distinct_columns",
     "distinct_index",
     "ordered_sum",
 ]
@@ -48,7 +50,11 @@ def ordered_sum(x: np.ndarray) -> np.ndarray:
     reduce bitwise-identically through it.  A sequential accumulation
     starting from zero is invariant under trailing exact-zero padding —
     ``x + 0.0 == x`` for every finite ``x`` — which is what makes the
-    batched solver bit-identical to the per-scenario loop.
+    batched solver bit-identical to the per-scenario loop.  The batched
+    solver holds one column per distinct application, so it first lays
+    its columns out per slot (:meth:`SlotLayout.sum`): the sum then adds
+    each application's term once per copy, in slot order, and an empty
+    slot past a scenario's last application adds an exact 0.0.
 
     Returns a scalar ``np.float64`` for 1-D input, an array with the last
     axis reduced otherwise.  The last axis is expected to be small (apps
@@ -98,6 +104,93 @@ def distinct_index(
             flat.append(position)
         flat.extend([0] * (width - len(row)))
     return items, np.array(flat, dtype=np.intp).reshape(len(rows), width)
+
+
+def distinct_columns(
+    index: np.ndarray, separate: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's distinct entries of a :func:`distinct_index` index.
+
+    Returns ``(columns, slots)``.  ``columns`` is ``(S, W)``: row ``s``
+    lists the distinct nonzero entries of ``index[s]`` in first-seen
+    order, then 0s, and ``W`` is the most any row needs.  ``slots`` is
+    ``(S, A)``, shaped like ``index``: ``slots[s, j]`` is one plus the
+    column holding ``index[s, j]``, or 0 where ``index[s, j]`` is 0.
+    ``columns`` gathers tables the way ``index`` does, one entry per
+    distinct application of a row, and :class:`SlotLayout` lays the
+    column values back out in slot order.
+
+    Rows flagged in the boolean ``separate`` keep one column per slot,
+    repeats included.
+    """
+    index = np.asarray(index, dtype=np.intp)
+    s, a = index.shape
+    valid = index != 0
+    positions = np.arange(a)
+    rows = np.arange(s)[:, None]
+    # first[s, j]: the leftmost slot of row s holding index[s, j].  Filling
+    # a per-row table from the right leaves each entry's leftmost slot.
+    stride = int(index.max(initial=0)) + 1
+    entries = index + stride * rows
+    leftmost = np.empty(stride * s, dtype=np.intp)
+    for j in range(a - 1, -1, -1):
+        leftmost[entries[:, j]] = j
+    first = leftmost[entries]
+    first[separate] = positions
+    opens = (first == positions) & valid
+    column = np.cumsum(opens, axis=1)
+    slots = column.ravel()[first + a * rows] * valid
+    width = int(column[:, -1].max()) if s and a else 0
+    columns = np.zeros((s, width), dtype=np.intp)
+    at_row, at_slot = np.nonzero(opens)
+    columns[at_row, column[at_row, at_slot] - 1] = index[at_row, at_slot]
+    return columns, slots
+
+
+class SlotLayout:
+    """Where each application slot of a column-stacked batch reads.
+
+    A batch stacked one column per distinct application of each row
+    (see :func:`distinct_columns`) still has to add its per-application
+    terms slot by slot, in the order a per-scenario solve adds them.
+    ``slots`` is ``(S, A)``: one plus the column of row ``s`` that slot
+    ``j`` reads, 0 for an empty slot; ``width`` is the column count
+    ``W``.  :meth:`gather` lays ``(S, W)`` column values out as
+    ``(S, A)``, an empty slot reading an exact 0.0, through one flat
+    index built here, so every gather of one row set reuses it.
+    """
+
+    def __init__(self, slots: np.ndarray, width: int) -> None:
+        self.slots = np.asarray(slots, dtype=np.intp)
+        self.width = int(width)
+        rows = len(self.slots)
+        # Row s of the gather buffer is a 0.0 followed by its W columns.
+        self._flat = self.slots + (self.width + 1) * np.arange(rows)[:, None]
+
+    def gather(self, columns: np.ndarray) -> np.ndarray:
+        """``(S, W)`` column values as ``(S, A)`` slot values."""
+        buffer = np.empty((len(columns), self.width + 1))
+        buffer[:, 0] = 0.0
+        buffer[:, 1:] = columns
+        return buffer.ravel()[self._flat]
+
+    def sum(self, columns: np.ndarray) -> np.ndarray:
+        """Each row's :func:`ordered_sum` over its slots' values.
+
+        A column read by ``k`` slots is added ``k`` times, each at its
+        slot's place in the order, and empty slots add 0.0.
+        """
+        return ordered_sum(self.gather(columns))
+
+    def multiplicity(self) -> np.ndarray:
+        """``(S, W)`` count of the slots that read each column."""
+        rows = len(self.slots)
+        counts = np.bincount(self._flat.ravel(), minlength=rows * (self.width + 1))
+        return counts.reshape(rows, self.width + 1)[:, 1:]
+
+    def subset(self, rows: np.ndarray) -> "SlotLayout":
+        """The layout of rows ``rows`` (an index array)."""
+        return SlotLayout(self.slots.take(rows, axis=0), self.width)
 
 
 @dataclass(frozen=True)
@@ -393,9 +486,7 @@ class ProfileStack:
     :class:`ProfileTable` evaluation.
     """
 
-    _ARRAYS = (
-        "valid", "working_sets", "weights", "sharpness", "compulsory", "footprints",
-    )
+    _ARRAYS = ("working_sets", "weights", "sharpness", "compulsory", "footprints")
 
     def __init__(
         self,
@@ -425,8 +516,10 @@ class ProfileStack:
         ``index`` is ``(S, A)`` with the layout :func:`distinct_index`
         returns: ``index[s, j] - 1`` is the position in ``profiles`` of
         scenario ``s``'s ``j``-th application, 0 a pad application.
-        Callers that already dedupe their applications (the batched
-        solver) pass their own index instead of profile rows.
+        Callers that already dedupe their applications pass their own
+        index instead of profile rows: the batched solver passes the
+        ``(S, W)`` ``columns`` of :func:`distinct_columns`, one per
+        distinct application of each scenario.
         """
         stack = cls.__new__(cls)
         stack._gather(profiles, np.asarray(index, dtype=np.intp))
@@ -439,7 +532,6 @@ class ProfileStack:
             pad_row = np.full((1,) + values.shape[1:], pad)
             return np.concatenate((pad_row, values))[index]
 
-        self.valid = index != 0
         self.working_sets = padded(table.working_sets, 1.0)
         self.weights = padded(table.weights, 0.0)
         self.sharpness = padded(table.sharpness, 1.0)

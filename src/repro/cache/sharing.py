@@ -22,7 +22,10 @@ The steady-state engine (:mod:`repro.sim.engine`) iterates this fixed
 point together with throughput and DRAM latency, and owns the pressure
 floor.  This module holds the step it repeats, the capped proportional
 split, in two forms that agree bit for bit: :func:`waterfill_floats` for
-one scenario and :func:`waterfill_batched` for a stacked sweep.  The
+one scenario's applications and :func:`waterfill_batched` for a stacked
+sweep, which holds one column per distinct application of each scenario
+(copies of one application always get equal shares) and adds its totals
+slot by slot through a :class:`~repro.cache.reuse.SlotLayout`.  The
 engine's occupancies and miss ratios are checked against the trace-driven
 simulator (:mod:`repro.sim.tracesim`) in the test suite.  The sharp,
 *nonlinear* growth of a target application's miss ratio as co-runner
@@ -36,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .reuse import ordered_sum
+from .reuse import SlotLayout
 
 __all__ = ["waterfill_batched", "waterfill_floats"]
 
@@ -97,57 +100,97 @@ def waterfill_batched(
     pressure: np.ndarray,
     demand: np.ndarray,
     capacity: float | np.ndarray,
-    valid: np.ndarray | None = None,
+    slots: np.ndarray,
 ) -> np.ndarray:
     """Scenario-vectorized :func:`waterfill_floats`: one call fills S rows.
 
-    ``pressure`` and ``demand`` are ``(S, A)``; ``capacity`` is a scalar or
-    an ``(S,)`` per-scenario vector.  ``valid`` masks padded entries of
-    ragged scenario stacks — pad columns never compete, never count toward
-    the even-split denominator, and always receive 0.0.
+    ``pressure`` and ``demand`` are ``(S, W)`` columns, one per distinct
+    application of each scenario, and ``capacity`` is a scalar or an
+    ``(S,)`` per-scenario vector.  ``slots`` is the ``(S, A)``
+    slot-to-column index of a :class:`~repro.cache.reuse.SlotLayout`:
+    entry ``[s, j]`` is one plus the column that scenario ``s``'s ``j``-th
+    application reads, 0 past its last application.  A column no slot
+    reads never competes and receives 0.0; a column read by ``k`` slots
+    stands for ``k`` copies of one application, which always propose,
+    clip and retire together.
 
-    Row ``s`` of the result is bit-identical to
-    ``waterfill_floats(pressure[s, :n_s], demand[s, :n_s], capacity[s])``:
-    each round performs the same masked arithmetic, rows finish
-    independently (a finished row's allocation is frozen while others
-    keep clipping), and all reductions share the sequential-accumulation
-    discipline of :func:`~repro.cache.reuse.ordered_sum`.
+    Row ``s`` of the result, laid out per slot, is bit-identical to
+    ``waterfill_floats`` over scenario ``s``'s per-slot pressures and
+    demands: each round's total and slack add the slots' values in slot
+    order from ``+0.0`` (:meth:`~repro.cache.reuse.SlotLayout.sum`), the
+    even split divides by the number of active slots (the active
+    columns' multiplicities), and every other step is elementwise.  A
+    row whose round clips nothing is finished; only the rows that clip
+    enter the next round, which is where the per-scenario loop would
+    stop the others too.
     """
     pressure = np.asarray(pressure, dtype=float)
     demand = np.asarray(demand, dtype=float)
     if pressure.ndim != 2 or pressure.shape != demand.shape:
         raise ValueError(
-            f"pressure and demand must be matching (S, A) arrays, got "
+            f"pressure and demand must be matching (S, W) arrays, got "
             f"{pressure.shape} and {demand.shape}"
         )
-    s, a = pressure.shape
-    remaining = np.broadcast_to(np.asarray(capacity, dtype=float), (s,)).astype(float)
-    active = (
-        np.ones((s, a), dtype=bool) if valid is None else valid.astype(bool).copy()
-    )
-    alloc = np.zeros((s, a))
-    for _ in range(a):
+    s, w = pressure.shape
+    slots = np.asarray(slots, dtype=np.intp)
+    if slots.ndim != 2 or len(slots) != s:
+        raise ValueError(
+            f"slots must be an (S, A) index with S = {s}, got shape {slots.shape}"
+        )
+    layout = SlotLayout(slots, w)
+    multiplicity = layout.multiplicity()
+    active = multiplicity > 0
+    remaining = np.empty(s)
+    remaining[:] = capacity
+    alloc = np.zeros((s, w))
+    result = np.zeros((s, w))
+    # The rows still competing, as an index into the result once some
+    # have dropped out.
+    rows = None
+    for _ in range(w):
         live = active.any(axis=1) & (remaining > 0.0)
-        if not live.any():
-            break
-        act = active & live[:, None]
-        count = act.sum(axis=1)
-        total = ordered_sum(np.where(act, pressure, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            share = np.where(
-                (total > 0.0)[:, None],
-                remaining[:, None] * pressure / total[:, None],
-                (remaining / np.maximum(count, 1))[:, None],
+        if not live.all():
+            if not live.any():
+                break
+            keep = np.flatnonzero(live)
+            rows = keep if rows is None else rows[keep]
+            pressure, demand, multiplicity, active, alloc, remaining = (
+                x.take(keep, axis=0)
+                for x in (pressure, demand, multiplicity, active, alloc, remaining)
             )
-        share = np.where(act, share, 0.0)
+            layout = layout.subset(keep)
+        total = layout.sum(np.where(active, pressure, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            share = remaining[:, None] * pressure / total[:, None]
+        even = ~(total > 0.0)
+        if even.any():
+            # No pressure left: split the remainder evenly among the
+            # active slots.
+            count = np.where(active, multiplicity, 0).sum(axis=1)
+            share = np.where(
+                even[:, None], (remaining / np.maximum(count, 1))[:, None], share
+            )
         proposed = alloc + share
-        over = act & (proposed >= demand)
-        done = live & ~over.any(axis=1)
-        alloc = np.where(done[:, None] & act, proposed, alloc)
-        remaining = np.where(done, 0.0, remaining)
+        over = active & (proposed >= demand)
+        settled = np.where(active, proposed, alloc)
+        if rows is None:
+            result = settled
+        else:
+            result[rows] = settled
+        clipped = over.any(axis=1)
+        if not clipped.any():
+            break
         # Clipped entries are satisfied fully and retired; their slack is
         # re-split among that row's survivors next round.
-        remaining = remaining - ordered_sum(np.where(over, demand - alloc, 0.0))
+        keep = np.flatnonzero(clipped)
+        rows = keep if rows is None else rows[keep]
+        pressure, demand, multiplicity, active, alloc, remaining, over = (
+            x.take(keep, axis=0)
+            for x in (pressure, demand, multiplicity, active, alloc, remaining, over)
+        )
+        layout = layout.subset(keep)
+        remaining = remaining - layout.sum(np.where(over, demand - alloc, 0.0))
         alloc = np.where(over, demand, alloc)
-        active &= ~over
-    return alloc
+        active = active & ~over
+        result[rows] = alloc
+    return result

@@ -59,6 +59,14 @@ class RegistryBackend(Protocol):
         """Every stored manifest (tombstoned included), sorted."""
         ...
 
+    def listing(self) -> list[tuple[ModelManifest, str | None]]:
+        """:meth:`list` with each version's :meth:`tombstone_reason`.
+
+        One read of the store for the whole inventory: a remote backend
+        answers it with one request, not one per version.
+        """
+        ...
+
     def changed_models(self, cursor: str | None) -> tuple[list[str], str]:
         """Names changed since ``cursor``, plus a fresh cursor."""
         ...

@@ -57,6 +57,12 @@ from .local import (
 __all__ = ["HttpBackend"]
 
 
+def _tombstone_field(entry: dict) -> str | None:
+    """A listed manifest's tombstone reason, ``None`` if it is live."""
+    reason = entry.get("tombstone")
+    return None if reason is None else str(reason)
+
+
 class HttpBackend:
     """A remote registry, cached locally by content hash.
 
@@ -427,17 +433,29 @@ class HttpBackend:
 
     def list(self) -> list[ModelManifest]:
         """Every stored manifest (cache on outage), sorted."""
+        return [manifest for manifest, _reason in self.listing()]
+
+    def listing(self) -> list[tuple[ModelManifest, str | None]]:
+        """Every stored manifest with its tombstone reason, in one request.
+
+        The server's listing carries each version's ``tombstone`` field,
+        so no version needs its own ``/tombstone`` round trip.  On outage
+        both come from the cached manifests, as :meth:`tombstone_reason`
+        would answer them.
+        """
         self.full_list_requests += 1
         try:
             status, payload = self._request("GET", "/v1/models")
         except OSError:
-            manifests = [
+            cached = [
                 self._cached_manifest(name, version)
                 for name in self.names()  # offline branch: reads the cache
                 for version in self._cached_versions(name)
             ]
             return [
-                ModelManifest.from_dict(m) for m in manifests if m is not None
+                (ModelManifest.from_dict(data), _tombstone_field(data))
+                for data in cached
+                if data is not None
             ]
         if status != 200:
             raise RegistryError(
@@ -446,7 +464,9 @@ class HttpBackend:
                     f"model listing ({status})"
                 )
             )
-        return self._entries(self._json(payload, "model listing"))
+        data = self._json(payload, "model listing")
+        manifests = self._entries(data)
+        return list(zip(manifests, map(_tombstone_field, data.get("models", []))))
 
     def _entries(self, data: dict) -> list[ModelManifest]:
         """A listing's manifests, each cached as it arrives."""
@@ -504,9 +524,7 @@ class HttpBackend:
             )
         except OSError:
             cached = self._cached_manifest(name, version)
-            if cached is None or cached.get("tombstone") is None:
-                return None
-            return str(cached["tombstone"])
+            return None if cached is None else _tombstone_field(cached)
         if status != 200:
             return None  # unknown version reads as "no tombstone", as local
         data = self._json(payload, f"tombstone status of {name}@{version}")

@@ -740,3 +740,7 @@ class ModelRegistry:
             for name in self.names()
             for version in self._versions(name)
         ]
+
+    def listing(self) -> list[tuple[ModelManifest, str | None]]:
+        """Every stored manifest with its tombstone reason (``None`` if live)."""
+        return [(m, self.tombstone_reason(m.name, m.version)) for m in self.list()]

@@ -101,12 +101,9 @@ class RegistryServer(HttpServerBase):
     # ------------------------------------------------------------- hooks
     def _render_backend_metrics(self) -> str:
         """Inventory gauges for the served store, read at scrape time."""
-        manifests = self.backend.list()
-        tombstones = sum(
-            1
-            for m in manifests
-            if self.backend.tombstone_reason(m.name, m.version) is not None
-        )
+        listing = self.backend.listing()
+        manifests = [m for m, _reason in listing]
+        tombstones = sum(1 for _m, reason in listing if reason is not None)
         out = Exposition()
         out.gauge(
             "repro_registry_models", "Distinct model names stored.",
@@ -152,19 +149,18 @@ class RegistryServer(HttpServerBase):
         raise HTTPError(404, "not_found", f"no route for {path}")
 
     # ------------------------------------------------------------- reads
-    def _manifest_dict(self, manifest) -> dict:
+    @staticmethod
+    def _manifest_dict(manifest, tombstone: str | None) -> dict:
         """Manifest payload with its tombstone status attached."""
         data = manifest.to_dict()
-        data["tombstone"] = self.backend.tombstone_reason(
-            manifest.name, manifest.version
-        )
+        data["tombstone"] = tombstone
         return data
 
     async def _list_models(self, request: Request):
         since = request.query.get("since")
         if since is None:
-            manifests = await call_listing(self.backend, self.backend.list)
-            body = {"models": [self._manifest_dict(m) for m in manifests]}
+            listing = await call_listing(self.backend, self.backend.listing)
+            body = {"models": [self._manifest_dict(*entry) for entry in listing]}
             return 200, "application/json", json.dumps(body).encode()
         # A mirror's change feed has no cache to fall back on when its
         # upstream is down.
@@ -174,8 +170,10 @@ class RegistryServer(HttpServerBase):
         names = set(changed)
         manifests = (
             [
-                self._manifest_dict(m)
-                for m in await call_listing(self.backend, self.backend.list)
+                self._manifest_dict(m, reason)
+                for m, reason in await call_listing(
+                    self.backend, self.backend.listing
+                )
                 if m.name in names
             ]
             if names
@@ -204,10 +202,11 @@ class RegistryServer(HttpServerBase):
             ) from None
         except RegistryError as exc:
             raise HTTPError(404, "unknown_model", str(exc)) from None
+        reason = self.backend.tombstone_reason(manifest.name, manifest.version)
         return (
             200,
             "application/json",
-            json.dumps(self._manifest_dict(manifest)).encode(),
+            json.dumps(self._manifest_dict(manifest, reason)).encode(),
         )
 
     async def _model_info(self, name: str):
@@ -220,16 +219,16 @@ class RegistryServer(HttpServerBase):
                 404, "not_found",
                 f"use /v1/models/{parsed}@{version}/manifest for one version",
             )
-        listing = await call_listing(self.backend, self.backend.list)
-        manifests = [m for m in listing if m.name == parsed]
-        if not manifests:
+        listing = await call_listing(self.backend, self.backend.listing)
+        versions = [(m, reason) for m, reason in listing if m.name == parsed]
+        if not versions:
             try:
                 self.backend.resolve(parsed)  # raises with the canonical text
             except RegistryError as exc:
                 raise HTTPError(404, "unknown_model", str(exc)) from None
         body = {
             "name": parsed,
-            "versions": [self._manifest_dict(m) for m in manifests],
+            "versions": [self._manifest_dict(*entry) for entry in versions],
         }
         return 200, "application/json", json.dumps(body).encode()
 
@@ -300,10 +299,11 @@ class RegistryServer(HttpServerBase):
             manifest = self.backend.push(name, artifact, created_at=created_at)
         except RegistryError as exc:
             raise HTTPError(400, "bad_request", str(exc)) from None
+        reason = self.backend.tombstone_reason(manifest.name, manifest.version)
         return (
             200,
             "application/json",
-            json.dumps(self._manifest_dict(manifest)).encode(),
+            json.dumps(self._manifest_dict(manifest, reason)).encode(),
         )
 
     def _authorize(self, request: Request) -> None:

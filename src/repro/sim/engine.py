@@ -44,7 +44,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ..cache.reuse import ProfileStack, ProfileTable, distinct_index, ordered_sum
+from ..cache.reuse import (
+    ProfileStack,
+    ProfileTable,
+    SlotLayout,
+    distinct_columns,
+    distinct_index,
+)
 from ..cache.sharing import waterfill_batched, waterfill_floats
 from ..machine.pstates import PState
 from ..machine.processor import MulticoreProcessor
@@ -722,9 +728,10 @@ class SimulationEngine:
         calling :meth:`solve_steady_state` once per request — both paths
         share the elementwise update rules and the sequential reduction
         discipline of :func:`~repro.cache.reuse.ordered_sum` — but the
-        batch advances all scenarios together over ``(S, A)`` arrays, so
-        the per-iteration cost is a handful of vectorized operations
-        instead of a Python-level loop per scenario.
+        batch advances all scenarios together over ``(S, W)`` arrays, one
+        column per distinct application of each scenario, so the
+        per-iteration cost is a handful of vectorized operations instead
+        of a Python-level loop per scenario.
 
         Cache integration: hits are served before the batch forms,
         repeated :func:`~repro.sim.solve_cache.solve_key` values within
@@ -903,21 +910,38 @@ class SimulationEngine:
         self,
         entries: list[tuple[tuple[ApplicationSpec, ...], PState, np.ndarray | None]],
     ) -> tuple[list["SteadyState | None"], int]:
-        """Advance ``S`` scenarios as one ``(S, A)`` stacked fixed point.
+        """Advance ``S`` scenarios as one stacked fixed point.
 
-        Scenarios narrower than the widest are padded with inert columns
-        (``cpi=1, api=0, mlp=1``, zero-weight reuse mixtures) whose every
-        contribution to a reduction is an exact IEEE zero — combined with
-        the :func:`~repro.cache.reuse.ordered_sum` discipline this makes
-        each row's trajectory bit-identical to the serial solver's.
+        The stack holds one column per distinct application of each
+        scenario, ``(S, W)``, not one per core slot: a Table V row of a
+        target and eleven copies of one co-app is two columns.  Copies of
+        one application object start from the same constants and the same
+        occupancy, and every per-application step is elementwise IEEE
+        arithmetic, so they would hold bit-equal values at every
+        iteration; one column computes that value once.  Pinned rows are
+        the exception (copies may hold different pinned occupancies) and
+        keep one column per slot.  Rows with fewer columns than ``W`` are
+        padded with inert columns (``cpi=1, api=0, mlp=1``, zero-weight
+        reuse mixtures) that no slot reads.
+
+        A :class:`~repro.cache.reuse.SlotLayout` maps each row's ``A``
+        slots back to their columns.  Every cross-application sum (the
+        compete test, the waterfill's total and slack, the bandwidth)
+        reads the column values through it and adds them slot by slot
+        from ``+0.0`` (:func:`~repro.cache.reuse.ordered_sum`), in the
+        order the serial solver adds them; the order-free reductions (the
+        convergence deltas' maxima) run on the columns.  Each row's
+        trajectory is therefore bit-identical to the serial solver's, and
+        its reported arrays are gathered per slot.
 
         Per-app constants are read once per distinct application object
         into a table whose row 0 is the inert pad, and one gather through
-        a :func:`~repro.cache.reuse.distinct_index` lays them out as
-        ``(S, A)``.  Converged rows freeze: they leave the live set and
+        the :func:`~repro.cache.reuse.distinct_columns` of a
+        :func:`~repro.cache.reuse.distinct_index` lays them out as
+        ``(S, W)``.  Converged rows freeze: they leave the live set and
         stop paying for iterations (the savings are tallied for
-        :class:`EngineStats`).  The live rows' constants are re-gathered
-        only on iterations where some rows freeze.
+        :class:`EngineStats`).  The live rows' constants and slot layout
+        are re-gathered only on iterations where some rows freeze.
         """
         s = len(entries)
         a = max(len(apps) for apps, _, _ in entries)
@@ -926,16 +950,18 @@ class SimulationEngine:
         hit_ns = self.processor.llc.hit_latency_ns * HIT_EXPOSURE
 
         distinct, index = distinct_index([apps for apps, _, _ in entries], a)
-        cpi = np.array([1.0] + [x.base_cpi for x in distinct])[index]
-        api = np.array([0.0] + [x.accesses_per_instruction for x in distinct])[index]
-        mlp = np.array([1.0] + [x.mlp for x in distinct])[index]
-        stack = ProfileStack.gather([x.reuse for x in distinct], index)
-        valid = stack.valid
+        pinned = np.array([alloc is not None for _, _, alloc in entries])
+        columns, slots = distinct_columns(index, pinned)
+        layout = SlotLayout(slots, columns.shape[1])
+        cpi = np.array([1.0] + [x.base_cpi for x in distinct])[columns]
+        api = np.array([0.0] + [x.accesses_per_instruction for x in distinct])[columns]
+        mlp = np.array([1.0] + [x.mlp for x in distinct])[columns]
+        stack = ProfileStack.gather([x.reuse for x in distinct], columns)
         demand = np.minimum(stack.footprints, capacity)
         f_hz = np.array([pstate.frequency_hz for _, pstate, _ in entries])[:, None]
 
-        pinned = np.array([alloc is not None for _, _, alloc in entries])
-        fixed = np.zeros((s, a))
+        # A pinned row has one column per slot, in slot order.
+        fixed = np.zeros(demand.shape)
         for i in np.flatnonzero(pinned):
             apps, _, alloc = entries[i]
             fixed[i, : len(apps)] = np.minimum(alloc, demand[i, : len(apps)])
@@ -943,13 +969,13 @@ class SimulationEngine:
         # move, rows whose demand fits keep occupancy == demand (so, like
         # pinned rows, they never move from their initial iterate), the
         # rest compete through the waterfill.
-        compete = ~np.where(pinned, True, ordered_sum(demand) <= capacity)
+        compete = ~np.where(pinned, True, layout.sum(demand) <= capacity)
 
         occ = np.where(pinned[:, None], fixed, demand)
         if compete.any():
             rows = np.flatnonzero(compete)
             occ[rows] = waterfill_batched(
-                demand[rows], demand[rows], capacity, valid=valid[rows]
+                demand[rows], demand[rows], capacity, slots[rows]
             )
         base_tpi = cpi / f_hz  # compute-only seconds per instruction
         tpi = base_tpi.copy()
@@ -962,9 +988,9 @@ class SimulationEngine:
         # constants, and ``comp`` indexes the competing rows among them.
         live = np.arange(s)
         occ_l, tpi_l = occ.copy(), tpi.copy()
-        api_l, base_l, mlp_l, stack_l = api, base_tpi, mlp, stack
+        api_l, base_l, mlp_l, stack_l, layout_l = api, base_tpi, mlp, stack, layout
         comp = np.flatnonzero(compete)
-        demand_c, valid_c = demand[comp], valid[comp]
+        demand_c, slots_c = demand[comp], slots[comp]
         for it in range(1, self.max_iterations + 1):
             if not live.size:
                 break
@@ -978,14 +1004,12 @@ class SimulationEngine:
                 pressure = rate.take(comp, axis=0) * np.maximum(
                     miss.take(comp, axis=0), PRESSURE_FLOOR
                 )
-                target = waterfill_batched(
-                    pressure, demand_c, capacity, valid=valid_c
-                )
+                target = waterfill_batched(pressure, demand_c, capacity, slots_c)
                 occ_new = occ_l.copy()
                 occ_new[comp] = (
                     (1.0 - damp) * occ_l.take(comp, axis=0) + damp * target
                 )
-            bandwidth = ordered_sum(rate * miss) * line
+            bandwidth = layout_l.sum(rate * miss) * line
             lat_ns = np.asarray(
                 self.dram.effective_latency_ns(bandwidth), dtype=float
             )
@@ -1012,9 +1036,10 @@ class SimulationEngine:
                     for x in (occ_l, tpi_l, api_l, base_l, mlp_l)
                 )
                 stack_l = stack_l.subset(keep)
+                layout_l = layout_l.subset(keep)
                 comp = np.flatnonzero(compete[live])
                 demand_c = demand.take(live[comp], axis=0)
-                valid_c = valid.take(live[comp], axis=0)
+                slots_c = slots.take(live[comp], axis=0)
         # Rows still live did not converge; keep their last iterate.
         occ[live] = occ_l
         tpi[live] = tpi_l
@@ -1023,9 +1048,10 @@ class SimulationEngine:
         converged[live] = False
         iterations_saved = int(np.sum(last_it - iters[converged]))
         miss = stack.miss_ratio(occ)
-        bandwidth = ordered_sum(api / tpi * miss) * line
+        bandwidth = layout.sum(api / tpi * miss) * line
         rho = np.asarray(self.dram.utilization(bandwidth), dtype=float)
         lat_ns = np.asarray(self.dram.effective_latency_ns(bandwidth), dtype=float)
+        tpi, miss, occ = layout.gather(tpi), layout.gather(miss), layout.gather(occ)
         states: list[SteadyState | None] = []
         for i, (apps, pstate, _), ok, bw, util, lat, its in zip(
             range(s), entries, converged.tolist(), bandwidth.tolist(),

@@ -10,6 +10,8 @@ from repro.cache.reuse import (
     ProfileTable,
     ReuseComponent,
     ReuseProfile,
+    SlotLayout,
+    distinct_columns,
     distinct_index,
 )
 
@@ -223,9 +225,7 @@ def _per_cell_stack(profile_rows, pad_apps):
     """
     s = len(profile_rows)
     k = max(len(p.components) for row in profile_rows for p in row)
-    n_apps = np.array([len(row) for row in profile_rows])
     arrays = {
-        "valid": np.arange(pad_apps)[None, :] < n_apps[:, None],
         "working_sets": np.ones((s, pad_apps, k)),
         "weights": np.zeros((s, pad_apps, k)),
         "sharpness": np.ones((s, pad_apps, k)),
@@ -298,7 +298,8 @@ class TestProfileStack:
     def test_miss_ratio_matches_profile_table_rows(self, rng):
         rows = self._rows()
         stack = ProfileStack(rows, pad_apps=5)
-        occ = rng.uniform(0.0, 16 * MB, size=(len(rows), 5)) * stack.valid
+        valid = np.arange(5) < np.array([len(row) for row in rows])[:, None]
+        occ = rng.uniform(0.0, 16 * MB, size=(len(rows), 5)) * valid
         batched = stack.miss_ratio(occ)
         for i, row in enumerate(rows):
             serial = ProfileTable(row).miss_ratio_floats(occ[i, : len(row)].tolist())
@@ -328,6 +329,75 @@ class TestDistinctIndex:
         items, index = distinct_index([["x"], ["y", "x"]])
         assert items == ["x", "y"]
         assert index.shape == (2, 2)
+
+
+class TestDistinctColumns:
+    def test_repeats_and_separate_rows(self):
+        """One column per distinct entry of a row; a separate row keeps one
+        per slot.  Slot indices are one-based, 0 for an empty slot."""
+        index = np.array(
+            [
+                [1, 2, 1, 3, 2],
+                [4, 4, 4, 0, 0],
+                [2, 0, 0, 0, 0],
+                [1, 2, 1, 0, 0],
+            ]
+        )
+        separate = np.array([False, False, False, True])
+        columns, slots = distinct_columns(index, separate)
+        assert columns.tolist() == [[1, 2, 3], [4, 0, 0], [2, 0, 0], [1, 2, 1]]
+        assert slots.tolist() == [
+            [1, 2, 1, 3, 2],
+            [1, 1, 1, 0, 0],
+            [1, 0, 0, 0, 0],
+            [1, 2, 3, 0, 0],
+        ]
+        layout = SlotLayout(slots, columns.shape[1])
+        values = np.array(
+            [[0.5, 0.25, 2.0], [3.0, 9.0, 9.0], [1.0, 9.0, 9.0], [1.0, 2.0, 4.0]]
+        )
+        assert layout.gather(values).tolist() == [
+            [0.5, 0.25, 0.5, 2.0, 0.25],
+            [3.0, 3.0, 3.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0, 0.0],
+            [1.0, 2.0, 4.0, 0.0, 0.0],
+        ]
+        assert layout.sum(values).tolist() == [3.5, 9.0, 1.0, 7.0]
+        assert layout.multiplicity().tolist() == [
+            [2, 2, 1], [3, 0, 0], [1, 0, 0], [1, 1, 1],
+        ]
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.lists(st.integers(1, 9), min_size=1, max_size=12),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=80)
+    def test_property_matches_a_per_row_oracle(self, rows):
+        """Each row's distinct entries in first-seen order (every entry
+        for a separate row), and each slot pointing at its entry."""
+        width = max(len(row) for row, _ in rows)
+        index = np.zeros((len(rows), width), dtype=np.intp)
+        for s, (row, _) in enumerate(rows):
+            index[s, : len(row)] = row
+        separate = np.array([sep for _, sep in rows])
+        columns, slots = distinct_columns(index, separate)
+        expected = [row if sep else list(dict.fromkeys(row)) for row, sep in rows]
+        assert columns.shape == (len(rows), max(map(len, expected)))
+        layout = SlotLayout(slots, columns.shape[1])
+        for s, ((row, sep), cols) in enumerate(zip(rows, expected)):
+            assert columns[s].tolist() == cols + [0] * (columns.shape[1] - len(cols))
+            assert slots[s, len(row):].tolist() == [0] * (width - len(row))
+            assert layout.gather(columns.astype(float))[s, : len(row)].tolist() == row
+            if sep:
+                assert slots[s, : len(row)].tolist() == list(range(1, len(row) + 1))
+        counts = layout.multiplicity()
+        assert counts.sum(axis=1).tolist() == [len(row) for row, _ in rows]
 
 
 class TestFootprintMemo:

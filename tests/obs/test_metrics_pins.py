@@ -222,10 +222,10 @@ def _render_registry_backend(_request) -> str:
         for name, version in (("band", 1), ("band", 2), ("point", 1))
     ]
     backend = SimpleNamespace(
-        list=lambda: manifests,
-        tombstone_reason=lambda name, version: (
-            "bad fit" if (name, version) == ("band", 2) else None
-        ),
+        listing=lambda: [
+            (m, "bad fit" if (m.name, m.version) == ("band", 2) else None)
+            for m in manifests
+        ],
     )
     return RegistryServer(backend)._render_backend_metrics()
 

@@ -7,6 +7,9 @@ caches by content hash — so the upstream is hit once per artifact, no
 matter how many clients read through the replica.
 """
 
+import http.client
+import json
+
 import pytest
 
 from repro.registry import (
@@ -113,3 +116,74 @@ class TestReplicaServing:
         artifact, _ = client.get("point@1")
         with pytest.raises(RegistryError, match="read-only|403|push"):
             client.push("point", artifact)
+
+
+def _get_json(port: int, path: str) -> dict:
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request("GET", path)
+        response = conn.getresponse()
+        assert response.status == 200
+        return json.loads(response.read().decode())
+    finally:
+        conn.close()
+
+
+class TestReplicaListings:
+    """A replica lists its models from the upstream's own listing.
+
+    Each listed manifest carries its tombstone status, and the upstream's
+    listing already does, so asking the upstream once per version would
+    cost a round trip per version on every listing.
+    """
+
+    @pytest.mark.parametrize(
+        "path,requests",
+        [("/v1/models", 1), ("/v1/models?since=0", 2), ("/v1/models/point", 1)],
+        ids=["listing", "change-feed", "model-info"],
+    )
+    def test_upstream_requests_do_not_grow_with_versions(
+        self, store, point_predictor, tmp_path, path, requests
+    ):
+        for _ in range(5):
+            store.push("point", point_predictor)
+        store.tombstone("point@3", reason="drifted on e5649")
+        seen = []
+        with RegistryServerThread(store) as origin:
+            backend = HttpBackend(
+                f"http://127.0.0.1:{origin.port}", tmp_path / "replica-cache"
+            )
+            with RegistryServerThread(backend) as replica:
+                for more in (0, 3):
+                    for _ in range(more):
+                        store.push("point", point_predictor)
+                    want = _get_json(origin.port, path)
+                    before = backend.http_requests
+                    got = _get_json(replica.port, path)
+                    seen.append(backend.http_requests - before)
+                    key = "versions" if "versions" in want else "models"
+                    assert got[key] == want[key]
+                    reasons = {m["version"]: m["tombstone"] for m in got[key]}
+                    assert reasons[3] == "drifted on e5649"
+                    assert [v for v, r in reasons.items() if r is not None] == [3]
+                    assert len(reasons) == 5 + more
+        assert seen == [requests, requests]
+
+    def test_listing_matches_per_version_tombstones(
+        self, store, point_predictor, tmp_path
+    ):
+        """Online and from the cache of a down upstream alike."""
+        for _ in range(3):
+            store.push("point", point_predictor)
+        store.tombstone("point@2", reason="bad fit")
+        with RegistryServerThread(store) as origin:
+            backend = HttpBackend(
+                f"http://127.0.0.1:{origin.port}", tmp_path / "cache",
+                timeout_s=0.5,
+            )
+            online = backend.listing()
+        offline = backend.listing()
+        want = [(m, store.tombstone_reason(m.name, m.version)) for m in store.list()]
+        assert online == want
+        assert offline == want
+        assert [reason for _m, reason in want] == [None, "bad fit", None]

@@ -134,11 +134,15 @@ class TestHttpBackend:
         [
             lambda remote: remote.names(),
             lambda remote: remote.list(),
+            lambda remote: remote.listing(),
             lambda remote: remote.changed_models(None),
             lambda remote: remote.resolve("point"),
             lambda remote: remote.tombstone_reason("point", 1),
         ],
-        ids=["names", "list", "changed_models", "resolve", "tombstone_reason"],
+        ids=[
+            "names", "list", "listing", "changed_models", "resolve",
+            "tombstone_reason",
+        ],
     )
     def test_unparsable_body_names_the_server(self, cache_dir, call):
         with FakeRegistry(GARBAGE) as fake:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.reuse import ProfileStack, ProfileTable, ReuseProfile, ordered_sum
 from repro.cache.sharing import waterfill_batched, waterfill_floats
@@ -422,12 +423,12 @@ def test_waterfill_batched_matches_serial_bitwise():
     a = max(widths)
     pressure = np.zeros((len(widths), a))
     demand = np.zeros((len(widths), a))
-    valid = np.zeros((len(widths), a), dtype=bool)
+    slots = np.zeros((len(widths), a), dtype=int)
     for i, n in enumerate(widths):
         pressure[i, :n] = rng.uniform(0.0, 1.0, size=n)
         demand[i, :n] = rng.uniform(0.0, 1.5, size=n) * capacity
-        valid[i, :n] = True
-    batched = waterfill_batched(pressure, demand, capacity, valid=valid)
+        slots[i, :n] = np.arange(1, n + 1)
+    batched = waterfill_batched(pressure, demand, capacity, slots)
     for i, n in enumerate(widths):
         serial = waterfill_floats(
             pressure[i, :n].tolist(), demand[i, :n].tolist(), capacity
@@ -440,18 +441,189 @@ def test_waterfill_batched_zero_pressure_even_split_excludes_pads():
     capacity = 1000.0
     pressure = np.zeros((1, 4))
     demand = np.array([[600.0, 600.0, 0.0, 0.0]])
-    valid = np.array([[True, True, False, False]])
-    alloc = waterfill_batched(pressure, demand, capacity, valid=valid)
+    slots = np.array([[1, 2, 0, 0]])
+    alloc = waterfill_batched(pressure, demand, capacity, slots)
     serial = waterfill_floats([0.0, 0.0], [600.0, 600.0], capacity)
     assert np.array_equal(alloc[0, :2], serial)
     assert np.all(alloc[0, 2:] == 0.0)
 
 
 def test_waterfill_batched_shape_validation():
+    slots = np.ones((2, 3), dtype=int)
     with pytest.raises(ValueError, match="matching"):
-        waterfill_batched(np.zeros((2, 3)), np.zeros((2, 4)), 10.0)
+        waterfill_batched(np.zeros((2, 3)), np.zeros((2, 4)), 10.0, slots)
     with pytest.raises(ValueError, match="matching"):
-        waterfill_batched(np.zeros(3), np.zeros(3), 10.0)
+        waterfill_batched(np.zeros(3), np.zeros(3), 10.0, slots)
+    with pytest.raises(ValueError, match="slots"):
+        waterfill_batched(np.zeros((2, 3)), np.zeros((2, 3)), 10.0, slots[:1])
+
+
+def _waterfill_per_slot(pressure, demand, capacity, slots):
+    """Each row of a column waterfill, and ``waterfill_floats`` over the
+    row's per-slot values, both laid out per slot."""
+    batched = waterfill_batched(pressure, demand, capacity, slots)
+    capacity = np.broadcast_to(capacity, (len(slots),))
+    for s, row in enumerate(slots):
+        columns = row[row > 0] - 1
+        serial = waterfill_floats(
+            pressure[s, columns].tolist(), demand[s, columns].tolist(), capacity[s]
+        )
+        unread = np.setdiff1d(np.arange(pressure.shape[1]), columns)
+        yield serial, batched[s, columns].tolist(), batched[s, unread]
+
+
+def test_waterfill_batched_columns_match_serial_per_slot():
+    """Rows that clip in round 1, never clip, need three rounds, or have
+    no pressure (even split), in one call with per-row capacities."""
+    pressure = np.array(
+        [
+            [1.0, 1.0, 1.0],  # column 1 clips in round 1, then done
+            [1.0, 2.0, 3.0],  # everything fits its share: one round
+            [1.0, 1.0, 1.0],  # one column clips per round: three rounds
+            [0.0, 0.0, 0.0],  # no pressure: even split over five slots
+            [0.3, 0.7, 0.0],  # a column no slot reads
+        ]
+    )
+    demand = np.array(
+        [
+            [1.0, 50.0, 50.0],
+            [90.0, 90.0, 90.0],
+            [1.0, 2.8, 100.0],
+            [50.0, 50.0, 50.0],
+            [5.0, 50.0, 7.0],
+        ]
+    )
+    capacity = np.array([12.0, 12.0, 10.0, 10.0, 20.0])
+    slots = np.array(
+        [
+            [1, 2, 1, 3, 2, 0],
+            [3, 1, 2, 0, 0, 0],
+            [1, 2, 3, 3, 0, 0],
+            [2, 2, 1, 3, 2, 0],
+            [1, 2, 2, 1, 0, 0],
+        ]
+    )
+    rows = list(_waterfill_per_slot(pressure, demand, capacity, slots))
+    for serial, batched, unread in rows:
+        assert batched == serial
+        assert np.all(unread == 0.0)
+    assert rows[2][1] == pytest.approx([1.0, 2.8, 3.1, 3.1])
+    assert rows[3][1] == [2.0] * 5
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.lists(st.integers(1, 3), min_size=1, max_size=8),
+            st.lists(st.just(0.0) | st.floats(1e-3, 4.0), min_size=3, max_size=3),
+            st.lists(st.floats(0.0, 60.0), min_size=3, max_size=3),
+            st.floats(0.0, 100.0),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_property_waterfill_batched_columns_match_serial(rows):
+    slots = np.zeros((len(rows), 8), dtype=int)
+    for s, (row, _, _, _) in enumerate(rows):
+        slots[s, : len(row)] = row
+    pressure = np.array([p for _, p, _, _ in rows])
+    demand = np.array([d for _, _, d, _ in rows])
+    capacity = np.array([c for _, _, _, c in rows])
+    for serial, batched, unread in _waterfill_per_slot(
+        pressure, demand, capacity, slots
+    ):
+        assert batched == serial
+        assert np.all(unread == 0.0)
+
+
+def _serial_states(processor, requests):
+    engine = SimulationEngine(processor)
+    return [
+        engine.solve_steady_state(
+            r.apps,
+            r.pstate,
+            fixed_occupancies=(
+                None
+                if r.fixed_occupancies is None
+                else np.asarray(r.fixed_occupancies, dtype=float)
+            ),
+        )
+        for r in requests
+    ]
+
+
+@pytest.mark.parametrize(
+    "processor", [XEON_E5649, XEON_E5_2697V2], ids=["e5649", "e5-2697v2"]
+)
+def test_stacked_columns_match_serial_on_repeats_and_pinned_copies(processor):
+    """Repeats in scattered slot orders, a target that is also the
+    co-runner, every width, and pinned copies of one app that hold
+    different occupancies, all in one batch."""
+    cg, ep, canneal, sp = (get_application(n) for n in ("cg", "ep", "canneal", "sp"))
+    cap = float(processor.llc.size_bytes)
+    slow, fast = processor.pstates.slowest, processor.pstates.fastest
+    pool = (cg, ep, canneal, sp)
+    requests = [
+        SolveRequest(apps=(canneal, cg, canneal, ep, cg), pstate=fast),
+        SolveRequest(apps=(cg,) * 6, pstate=slow),
+        SolveRequest(apps=(cg,) * processor.num_cores, pstate=fast),
+        SolveRequest(apps=(ep, sp, sp, ep, cg, sp), pstate=slow),
+        SolveRequest(
+            apps=(cg, ep, cg), fixed_occupancies=(cap / 4, cap / 8, cap / 2)
+        ),
+        SolveRequest(
+            apps=(canneal, canneal), pstate=slow, fixed_occupancies=(cap / 3, cap / 6)
+        ),
+    ]
+    requests += [
+        SolveRequest(
+            apps=tuple(pool[(n + j * j) % 3] for j in range(n)),
+            pstate=processor.pstates[n % len(processor.pstates)],
+        )
+        for n in range(1, processor.num_cores + 1)
+    ]
+    stacked = SimulationEngine(processor).solve_steady_state_batched(requests)
+    for serial, state in zip(_serial_states(processor, requests), stacked):
+        assert_states_identical(serial, state)
+    pinned = stacked[4].occupancies_bytes
+    assert pinned[0] != pinned[2]
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 2), min_size=1, max_size=6),
+            st.integers(0, 5),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+@settings(max_examples=20, deadline=None)
+def test_property_stacked_columns_match_serial(rows):
+    """Batches of repeated apps, pinned or not, at any P-state."""
+    processor = XEON_E5649
+    pool = tuple(get_application(n) for n in ("cg", "ep", "canneal"))
+    cap = float(processor.llc.size_bytes)
+    requests = []
+    for picks, pstate, pin in rows:
+        apps = tuple(pool[i] for i in picks)
+        fixed = None
+        if pin:
+            # Copies of one app pin different occupancies, under cap / 2.
+            n = len(apps)
+            fixed = tuple(cap * (k + 1) / (2 * n * n) for k in range(n))
+        requests.append(
+            SolveRequest(
+                apps=apps, pstate=processor.pstates[pstate], fixed_occupancies=fixed
+            )
+        )
+    stacked = SimulationEngine(processor).solve_steady_state_batched(requests)
+    for serial, state in zip(_serial_states(processor, requests), stacked):
+        assert_states_identical(serial, state)
 
 
 def test_dram_model_accepts_per_scenario_bandwidth_vectors():

@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.cache.reuse import ReuseProfile
 from repro.cache.sharing import waterfill_floats
+from repro.machine import XEON_E5649
+from repro.sim import SimulationEngine
 from repro.sim.engine import HIT_EXPOSURE, PRESSURE_FLOOR
 from repro.workloads import all_applications
+from repro.workloads.app import ApplicationSpec
 from repro.workloads.suite import get_application
+
+from .test_batched_engine import assert_states_identical
 
 
 class TestSolveSteadyState:
@@ -156,3 +162,47 @@ def test_converged_state_satisfies_the_fixed_point(request, engine_name):
                 rtol=1e-5,
             )
     assert contended >= 10
+
+
+def test_the_pressure_floor_sets_a_cache_resident_apps_share():
+    """An app that almost never misses keeps the share the floor buys it.
+
+    No suite application's contended miss ratio falls below the floor,
+    so this one is synthetic: 99.999% of its accesses fit a 16 KiB
+    working set, a 4 MiB tail takes the other 1e-5, and none are
+    compulsory.  Next to ``cg`` it misses about 1.3e-5 of its accesses,
+    far below the 0.002 floor, so its occupancy is the waterfill at the
+    floor's pressure, and the split checked here is the floor's value.
+    """
+    floor = 0.002
+    resident = ApplicationSpec(
+        name="resident",
+        suite="synthetic",
+        instructions=1e9,
+        base_cpi=0.5,
+        accesses_per_instruction=0.02,
+        reuse=ReuseProfile.mixture([(16 * 1024, 0.99999, 6.0), (4 * 2**20, 1e-5)]),
+    )
+    apps = (resident, get_application("cg"))
+    state = SimulationEngine(XEON_E5649).solve_steady_state(apps)
+    (stacked,) = SimulationEngine(XEON_E5649).solve_steady_state_batched([apps])
+    assert_states_identical(state, stacked)
+
+    miss = state.miss_ratios
+    assert miss[0] < floor / 100 < floor < miss[1]
+    capacity = float(XEON_E5649.llc.size_bytes)
+    demand = [min(a.footprint_bytes, capacity) for a in apps]
+    assert sum(demand) > capacity  # the two compete
+    rate = np.array([a.accesses_per_instruction for a in apps]) / (
+        state.seconds_per_instruction
+    )
+
+    def split(pressure):
+        return np.array(waterfill_floats(pressure.tolist(), demand, capacity))
+
+    np.testing.assert_allclose(
+        state.occupancies_bytes, split(rate * np.maximum(miss, floor)), rtol=1e-5
+    )
+    # Without the floor the resident app would hold a few KiB, not ~130.
+    floorless = split(rate * miss)
+    assert floorless[0] < state.occupancies_bytes[0] / 10
