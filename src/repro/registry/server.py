@@ -40,13 +40,14 @@ over HTTP.
 
 from __future__ import annotations
 
+import functools
 import hmac
 import json
 
 from ..core.persistence import PersistenceError, artifact_from_dict
 from ..obs.registry import Exposition
 from ..serve.http import HTTPError, HttpServerBase, Request, ServerThreadBase
-from .backend import call_listing
+from .backend import call_backend, call_listing
 from .local import ModelRegistry, RegistryError, TombstoneError, parse_ref
 
 __all__ = ["RegistryServer", "RegistryServerThread"]
@@ -94,14 +95,34 @@ class RegistryServer(HttpServerBase):
         super().__init__(host=host, port=port)
         self.backend = backend
         self.token = token
+        #: The listing :meth:`_scrape` read for the render in progress (or
+        #: the error reading it raised); ``None`` outside a scrape.
+        self._scrape_listing = None
         self.obs_registry.register_source(
             "registry_backend", self._render_backend_metrics
         )
 
     # ------------------------------------------------------------- hooks
+    async def _scrape(self) -> str:
+        """``GET /metrics``, the inventory's listing read off the event loop."""
+        try:
+            self._scrape_listing = await call_backend(
+                self.backend, self.backend.listing
+            )
+        except Exception as exc:  # noqa: BLE001 - the render counts it
+            self._scrape_listing = exc
+        try:
+            return self.obs_registry.render()
+        finally:
+            self._scrape_listing = None
+
     def _render_backend_metrics(self) -> str:
         """Inventory gauges for the served store, read at scrape time."""
-        listing = self.backend.listing()
+        listing = self._scrape_listing
+        if listing is None:
+            listing = self.backend.listing()
+        elif isinstance(listing, Exception):
+            raise listing
         manifests = [m for m, _reason in listing]
         tombstones = sum(1 for _m, reason in listing if reason is not None)
         out = Exposition()
@@ -142,10 +163,10 @@ class RegistryServer(HttpServerBase):
             return await self._model_route(path[len("/v1/models/"):])
         if path.startswith("/v1/blobs/"):
             self._require(method, "GET")
-            return self._blob(path[len("/v1/blobs/"):])
+            return await self._blob(path[len("/v1/blobs/"):])
         if path == "/v1/push":
             self._require(method, "POST")
-            return self._push(request)
+            return await self._push(request)
         raise HTTPError(404, "not_found", f"no route for {path}")
 
     # ------------------------------------------------------------- reads
@@ -185,24 +206,29 @@ class RegistryServer(HttpServerBase):
     async def _model_route(self, rest: str):
         """Dispatch ``/v1/models/{...}`` sub-paths."""
         if rest.endswith("/manifest"):
-            return self._manifest(rest[: -len("/manifest")])
+            return await self._manifest(rest[: -len("/manifest")])
         if rest.endswith("/tombstone"):
             return await self._tombstone_status(rest[: -len("/tombstone")])
         if "/" in rest:
             raise HTTPError(404, "not_found", f"no route for /v1/models/{rest}")
         return await self._model_info(rest)
 
-    def _manifest(self, ref: str):
+    async def _manifest(self, ref: str):
         """Resolve a reference exactly as the local backend would."""
         try:
-            manifest = self.backend.resolve(ref)
+            manifest = await call_backend(self.backend, self.backend.resolve, ref)
         except TombstoneError as exc:
             raise HTTPError(
                 410, "tombstoned", str(exc),
             ) from None
         except RegistryError as exc:
             raise HTTPError(404, "unknown_model", str(exc)) from None
-        reason = self.backend.tombstone_reason(manifest.name, manifest.version)
+        reason = await call_backend(
+            self.backend,
+            self.backend.tombstone_reason,
+            manifest.name,
+            manifest.version,
+        )
         return (
             200,
             "application/json",
@@ -222,8 +248,8 @@ class RegistryServer(HttpServerBase):
         listing = await call_listing(self.backend, self.backend.listing)
         versions = [(m, reason) for m, reason in listing if m.name == parsed]
         if not versions:
-            try:
-                self.backend.resolve(parsed)  # raises with the canonical text
+            try:  # raises with the canonical text
+                await call_backend(self.backend, self.backend.resolve, parsed)
             except RegistryError as exc:
                 raise HTTPError(404, "unknown_model", str(exc)) from None
         body = {
@@ -242,27 +268,25 @@ class RegistryServer(HttpServerBase):
                 404, "not_found",
                 "tombstone status takes an explicit name@version",
             )
-        listing = await call_listing(self.backend, self.backend.list)
-        if version not in [m.version for m in listing if m.name == name]:
+        listing = await call_listing(self.backend, self.backend.listing)
+        reasons = {m.version: reason for m, reason in listing if m.name == name}
+        if version not in reasons:
             raise HTTPError(
                 404, "unknown_model",
                 f"unknown version {version} of {name!r}",
             )
-        body = {
-            "ref": f"{name}@{version}",
-            "reason": self.backend.tombstone_reason(name, version),
-        }
+        body = {"ref": f"{name}@{version}", "reason": reasons[version]}
         return 200, "application/json", json.dumps(body).encode()
 
-    def _blob(self, content_hash: str):
+    async def _blob(self, content_hash: str):
         # Bytes travel exactly as stored — no server-side re-hash.  Every
         # client verifies by content hash before decoding, so a corrupted
         # payload is refused client-side with the same wording as a local
         # load (error parity); a server-side refusal would hide the bytes
-        # behind a different message.
+        # behind a different message.  A mirror's ``blob_path`` downloads
+        # on a cache miss.
         try:
-            path = self.backend.blob_path(content_hash)
-            payload = path.read_bytes()
+            payload = await call_backend(self.backend, self._blob_bytes, content_hash)
         except RegistryError as exc:
             raise HTTPError(404, "unknown_blob", str(exc)) from None
         except OSError as exc:
@@ -272,8 +296,11 @@ class RegistryServer(HttpServerBase):
             ) from None
         return 200, "application/json", payload
 
+    def _blob_bytes(self, content_hash: str) -> bytes:
+        return self.backend.blob_path(content_hash).read_bytes()
+
     # ------------------------------------------------------------- push
-    def _push(self, request: Request):
+    async def _push(self, request: Request):
         self._authorize(request)
         body = self._json_object(request)
         name = body.get("name")
@@ -296,10 +323,20 @@ class RegistryServer(HttpServerBase):
         if created_at is not None and not isinstance(created_at, str):
             raise HTTPError(400, "bad_request", "'created_at' must be a string")
         try:
-            manifest = self.backend.push(name, artifact, created_at=created_at)
+            manifest = await call_backend(
+                self.backend,
+                functools.partial(self.backend.push, created_at=created_at),
+                name,
+                artifact,
+            )
         except RegistryError as exc:
             raise HTTPError(400, "bad_request", str(exc)) from None
-        reason = self.backend.tombstone_reason(manifest.name, manifest.version)
+        reason = await call_backend(
+            self.backend,
+            self.backend.tombstone_reason,
+            manifest.name,
+            manifest.version,
+        )
         return (
             200,
             "application/json",

@@ -18,7 +18,9 @@ router, the registry, the scheduler and the span collector:
   ``GET /metrics``: the process-wide sources, that record, then the
   sources a server registers on :attr:`HttpServerBase.obs_registry`;
 * graceful ``stop()``: the listener closes, a subclass drain hook runs,
-  in-flight requests finish, then connections are torn down.
+  in-flight requests finish, then connections are torn down; a request
+  read after ``stop()`` began is answered 503 ``draining`` on a closing
+  connection, never routed.
 
 Subclasses implement ``_route`` (returning ``(status, content_type,
 payload)`` or ``(status, content_type, payload, extra_headers)``) for
@@ -266,6 +268,16 @@ class HttpServerBase:
                         await _discard(reader, exc.length)
                     break
                 if request is None:
+                    break
+                if self._closing:
+                    # Read after stop() began: stop() may already have
+                    # closed this writer, and a route run now could act
+                    # (forward, count, predict) for an answer that never
+                    # arrives.  Refuse it without running the route.
+                    await self._reject(
+                        writer,
+                        HTTPError(503, "draining", "server is shutting down"),
+                    )
                     break
                 self._active_requests += 1
                 try:

@@ -218,6 +218,45 @@ class TestMirror:
         assert status == 502
         assert fake.url in body["error"]
 
+    def test_hung_upstream_stalls_only_the_requests_that_wait_on_it(
+        self, cache_dir
+    ):
+        """A ``/manifest`` resolve and a ``/metrics`` scrape each wait out
+        the upstream's timeout, and a request that needs no backend
+        answers meanwhile."""
+        with FakeRegistry(None) as fake:
+            mirror = HttpBackend(fake.url, cache_dir, timeout_s=1.5)
+            with RegistryServerThread(mirror) as handle:
+                answers: dict[str, int] = {}
+
+                def wait_on(path: str) -> None:
+                    conn = http.client.HTTPConnection(
+                        "127.0.0.1", handle.port, timeout=10
+                    )
+                    conn.request("GET", path)
+                    answers[path] = conn.getresponse().status
+                    conn.close()
+
+                waiting = []
+                for path in ("/v1/models/point/manifest", "/metrics"):
+                    thread = threading.Thread(target=wait_on, args=(path,))
+                    thread.start()
+                    waiting.append(thread)
+                    deadline = time.monotonic() + 5.0
+                    while len(fake._open) < len(waiting):
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
+                started = time.monotonic()
+                status, _body = _get(handle.port, "/no/such/path")
+                elapsed = time.monotonic() - started
+                for thread in waiting:
+                    thread.join(timeout=15.0)
+        assert status == 404
+        assert elapsed < 0.5
+        # Both waited out the upstream: no cached manifest, an empty
+        # cached listing for the gauges.
+        assert answers == {"/v1/models/point/manifest": 404, "/metrics": 200}
+
     @pytest.mark.parametrize(
         "path", ["/v1/models", "/v1/models/point", "/v1/models/point@1/tombstone"]
     )

@@ -5,6 +5,7 @@ the blocking client talks to it over loopback TCP exactly as a resource
 manager sidecar would.
 """
 
+import asyncio
 import concurrent.futures
 import threading
 import time
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.serve.client import ClientError, PredictionClient
+from repro.serve.http import HttpServerBase
 from repro.serve.server import PredictionServer, ServerThread
 
 
@@ -364,7 +366,73 @@ class TestFlushByForm:
         assert samples["repro_serve_batch_size_sum"] == n
 
 
+class _PausedDrain(HttpServerBase):
+    """Counts the requests it routes; ``stop()`` waits in ``_drain``."""
+
+    metrics_prefix = "paused_drain"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.routed = 0
+        self.draining = asyncio.Event()
+        self.release = asyncio.Event()
+
+    async def _drain(self) -> None:
+        self.draining.set()
+        await self.release.wait()
+
+    async def _route(self, request):
+        self.routed += 1
+        return 200, "application/json", b"{}"
+
+
+async def _answer(reader: asyncio.StreamReader) -> bytes:
+    """One response's head and body, or whatever came before EOF."""
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    length = next(
+        int(line.split(b":")[1])
+        for line in head.split(b"\r\n")
+        if line.lower().startswith(b"content-length:")
+    )
+    return head + await reader.readexactly(length)
+
+
 class TestLifecycle:
+    def test_request_read_while_stopping_is_not_routed(self):
+        """A kept-alive connection's request that arrives while ``stop()``
+        drains gets a 503 or a closed connection, and its route never
+        runs: a router would otherwise forward it, and a worker count
+        it, for an answer written into a closed connection."""
+        request = b"GET /work HTTP/1.1\r\nHost: test\r\n\r\n"
+
+        async def run():
+            server = _PausedDrain()
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(request)
+            first = await _answer(reader)
+            stopping = asyncio.create_task(server.stop())
+            await server.draining.wait()
+            writer.write(request)
+            second = await asyncio.wait_for(_answer(reader), timeout=5.0)
+            rest = await asyncio.wait_for(reader.read(), timeout=5.0)
+            server.release.set()
+            await stopping
+            writer.close()
+            return first, second, rest, server.routed
+
+        first, second, rest, routed = asyncio.run(run())
+        assert first.startswith(b"HTTP/1.1 200")
+        assert second == b"" or second.startswith(b"HTTP/1.1 503")
+        if second:
+            assert b"Connection: close" in second
+            assert b'"error": "server is shutting down"' in second
+        assert rest == b""  # the connection closed behind the answer
+        assert routed == 1
+
     def test_ephemeral_port_resolves(self, populated_registry):
         with ServerThread(populated_registry) as handle:
             assert handle.port > 0
